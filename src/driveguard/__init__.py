@@ -117,6 +117,7 @@ from .stream import (
     evaluate_profile,
     process_sample,
     replay_session,
+    stream_samples,
     stream_session,
 )
 from .synth import (

@@ -140,8 +140,8 @@ def _gnb_log_posteriors(model: GnbModel, X):
 
 def predict_gnb(model: GnbModel, x):
     """(class index, per-class log-posteriors) for one instance."""
-    log_post = _gnb_log_posteriors(model, x)[0]
-    return int(np.argmax(log_post)), log_post
+    pred, log_post = predict_gnb_many(model, x)
+    return int(pred[0]), log_post[0]
 
 
 def predict_gnb_many(model: GnbModel, X):
@@ -310,21 +310,19 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
 
 def predict_mlp(model: MlpModel, x):
     """(class index, per-class sigmoid scores) for one instance."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.w1.shape[0],):
-        raise ValidationError(
-            f"input has shape {x.shape}, model expects ({model.w1.shape[0]},)"
-        )
-    xs = (x - model.feature_mean) / model.feature_scale
-    _, o = mlp_forward(model.w1, model.b1, model.w2, model.b2, xs)
-    return int(np.argmax(o)), o
+    pred, o = predict_mlp_many(model, np.asarray(x, dtype=np.float64)[np.newaxis])
+    return int(pred[0]), o[0]
 
 
 def predict_mlp_many(model: MlpModel, X):
     X = np.asarray(X, dtype=np.float64)
+    n_features = model.w1.shape[0]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValidationError(
+            f"input has shape {X.shape}, model expects (n, {n_features})"
+        )
     Xs = (X - model.feature_mean) / model.feature_scale
-    h = _sigmoid(Xs @ model.w1 + model.b1)
-    o = _sigmoid(h @ model.w2 + model.b2)
+    _, o = mlp_forward(model.w1, model.b1, model.w2, model.b2, Xs)
     return np.argmax(o, axis=1), o
 
 

@@ -32,7 +32,8 @@ from .dsp import (
 )
 from .errors import DriveGuardError, ParameterError
 from .index import CoverageError, distraction_index, rank_tasks
-from .model import EegSample, TaskLabel, split_into_trials
+# perfbench/tracing.py rebinds cli.EegSample and cli.process_sample, so keep both
+from .model import EegSample, TaskLabel, split_into_trials  # noqa: F401
 from .protocol import (
     packets_to_samples,
     read_arff,
@@ -44,11 +45,11 @@ from .protocol import (
 from .stats import table5_report, table6_reports
 from .stream import (
     CalibrationProfile,
-    DetectorState,
     TRACE_HEADER,
     calibrate_thresholds,
-    process_sample,
+    process_sample,  # noqa: F401
     replay_session,
+    stream_samples,
     stream_session,
 )
 from .synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
@@ -338,23 +339,15 @@ def _cmd_calibrate(args, config):
     return 0
 
 
-def _stream_packets(path: str, profile: CalibrationProfile):
+def _read_packets(path: str):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read packet stream {path}: {exc}") from exc
     raw, corrupt = packets_to_samples(data)
-    state = DetectorState(profile)
-    state.corrupt_packets = corrupt
-    alerts = []
-    for i, value in enumerate(raw):
-        state, alert = process_sample(
-            state, EegSample(t=i / state.fs_hz, raw=int(value)))
-        if alert is not None:
-            alerts.append(alert)
     log.info("decoded %d samples (%d corrupt frames)", raw.size, corrupt)
-    return alerts, None
+    return raw
 
 
 def _cmd_stream(args, config):
@@ -363,18 +356,18 @@ def _cmd_stream(args, config):
             profile = CalibrationProfile.from_json(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read profile {args.profile}: {exc}") from exc
-    if args.input.endswith(".csv"):
+    is_csv = args.input.endswith(".csv")
+    if args.trace and not is_csv:
+        raise CliError("--trace needs a session CSV input, not packets")
+    if is_csv:
         session = _load_sessions([args.input])[0]
         alerts, _ = stream_session(session, profile)
-        trace_session = session
     else:
-        alerts, trace_session = _stream_packets(args.input, profile)
+        alerts, _ = stream_samples(_read_packets(args.input), profile)
     for alert in alerts:
         print(alert.to_json())
     if args.trace:
-        if trace_session is None:
-            raise CliError("--trace needs a session CSV input, not packets")
-        _, trace = replay_session(trace_session, profile)
+        _, trace = replay_session(session, profile)
         _write_text(args.trace, "\n".join(
             [TRACE_HEADER] + [rec.csv_row() for rec in trace]) + "\n")
         log.info("wrote %d trace rows to %s", len(trace), args.trace)

@@ -52,22 +52,24 @@ class ResolutionError(ValidationError):
     """Window too short for the frequency resolution a computation needs."""
 
 
+def fold_one_sided(power, n):
+    """Double, in place, the bins of an n-point rfft power array that have a
+    negative-frequency mirror: all but DC and, for even n, Nyquist."""
+    power[1:(n + 1) // 2] *= 2.0
+    return power
+
+
 def periodogram(x, fs_hz):
     """One-sided power spectral density of a mean-removed signal.
 
-    Returns (freqs, psd) with psd in input-units^2/Hz. Interior bins are
-    doubled to fold negative frequencies in; the DC and (for even n)
-    Nyquist bins are not.
+    Returns (freqs, psd) with psd in input-units^2/Hz, folded by
+    ``fold_one_sided``.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     x = x - x.mean()
     spec = np.fft.rfft(x)
-    psd = (spec.real ** 2 + spec.imag ** 2) / (fs_hz * n)
-    if n % 2 == 0:
-        psd[1:-1] *= 2.0
-    else:
-        psd[1:] *= 2.0
+    psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / (fs_hz * n), n)
     return np.fft.rfftfreq(n, 1.0 / fs_hz), psd
 
 
@@ -139,11 +141,7 @@ def stft_spectrogram(samples, fs_hz, window_s: float = 1.0, overlap: float = 0.5
     grid = np.empty((freqs.size, starts.size))
     for j, s in enumerate(starts):
         spec = np.fft.rfft(x[s:s + w] * window)
-        psd = (spec.real ** 2 + spec.imag ** 2) / norm
-        if w % 2 == 0:
-            psd[1:-1] *= 2.0
-        else:
-            psd[1:] *= 2.0
+        psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / norm, w)
         grid[:, j] = 10.0 * np.log10(np.maximum(psd, _PSD_FLOOR))
     times = (starts + w / 2.0) / fs_hz
     return Spectrogram(times_s=times, freqs_hz=freqs, power_db=grid)

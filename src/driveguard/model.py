@@ -30,6 +30,14 @@ MIN_TRIAL_SECONDS = 3.0
 MAX_TRIAL_SECONDS = 5.0
 
 
+def _member_by_value(enum_cls, name: str, what: str):
+    for member in enum_cls:
+        if member.value == name:
+            return member
+    valid = ", ".join(m.value for m in enum_cls)
+    raise ValidationError(f"unknown {what} {name!r}; expected one of: {valid}")
+
+
 class TaskLabel(enum.Enum):
     """Driving condition during a recording.
 
@@ -51,11 +59,7 @@ class TaskLabel(enum.Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "TaskLabel":
-        for member in cls:
-            if member.value == name:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValidationError(f"unknown task label {name!r}; expected one of: {valid}")
+        return _member_by_value(cls, name, "task label")
 
 
 DISTRACTION_TASKS = tuple(t for t in TaskLabel if t.is_distraction)
@@ -73,11 +77,7 @@ class Device(enum.Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "Device":
-        for member in cls:
-            if member.value == name:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValidationError(f"unknown device {name!r}; expected one of: {valid}")
+        return _member_by_value(cls, name, "device")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,6 +174,9 @@ def _window_di(powers: BandPowers) -> float | None:
         return None
 
 
+CRITERION_ORDER = (*BAND_NAMES, DI_KEY)
+
+
 def _evaluate_window(powers: BandPowers, di: float | None,
                      profile: CalibrationProfile):
     """Returns (crossed criteria names, observed values for all criteria)."""
@@ -188,8 +191,7 @@ def _evaluate_window(powers: BandPowers, di: float | None,
         observed[DI_KEY] = di
         if di is not None and di > profile.di_threshold:
             crossed.append(DI_KEY)
-    order = {name: i for i, name in enumerate((*BAND_NAMES, DI_KEY))}
-    crossed.sort(key=order.__getitem__)
+    crossed.sort(key=CRITERION_ORDER.index)
     return tuple(crossed), observed
 
 
@@ -202,6 +204,19 @@ def _should_alert(crossed, profile: CalibrationProfile) -> bool:
     return len(crossed) == n_criteria
 
 
+def _hop_alert(t: float, powers: BandPowers, di: float | None,
+               last_alert_t: float | None, profile: CalibrationProfile):
+    """The alert raised by the hop ending at ``t``, or None when no criterion
+    combination crossed or the refractory period since ``last_alert_t`` has
+    not yet elapsed."""
+    crossed, observed = _evaluate_window(powers, di, profile)
+    if not _should_alert(crossed, profile):
+        return None
+    if last_alert_t is not None and t - last_alert_t < profile.refractory_s - 1e-9:
+        return None
+    return AlertEvent(t=t, trigger=crossed, observed=observed, severity=di)
+
+
 # ---------------------------------------------------------------------------
 # streaming detector
 
@@ -211,12 +226,10 @@ class DetectorState:
 
     The buffer is a fixed ring of window_s * fs samples; feeding a
     sample is O(1) and each hop evaluation touches only the buffer.
-    ``corrupt_packets`` is bookkeeping for callers that feed the
-    detector from a packet parser.
     """
 
     __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_count",
-                 "_prev_t", "last_alert_t", "corrupt_packets")
+                 "_prev_t", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
         if fs_hz <= 0:
@@ -235,7 +248,6 @@ class DetectorState:
         self._count = 0
         self._prev_t = -math.inf
         self.last_alert_t = None
-        self.corrupt_packets = 0
 
     @property
     def samples_seen(self) -> int:
@@ -265,16 +277,25 @@ def process_sample(state: DetectorState, sample: EegSample):
     if state._count < state.win_n or (state._count - state.win_n) % state.hop_n != 0:
         return state, None
     powers = band_powers_from_samples(state.window_samples(), state.fs_hz)
-    di = _window_di(powers)
-    crossed, observed = _evaluate_window(powers, di, state.profile)
-    if not _should_alert(crossed, state.profile):
-        return state, None
-    if (state.last_alert_t is not None
-            and sample.t - state.last_alert_t < state.profile.refractory_s - 1e-9):
-        return state, None
-    state.last_alert_t = sample.t
-    return state, AlertEvent(t=sample.t, trigger=crossed, observed=observed,
-                             severity=di)
+    alert = _hop_alert(sample.t, powers, _window_di(powers),
+                       state.last_alert_t, state.profile)
+    if alert is not None:
+        state.last_alert_t = sample.t
+    return state, alert
+
+
+def stream_samples(raw, profile: CalibrationProfile):
+    """Feed raw ADC samples through a fresh detector, sample i at i / 512 s.
+
+    Returns ``(alerts, state)``.
+    """
+    state = DetectorState(profile)
+    alerts = []
+    for i, value in enumerate(np.asarray(raw).tolist()):
+        state, alert = process_sample(state, EegSample(t=i / STREAM_FS_HZ, raw=value))
+        if alert is not None:
+            alerts.append(alert)
+    return alerts, state
 
 
 # ---------------------------------------------------------------------------
@@ -293,48 +314,41 @@ def _session_stream_channel(session: SubjectSession) -> np.ndarray:
     return session.raw[0]
 
 
+def _hop_trace(session: SubjectSession, window_s: float, hop_s: float):
+    """A HopRecord for every window of a stored session, cut directly from
+    the session array rather than by delegating to the streaming path."""
+    data = _session_stream_channel(session)
+    fs = session.fs_hz
+    win_n = int(round(window_s * fs))
+    hop_n = int(round(hop_s * fs))
+    trace = []
+    for end in range(win_n, data.size + 1, hop_n):
+        powers = band_powers_from_samples(data[end - win_n:end], fs)
+        trace.append(HopRecord(t=(end - 1) / fs, powers=powers, di=_window_di(powers)))
+    return trace
+
+
 def replay_session(session: SubjectSession, profile: CalibrationProfile):
     """Score a stored session offline.
 
     Returns ``(alerts, trace)``: the same alert sequence that streaming
     the samples through ``process_sample`` yields, plus a HopRecord for
-    every evaluated window. Implemented directly over the session array
-    rather than by delegating to the streaming path.
+    every evaluated window.
     """
-    data = _session_stream_channel(session)
-    fs = session.fs_hz
-    win_n = int(round(profile.window_s * fs))
-    hop_n = int(round(profile.hop_s * fs))
+    trace = _hop_trace(session, profile.window_s, profile.hop_s)
     alerts = []
-    trace = []
     last_alert_t = None
-    for end in range(win_n, data.size + 1, hop_n):
-        powers = band_powers_from_samples(data[end - win_n:end], fs)
-        di = _window_di(powers)
-        t = (end - 1) / fs
-        trace.append(HopRecord(t=t, powers=powers, di=di))
-        crossed, observed = _evaluate_window(powers, di, profile)
-        if not _should_alert(crossed, profile):
-            continue
-        if last_alert_t is not None and t - last_alert_t < profile.refractory_s - 1e-9:
-            continue
-        last_alert_t = t
-        alerts.append(AlertEvent(t=t, trigger=crossed, observed=observed,
-                                 severity=di))
+    for rec in trace:
+        alert = _hop_alert(rec.t, rec.powers, rec.di, last_alert_t, profile)
+        if alert is not None:
+            last_alert_t = rec.t
+            alerts.append(alert)
     return alerts, trace
 
 
 def stream_session(session: SubjectSession, profile: CalibrationProfile):
     """Feed a stored session through the streaming detector sample by sample."""
-    data = _session_stream_channel(session)
-    state = DetectorState(profile, fs_hz=session.fs_hz)
-    times = session.times()
-    alerts = []
-    for t, raw in zip(times, data):
-        state, alert = process_sample(state, EegSample(t=float(t), raw=int(raw)))
-        if alert is not None:
-            alerts.append(alert)
-    return alerts, state
+    return stream_samples(_session_stream_channel(session), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +385,7 @@ def _hop_feature_rows(sessions, window_s, hop_s):
     rows = []
     labels = []
     for session in sessions:
-        profile_free = CalibrationProfile(subject_id=session.subject_id,
-                                          band_thresholds={},
-                                          refractory_s=max(hop_s, 2.0),
-                                          window_s=window_s, hop_s=hop_s)
-        _, trace = replay_session(session, profile_free)
-        for rec in trace:
+        for rec in _hop_trace(session, window_s, hop_s):
             di = math.nan if rec.di is None else rec.di
             rows.append((*rec.powers.as_tuple(), di))
             labels.append(session.task.is_distraction)
@@ -405,9 +414,6 @@ def _candidate_thresholds(values, max_candidates):
         idx = np.linspace(0, mids.size - 1, max_candidates).round().astype(int)
         mids = mids[np.unique(idx)]
     return mids
-
-
-CRITERION_ORDER = (*BAND_NAMES, DI_KEY)
 
 
 def calibrate_thresholds(sessions, subject_id: str | None = None,
@@ -446,6 +452,11 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
                 f"sessions span multiple subjects {sorted(subjects)}; "
                 "pass subject_id explicitly")
         subject_id = next(iter(subjects))
+    # validates the timing up front; the search fills in the thresholds
+    profile = CalibrationProfile(subject_id=subject_id, band_thresholds={},
+                                 refractory_s=refractory_s,
+                                 window_s=window_s, hop_s=hop_s,
+                                 combine=combine)
     rows, truth = _hop_feature_rows(sessions, window_s, hop_s)
     if rows.size == 0:
         raise CalibrationError("sessions yielded no analysis windows")
@@ -479,12 +490,8 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
         # nothing improved on predicting no alerts; pin thresholds above
         # everything observed so the profile stays silent
         band_thresholds = {"beta": float(np.max(rows[:, 3]) * 2.0 + 1.0)}
-    profile = CalibrationProfile(subject_id=subject_id,
-                                 band_thresholds=band_thresholds,
-                                 di_threshold=di_threshold,
-                                 refractory_s=refractory_s,
-                                 window_s=window_s, hop_s=hop_s,
-                                 combine=combine)
+    profile = replace(profile, band_thresholds=band_thresholds,
+                      di_threshold=di_threshold)
     ok = best_f1 >= min_f1
     note = None if ok else (
         f"no threshold combination reached F1 {min_f1:g}; best {best_f1:.4f}")
@@ -502,8 +509,7 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     preds = []
     truths = []
     for session in sessions:
-        _, trace = replay_session(session, profile)
-        for rec in trace:
+        for rec in _hop_trace(session, profile.window_s, profile.hop_s):
             crossed, _ = _evaluate_window(rec.powers, rec.di, profile)
             preds.append(_should_alert(crossed, profile))
             truths.append(session.task.is_distraction)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import BANDS
+from .dsp import BANDS, fold_one_sided
 from .errors import ParameterError, ValidationError
 from .model import ADC_MAX, ADC_MIN, Device, SubjectSession, TaskLabel
 from .protocol import UV_PER_COUNT
@@ -149,10 +149,8 @@ def _carrier_bin_amplitudes(pink: PinkNoiseSpec, fs_hz: int, n: int):
     freqs = np.fft.rfftfreq(n, 1.0 / fs_hz)
     mag = np.zeros(freqs.size)
     mag[1:] = freqs[1:] ** (-0.5 * pink.exponent)
-    weights = np.full(freqs.size, 2.0)
-    weights[0] = 0.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
+    # mag[0] is 0, so the DC weight does not matter
+    weights = fold_one_sided(np.ones(freqs.size), n)
     scale = pink.amplitude_uv * n / math.sqrt(float(np.sum(weights * mag ** 2)))
     return freqs, mag * scale
 
@@ -171,10 +169,7 @@ def _pink_noise(rng: np.random.Generator, pink: PinkNoiseSpec,
 
 def _expected_periodogram(pink: PinkNoiseSpec, fs_hz: int, n: int):
     freqs, a = _carrier_bin_amplitudes(pink, fs_hz, n)
-    sides = np.full(freqs.size, 2.0)
-    sides[0] = 1.0
-    if n % 2 == 0:
-        sides[-1] = 1.0
+    sides = fold_one_sided(np.ones(freqs.size), n)
     return freqs, sides * a ** 2 / (fs_hz * n)
 
 

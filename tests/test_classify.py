@@ -24,6 +24,7 @@ from driveguard.classify import (
     predict_gnb,
     predict_gnb_many,
     predict_mlp,
+    predict_mlp_many,
     report_from_confusion,
     train_gnb,
     train_mlp,
@@ -217,6 +218,10 @@ class TestMlp:
         model = train_mlp(X, y, ("a", "b"), MlpConfig(epochs=2))
         with pytest.raises(ValidationError):
             predict_mlp(model, np.zeros(3))
+        with pytest.raises(ValidationError):
+            predict_mlp_many(model, np.zeros((5, 1)))
+        with pytest.raises(ValidationError):
+            predict_mlp_many(model, np.zeros((5, 5)))
 
 
 def brute_force_auc(scores, truth):

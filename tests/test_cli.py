@@ -293,6 +293,8 @@ class TestCalibrateAndStream:
             seed=4, duration_s=8.0, baseline=PinkNoiseSpec(amplitude_uv=20.0)))
         bin_path = tmp_path / "stream.bin"
         bin_path.write_bytes(session_to_packets(session))
+        csv_path = str(tmp_path / "stream.csv")
+        write_session(session, csv_path, str(tmp_path / "stream.manifest.json"))
         profile_path = tmp_path / "p.json"
         profile_path.write_text(CalibrationProfile(
             subject_id="s", band_thresholds={"delta": 1e-6},
@@ -301,10 +303,15 @@ class TestCalibrateAndStream:
                          "--profile", str(profile_path))
         assert rc == 0
         assert out.splitlines()
-        rc, _, err = run(capsys, "stream", str(bin_path),
-                         "--profile", str(profile_path),
-                         "--trace", str(tmp_path / "t.csv"))
+        rc, csv_out, _ = run(capsys, "stream", csv_path,
+                             "--profile", str(profile_path))
+        assert rc == 0
+        assert csv_out == out
+        rc, out, err = run(capsys, "stream", str(bin_path),
+                           "--profile", str(profile_path),
+                           "--trace", str(tmp_path / "t.csv"))
         assert rc == 2
+        assert out == ""
         assert json.loads(err)["error"] == "CliError"
 
 

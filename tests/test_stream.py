@@ -376,6 +376,14 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             calibrate_thresholds(train, combine="and")
 
+    @pytest.mark.parametrize("timing", [{"window_s": 1.5}, {"hop_s": 0.0},
+                                        {"refractory_s": 0.5}])
+    def test_invalid_timing_rejected(self, timing):
+        train = [synth_session(1, TaskLabel.BASE),
+                 synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
+        with pytest.raises(ParameterError):
+            calibrate_thresholds(train, **timing)
+
     def test_sessions_too_short_for_windows(self):
         short = [raw_session(np.zeros(2 * FS, dtype=np.int32), TaskLabel.BASE),
                  raw_session(np.zeros(2 * FS, dtype=np.int32), TaskLabel.READ)]
