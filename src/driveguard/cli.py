@@ -37,7 +37,9 @@ from .model import EegSample, TaskLabel, split_into_trials  # noqa: F401
 from .protocol import (
     packets_to_samples,
     read_arff,
+    read_json_record,
     read_session,
+    read_text,
     session_to_packets,
     write_arff,
     write_session,
@@ -78,19 +80,15 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     config = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                config[key.strip()] = value.strip()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+    text = read_text(path, "config", CliError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        config[key.strip()] = value.strip()
     return config
 
 
@@ -270,31 +268,21 @@ def _cmd_spectrogram(args, config):
 
 
 def _spec_from_json(path: str, seed_override) -> GeneratorSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"spec {path} is not valid JSON: {exc}") from exc
-    try:
+    def build(raw):
         baseline = PinkNoiseSpec(**raw.get("baseline", {}))
         bursts = tuple(BurstSpec(**b) for b in raw.get("bursts", []))
         seed = raw.get("seed") if seed_override is None else seed_override
-        if seed is None:
-            seed = 0
         return GeneratorSpec(
-            seed=seed,
+            seed=0 if seed is None else seed,
             task=TaskLabel.from_string(raw.get("task", "Base")),
-            fs_hz=int(raw.get("fs_hz", 512)),
+            fs_hz=raw.get("fs_hz", 512),
             duration_s=float(raw.get("duration_s", 20.0)),
             baseline=baseline,
             bursts=bursts,
             subject_id=str(raw.get("subject_id", "synth-01")),
-            channels=tuple(raw.get("channels", ("FP1",))),
+            channels=raw.get("channels", ("FP1",)),
         )
-    except TypeError as exc:
-        raise CliError(f"spec {path}: {exc}") from exc
+    return read_json_record(path, "spec", build, CliError)
 
 
 def _cmd_synth(args, config):
@@ -351,11 +339,8 @@ def _read_packets(path: str):
 
 
 def _cmd_stream(args, config):
-    try:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            profile = CalibrationProfile.from_json(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read profile {args.profile}: {exc}") from exc
+    profile = read_json_record(args.profile, "profile",
+                               CalibrationProfile.from_dict, CliError)
     is_csv = args.input.endswith(".csv")
     if args.trace and not is_csv:
         raise CliError("--trace needs a session CSV input, not packets")
@@ -491,10 +476,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except DriveGuardError as exc:
-        _emit_error(exc)
-        return 2
-    except OSError as exc:
+    except (DriveGuardError, OSError) as exc:
         _emit_error(exc)
         return 2
 

@@ -195,41 +195,65 @@ def _expected_header(n_channels):
     return cols
 
 
-def read_manifest(path) -> dict:
+def read_text(path, what: str, error):
+    """The text of input file ``path``, exactly as stored (no newline
+    translation). ``error`` is raised, naming ``what``, when the file
+    cannot be opened or is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
-        raise SessionFormatError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SessionFormatError(f"manifest {path} is not valid JSON: {exc}") from exc
-    required = ("subject_id", "task", "fs_hz", "device", "channels")
-    missing = [k for k in required if k not in manifest]
-    if missing:
-        raise SessionFormatError(f"manifest {path} missing keys: {', '.join(missing)}")
-    return manifest
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json_record(path, what: str, build, error):
+    """``build(record)`` for the one JSON object held by input file ``path``.
+
+    An unreadable file, invalid JSON, a top level other than an object, or
+    a KeyError, TypeError or ValueError from ``build`` raises ``error``;
+    package errors raised by ``build`` pass through unchanged.
+    """
+    text = read_text(path, what, error)
+    try:
+        record = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise error(f"{what} {path} must hold one JSON object, "
+                    f"got {type(record).__name__}")
+    try:
+        return build(record)
+    except KeyError as exc:
+        raise error(f"{what} {path} missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} {path}: {exc}") from exc
+
+
+def _manifest_fields(manifest: dict) -> dict:
+    task = TaskLabel.from_string(str(manifest["task"]))
+    device = Device.from_string(str(manifest["device"]))
+    fs, channels = manifest["fs_hz"], manifest["channels"]
+    if not isinstance(fs, int) or fs != device.fs_hz:
+        raise ValueError(f"fs_hz {fs!r} is not the integer rate of device "
+                         f"{device.value} ({device.fs_hz} Hz)")
+    if not isinstance(channels, list) or not channels:
+        raise ValueError(f"channels must be a non-empty list, got {channels!r}")
+    return {"subject_id": str(manifest["subject_id"]), "task": task,
+            "device": device, "fs_hz": fs, "channels": tuple(str(c) for c in channels)}
+
+
+def read_manifest(path) -> dict:
+    """The validated SubjectSession fields a session manifest declares."""
+    return read_json_record(path, "manifest", _manifest_fields, SessionFormatError)
 
 
 def read_session(csv_path, manifest_path) -> SubjectSession:
     """Load and validate a session from its CSV and JSON manifest."""
     manifest = read_manifest(manifest_path)
-    task = TaskLabel.from_string(str(manifest["task"]))
-    device = Device.from_string(str(manifest["device"]))
-    fs = int(manifest["fs_hz"])
-    if fs != device.fs_hz:
-        raise SessionFormatError(
-            f"manifest fs {fs} Hz does not match device {device.value} "
-            f"({device.fs_hz} Hz)"
-        )
-    channels = tuple(str(c) for c in manifest["channels"])
-    if not channels:
-        raise SessionFormatError("manifest declares no channels")
-
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise SessionFormatError(f"cannot read session csv {csv_path}: {exc}") from exc
+    fs, channels = manifest["fs_hz"], manifest["channels"]
+    lines = read_text(csv_path, "session csv", SessionFormatError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -261,12 +285,12 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         except ValueError as exc:
             raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
 
-    if t[0] < 0:
-        raise SessionFormatError(f"{csv_path}: negative start timestamp {t[0]}")
+    if not t[0] >= 0:
+        raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
     if n > 1:
         deltas = np.diff(t)
         worst = np.abs(deltas - 1.0 / fs).max()
-        if worst > TIMESTAMP_TOLERANCE_S:
+        if not worst <= TIMESTAMP_TOLERANCE_S:
             raise SessionFormatError(
                 f"{csv_path}: timestamp spacing deviates from 1/{fs} s by "
                 f"{worst:.3e} s (tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
@@ -276,14 +300,7 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
             f"{csv_path}: raw samples outside ADC range [{ADC_MIN}, {ADC_MAX}]"
         )
 
-    return SubjectSession(
-        subject_id=str(manifest["subject_id"]),
-        task=task,
-        device=device,
-        fs_hz=fs,
-        channels=channels,
-        raw=raw.astype(np.int32),
-    )
+    return SubjectSession(**manifest, raw=raw.astype(np.int32))
 
 
 def write_session(session: SubjectSession, csv_path, manifest_path):
@@ -360,44 +377,46 @@ def read_arff(path):
     schema = []
     vectors = []
     in_data = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("%"):
+    text = read_text(path, "ARFF", SessionFormatError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
+        low = line.lower()
+        if low.startswith("@relation"):
+            continue
+        if low.startswith("@attribute"):
+            parts = line.split(None, 2)
+            if len(parts) < 3:
+                raise SessionFormatError(f"{path} line {lineno}: bad @attribute")
+            name, kind = parts[1], parts[2].strip()
+            if kind == "numeric":
+                schema.append(name)
+            elif name == "class":
                 continue
-            low = line.lower()
-            if low.startswith("@relation"):
-                continue
-            if low.startswith("@attribute"):
-                parts = line.split(None, 2)
-                if len(parts) < 3:
-                    raise SessionFormatError(f"{path} line {lineno}: bad @attribute")
-                name, kind = parts[1], parts[2].strip()
-                if kind == "numeric":
-                    schema.append(name)
-                elif name == "class":
-                    continue
-                else:
-                    raise SessionFormatError(
-                        f"{path} line {lineno}: unsupported attribute type {kind!r}"
-                    )
-                continue
-            if low.startswith("@data"):
-                in_data = True
-                continue
-            if not in_data:
-                raise SessionFormatError(f"{path} line {lineno}: data before @data")
-            cells = line.split(",")
-            if len(cells) != len(schema) + 1:
+            else:
                 raise SessionFormatError(
-                    f"{path} line {lineno}: {len(cells)} fields, expected {len(schema) + 1}"
+                    f"{path} line {lineno}: unsupported attribute type {kind!r}"
                 )
-            label = TaskLabel.from_string(cells[-1])
-            try:
-                values = tuple(float(c) for c in cells[:-1])
-            except ValueError as exc:
-                raise SessionFormatError(f"{path} line {lineno}: {exc}") from exc
-            vectors.append(FeatureVector(values=values, schema=tuple(schema), label=label))
+            continue
+        if low.startswith("@data"):
+            in_data = True
+            continue
+        if not in_data:
+            raise SessionFormatError(f"{path} line {lineno}: data before @data")
+        cells = line.split(",")
+        if len(cells) != len(schema) + 1:
+            raise SessionFormatError(
+                f"{path} line {lineno}: {len(cells)} fields, expected {len(schema) + 1}"
+            )
+        label = TaskLabel.from_string(cells[-1])
+        try:
+            values = tuple(float(c) for c in cells[:-1])
+            if not np.isfinite(values).all():
+                raise ValueError("feature values must be finite")
+        except ValueError as exc:
+            raise SessionFormatError(f"{path} line {lineno}: {exc}") from exc
+        vectors.append(FeatureVector(values=values, schema=tuple(schema), label=label))
     if not schema:
         raise SessionFormatError(f"{path}: no numeric attributes found")
     return vectors

@@ -72,16 +72,26 @@ class CalibrationProfile:
                 raise ParameterError(f"threshold for {band} must be > 0, got {thr}")
         if self.di_threshold is not None and not self.di_threshold > 0:
             raise ParameterError(f"DI threshold must be > 0, got {self.di_threshold}")
-        if self.window_s < MIN_WINDOW_S:
+        if not (math.isfinite(self.window_s) and self.window_s >= MIN_WINDOW_S):
             raise ParameterError(
-                f"window must be >= {MIN_WINDOW_S} s, got {self.window_s}")
-        if not self.hop_s > 0:
-            raise ParameterError(f"hop must be > 0, got {self.hop_s}")
-        if self.refractory_s < self.hop_s:
+                f"window must be finite and >= {MIN_WINDOW_S} s, got {self.window_s}")
+        if not (math.isfinite(self.hop_s) and self.hop_s > 0):
+            raise ParameterError(f"hop must be finite and > 0, got {self.hop_s}")
+        if not (math.isfinite(self.refractory_s) and self.refractory_s >= self.hop_s):
             raise ParameterError(
-                f"refractory {self.refractory_s} s must be >= hop {self.hop_s} s")
+                f"refractory {self.refractory_s} s must be finite and >= hop {self.hop_s} s")
         if self.combine not in COMBINATORS:
             raise ParameterError(f"combine must be one of {COMBINATORS}")
+
+    def sample_counts(self, fs_hz: int) -> tuple:
+        """(window, hop) lengths in samples at ``fs_hz``; both must be whole."""
+        win_n = self.window_s * fs_hz
+        hop_n = self.hop_s * fs_hz
+        if abs(win_n - round(win_n)) > 1e-9 or abs(hop_n - round(hop_n)) > 1e-9:
+            raise ParameterError(
+                f"window/hop of {self.window_s}/{self.hop_s} s are not "
+                f"whole sample counts at {fs_hz} Hz")
+        return int(round(win_n)), int(round(hop_n))
 
     @property
     def criteria(self) -> tuple:
@@ -234,16 +244,9 @@ class DetectorState:
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
         if fs_hz <= 0:
             raise ParameterError(f"fs must be positive, got {fs_hz}")
-        win_n = profile.window_s * fs_hz
-        hop_n = profile.hop_s * fs_hz
-        if abs(win_n - round(win_n)) > 1e-9 or abs(hop_n - round(hop_n)) > 1e-9:
-            raise ParameterError(
-                f"window/hop of {profile.window_s}/{profile.hop_s} s are not "
-                f"whole sample counts at {fs_hz} Hz")
+        self.win_n, self.hop_n = profile.sample_counts(fs_hz)
         self.profile = profile
         self.fs_hz = int(fs_hz)
-        self.win_n = int(round(win_n))
-        self.hop_n = int(round(hop_n))
         self._buf = np.zeros(self.win_n, dtype=np.int32)
         self._count = 0
         self._prev_t = -math.inf
@@ -314,13 +317,12 @@ def _session_stream_channel(session: SubjectSession) -> np.ndarray:
     return session.raw[0]
 
 
-def _hop_trace(session: SubjectSession, window_s: float, hop_s: float):
+def _hop_trace(session: SubjectSession, profile: CalibrationProfile):
     """A HopRecord for every window of a stored session, cut directly from
     the session array rather than by delegating to the streaming path."""
     data = _session_stream_channel(session)
     fs = session.fs_hz
-    win_n = int(round(window_s * fs))
-    hop_n = int(round(hop_s * fs))
+    win_n, hop_n = profile.sample_counts(fs)
     trace = []
     for end in range(win_n, data.size + 1, hop_n):
         powers = band_powers_from_samples(data[end - win_n:end], fs)
@@ -335,7 +337,7 @@ def replay_session(session: SubjectSession, profile: CalibrationProfile):
     the samples through ``process_sample`` yields, plus a HopRecord for
     every evaluated window.
     """
-    trace = _hop_trace(session, profile.window_s, profile.hop_s)
+    trace = _hop_trace(session, profile)
     alerts = []
     last_alert_t = None
     for rec in trace:
@@ -380,12 +382,13 @@ class CalibrationResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _hop_feature_rows(sessions, window_s, hop_s):
-    """Per-hop (delta..gamma, di) rows plus distraction labels."""
+def _hop_feature_rows(sessions, profile: CalibrationProfile):
+    """Per-hop (delta..gamma, di) rows plus distraction labels, on the
+    profile's window and hop."""
     rows = []
     labels = []
     for session in sessions:
-        for rec in _hop_trace(session, window_s, hop_s):
+        for rec in _hop_trace(session, profile):
             di = math.nan if rec.di is None else rec.di
             rows.append((*rec.powers.as_tuple(), di))
             labels.append(session.task.is_distraction)
@@ -420,7 +423,6 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
                          window_s: float = DEFAULT_WINDOW_S,
                          hop_s: float = DEFAULT_HOP_S,
                          refractory_s: float = 2.0,
-                         combine: str = "or",
                          max_candidates: int = 32,
                          min_f1: float = 0.75,
                          use_di: bool = True) -> CalibrationResult:
@@ -439,8 +441,6 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     ``min_f1`` yields ``ok=False`` with the best thresholds found.
     """
     sessions = list(sessions)
-    if combine != "or":
-        raise ParameterError("calibration search supports the 'or' combinator only")
     tasks = {s.task.is_distraction for s in sessions}
     if tasks != {True, False}:
         raise CalibrationError(
@@ -455,9 +455,8 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     # validates the timing up front; the search fills in the thresholds
     profile = CalibrationProfile(subject_id=subject_id, band_thresholds={},
                                  refractory_s=refractory_s,
-                                 window_s=window_s, hop_s=hop_s,
-                                 combine=combine)
-    rows, truth = _hop_feature_rows(sessions, window_s, hop_s)
+                                 window_s=window_s, hop_s=hop_s)
+    rows, truth = _hop_feature_rows(sessions, profile)
     if rows.size == 0:
         raise CalibrationError("sessions yielded no analysis windows")
 
@@ -509,7 +508,7 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     preds = []
     truths = []
     for session in sessions:
-        for rec in _hop_trace(session, profile.window_s, profile.hop_s):
+        for rec in _hop_trace(session, profile):
             crossed, _ = _evaluate_window(rec.powers, rec.di, profile)
             preds.append(_should_alert(crossed, profile))
             truths.append(session.task.is_distraction)

@@ -54,8 +54,8 @@ class PinkNoiseSpec:
     exponent: float = 1.0
 
     def __post_init__(self):
-        if not self.amplitude_uv > 0:
-            raise ParameterError(f"amplitude must be > 0, got {self.amplitude_uv}")
+        if not 0 < self.amplitude_uv < math.inf:
+            raise ParameterError(f"amplitude must be finite and > 0, got {self.amplitude_uv}")
         if not 0.0 <= self.exponent <= 3.0:
             raise ParameterError(f"exponent must be in [0, 3], got {self.exponent}")
 
@@ -83,12 +83,12 @@ class BurstSpec:
         if not (band.lo_hz <= self.center_hz and top_ok):
             raise ParameterError(
                 f"burst center {self.center_hz} Hz outside its {self.band} band")
-        if not self.rate_hz > 0:
-            raise ParameterError(f"burst rate must be > 0, got {self.rate_hz}")
-        if not self.duration_s > 0:
-            raise ParameterError(f"burst duration must be > 0, got {self.duration_s}")
-        if not self.gain > 0:
-            raise ParameterError(f"burst gain must be > 0, got {self.gain}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ParameterError(f"burst rate must be finite and > 0, got {self.rate_hz}")
+        if not 0 < self.duration_s < math.inf:
+            raise ParameterError(f"burst duration must be finite and > 0, got {self.duration_s}")
+        if not 0 < self.gain < math.inf:
+            raise ParameterError(f"burst gain must be finite and > 0, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,17 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if isinstance(self.seed, (list, tuple)):
-            if not all(isinstance(v, int) for v in self.seed):
-                raise ParameterError(f"seed sequence must be ints, got {self.seed!r}")
+            if not all(isinstance(v, int) and v >= 0 for v in self.seed):
+                raise ParameterError(f"seed sequence must be ints >= 0, got {self.seed!r}")
             object.__setattr__(self, "seed", tuple(self.seed))
-        elif not isinstance(self.seed, int):
-            raise ParameterError(f"seed must be an int or tuple of ints, got {self.seed!r}")
+        elif not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterError(f"seed must be an int >= 0 or tuple of ints, got {self.seed!r}")
         if not isinstance(self.task, TaskLabel):
             raise ParameterError(f"task must be a TaskLabel, got {self.task!r}")
-        if self.fs_hz not in (512, 128):
+        if not isinstance(self.fs_hz, int) or self.fs_hz not in (512, 128):
             raise ParameterError(f"fs must be 512 or 128 Hz, got {self.fs_hz}")
         n = self.duration_s * self.fs_hz
-        if abs(n - round(n)) > 1e-9 or round(n) < 2:
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ParameterError(
                 f"duration {self.duration_s} s is not a whole sample count >= 2 "
                 f"at {self.fs_hz} Hz")
@@ -124,10 +124,9 @@ class GeneratorSpec:
         for b in self.bursts:
             if not isinstance(b, BurstSpec):
                 raise ParameterError(f"bursts must be BurstSpec, got {b!r}")
-        channels = tuple(self.channels)
-        object.__setattr__(self, "channels", channels)
-        if not channels:
-            raise ParameterError("spec needs at least one channel")
+        if not isinstance(self.channels, (list, tuple)) or not self.channels:
+            raise ParameterError(f"channels must be a non-empty list, got {self.channels!r}")
+        object.__setattr__(self, "channels", tuple(self.channels))
 
     @property
     def n_samples(self) -> int:

@@ -1,0 +1,245 @@
+"""The CLI's error contract on malformed input files.
+
+A malformed profile, manifest, generator spec, config, session CSV or
+ARFF file must end in exit status 2, with nothing on stdout and exactly
+one JSON object on stderr: never a traceback. ``ESCAPES`` pins inputs
+that once broke the contract. The seeded mutation test derives many more
+from valid files by truncation, wrong JSON types, non-UTF-8 bytes, NaN
+and infinities, and a JSON top level that is not an object.
+"""
+
+import json
+import math
+import os
+import random
+
+import pytest
+
+from driveguard.cli import main
+from driveguard.model import FeatureVector, TaskLabel
+from driveguard.protocol import write_arff, write_session
+from driveguard.synth import GeneratorSpec, generate_session
+
+KINDS = ("profile", "manifest", "spec", "config", "csv", "arff")
+JSON_KINDS = ("profile", "manifest", "spec")
+SUFFIX = {"profile": ".json", "manifest": ".manifest.json", "spec": ".json",
+          "config": ".conf", "csv": ".csv", "arff": ".arff"}
+
+PROFILE = {"subject_id": "s1", "band_thresholds": {"beta": 5.0},
+           "di_threshold": None, "refractory_s": 2.0, "window_s": 4.0,
+           "hop_s": 1.0, "combine": "or"}
+SPEC = {"seed": 3, "task": "Text", "fs_hz": 512, "duration_s": 2.0,
+        "baseline": {"amplitude_uv": 25.0},
+        "bursts": [{"band": "beta", "center_hz": 22.0}],
+        "subject_id": "s7", "channels": ["FP1"]}
+CONFIG = "alpha = 0.05\n"
+
+# Wrong-typed values each JSON field must reject. Fields that take any
+# value (subject_id, which is only ever printed) are left out.
+WRONG_TYPES = {
+    "profile": {"band_thresholds": ["abc", [1], 5],
+                "di_threshold": ["abc", [1], {}],
+                "window_s": ["abc", [1], None],
+                "hop_s": ["abc", [1], None],
+                "refractory_s": ["abc", [1], None],
+                "combine": [5, [1], None]},
+    "manifest": {"task": [5, [1], None],
+                 "device": [5, [1], None],
+                 "fs_hz": ["abc", [512], 512.5],
+                 "channels": ["FP1", 5, None]},
+    "spec": {"seed": ["abc", 1.5, {"k": 1}],
+             "task": [5, [1], None],
+             "fs_hz": ["abc", [512], 512.0],
+             "duration_s": ["abc", [1], None],
+             "baseline": ["abc", [1], {"k": 1}],
+             "bursts": ["abc", [1], 5],
+             "channels": ["FP1", 5, {"k": 1}]},
+}
+# numeric fields that must reject NaN, Infinity and -Infinity alike
+NON_FINITE_FIELDS = {"profile": ("window_s", "hop_s", "refractory_s"),
+                     "manifest": ("fs_hz",),
+                     "spec": ("seed", "fs_hz", "duration_s")}
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("DRIVEGUARD_"):
+            monkeypatch.delenv(key)
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A directory of well-formed inputs and the text of each input kind."""
+    d = tmp_path_factory.mktemp("contract")
+    for name, task in (("base", TaskLabel.BASE), ("text", TaskLabel.TEXT)):
+        session = generate_session(GeneratorSpec(seed=1, task=task, duration_s=4.0,
+                                                 subject_id="s1"))
+        write_session(session, d / f"{name}.csv", d / f"{name}.manifest.json")
+    vectors = [FeatureVector(values=(x, 0.5 * x), schema=("f1", "f2"), label=task)
+               for task in TaskLabel for x in (1.0, 2.0, 3.0, 4.0)]
+    texts = {"profile": json.dumps(PROFILE),
+             "manifest": (d / "base.manifest.json").read_text(),
+             "spec": json.dumps(SPEC),
+             "config": CONFIG,
+             "csv": (d / "base.csv").read_text(),
+             "arff": write_arff(vectors, relation="contract")}
+    return d, texts
+
+
+def run_with(capsys, d, kind, data):
+    """Run the CLI command that reads a ``kind`` file holding ``data``."""
+    path = d / f"input{SUFFIX[kind]}"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    path = str(path)
+    argv = {"profile": ["stream", str(d / "base.csv"), "--profile", path],
+            "manifest": ["ingest", str(d / "base.csv"), path],
+            "spec": ["synth", "--spec", path, "--out", str(d / "out"), "--no-packets"],
+            "config": ["stats", "--fixtures", "table5", "--config", path],
+            "csv": ["ingest", path, str(d / "base.manifest.json")],
+            "arff": ["train-eval", path, "--k", "2"]}[kind]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def assert_contract(result, what):
+    rc, out, err = result
+    assert rc == 2, f"{what}: exit {rc}, stderr {err!r}"
+    assert out == "", what
+    lines = err.splitlines()
+    assert len(lines) == 1, f"{what}: stderr {err!r}"
+    assert set(json.loads(lines[0])) == {"error", "message"}, what
+
+
+def with_fields(**fields):
+    return lambda text: json.dumps({**json.loads(text), **fields})
+
+
+def wrapped_in_list(text):
+    return f"[{text}]"
+
+
+def with_bad_byte(text):
+    return b"\xff" + text.encode()
+
+
+def first_arff_value(replacement):
+    def mutate(text):
+        head, data = text.split("@data\n")
+        return head + "@data\n" + replacement + data[data.index(","):]
+    return mutate
+
+
+ESCAPES = [
+    pytest.param("profile", lambda t: t[:len(t) // 2], id="profile-invalid-json"),
+    pytest.param("profile", wrapped_in_list, id="profile-list"),
+    pytest.param("profile", lambda t: "[" * 100_000, id="profile-deep-nesting"),
+    pytest.param("profile", with_fields(band_thresholds={"beta": "x"}),
+                 id="profile-threshold-string"),
+    pytest.param("profile", with_fields(di_threshold="x"), id="profile-di-string"),
+    pytest.param("profile", with_fields(band_thresholds=[1]), id="profile-bands-list"),
+    pytest.param("profile", with_fields(window_s="abc"), id="profile-window-string"),
+    pytest.param("profile", with_fields(window_s=math.nan), id="profile-window-nan"),
+    pytest.param("profile", with_fields(window_s=math.inf), id="profile-window-inf"),
+    # a NaN refractory period used to switch the refractory gate off
+    pytest.param("profile", with_fields(refractory_s=math.nan),
+                 id="profile-refractory-nan"),
+    pytest.param("manifest", with_fields(fs_hz="abc"), id="manifest-fs-string"),
+    pytest.param("manifest", with_fields(channels=5), id="manifest-channels-int"),
+    # used to be truncated to 512
+    pytest.param("manifest", with_fields(fs_hz=512.9), id="manifest-fs-fraction"),
+    pytest.param("spec", wrapped_in_list, id="spec-list"),
+    pytest.param("spec", with_fields(duration_s="abc"), id="spec-duration-string"),
+    # used to generate three channels named F, P and 1
+    pytest.param("spec", with_fields(channels="FP1"), id="spec-channels-string"),
+    pytest.param("spec", with_bad_byte, id="spec-non-utf8"),
+    pytest.param("csv", with_bad_byte, id="csv-non-utf8"),
+    pytest.param("arff", with_bad_byte, id="arff-non-utf8"),
+    pytest.param("config", with_bad_byte, id="config-non-utf8"),
+    # a NaN feature used to train a classifier and report a score
+    pytest.param("arff", first_arff_value("nan"), id="arff-nan-value"),
+]
+
+
+def test_valid_inputs_pass(valid, capsys):
+    d, texts = valid
+    for kind in KINDS:
+        rc, _, err = run_with(capsys, d, kind, texts[kind])
+        assert rc == 0, f"{kind}: {err}"
+
+
+@pytest.mark.parametrize("kind, mutate", ESCAPES)
+def test_known_escapes_exit_2(valid, capsys, kind, mutate):
+    d, texts = valid
+    data = mutate(texts[kind])
+    assert_contract(run_with(capsys, d, kind, data), f"{kind} {data[:120]!r}")
+
+
+def test_calibrate_rejects_fractional_window_samples(valid, capsys):
+    # 4.001 s is 2048.512 samples: calibrate used to round it and write a
+    # profile that stream then rejected
+    d, _ = valid
+    profile = d / "fractional.json"
+    rc = main(["calibrate", "--base", str(d / "base.csv"), "--distraction",
+               str(d / "text.csv"), "--window", "4.001", "--out", str(profile)])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), "calibrate --window 4.001")
+    assert json.loads(err)["error"] == "ParameterError"
+    assert not profile.exists()
+
+
+def malformed_variant(kind, text, rng):
+    """One malformed variant of ``text``, a well-formed ``kind`` file."""
+    ops = ["truncate", "non_utf8", "non_finite"]
+    if kind in JSON_KINDS:
+        ops += ["wrong_type", "non_object"]
+    op = rng.choice(ops)
+    if op == "non_utf8":
+        # the inputs are ASCII, so any byte >= 0x80 breaks the UTF-8
+        raw = text.encode()
+        at = rng.randrange(len(raw) + 1)
+        return raw[:at] + bytes([rng.randrange(0x80, 0x100)]) + raw[at:]
+    if kind in JSON_KINDS:
+        record = json.loads(text)
+        if op == "truncate":  # the object never closes
+            return text[:rng.randrange(text.rindex("}"))]
+        if op == "non_object":
+            return json.dumps(rng.choice([[record], "text", 5, None, True]))
+        if op == "wrong_type":
+            field = rng.choice(sorted(WRONG_TYPES[kind]))
+            value = rng.choice(WRONG_TYPES[kind][field])
+        else:
+            field = rng.choice(NON_FINITE_FIELDS[kind])
+            value = rng.choice(NON_FINITE)
+        return json.dumps({**record, field: value})
+    bad_number = rng.choice(["nan", "inf", "-inf"])
+    if kind == "config":
+        if op == "truncate":  # inside the key, or just after "="
+            return text[:rng.randrange(1, text.index("=") + 2)]
+        return f"alpha = {bad_number}\n"
+    # csv and arff: work on the data lines only
+    head, sep, data = text.partition("@data\n") if kind == "arff" else ("", "", text)
+    lines = data.splitlines()
+    i = rng.randrange(1 if kind == "csv" else 0, len(lines))
+    cells = lines[i].split(",")
+    if op == "truncate":  # end the file just after a comma
+        lines[i] = ",".join(cells[:rng.randrange(1, len(cells))]) + ","
+        del lines[i + 1:]
+    else:  # a timestamp (csv) or a feature value (arff)
+        cells[rng.randrange(len(cells) - 1) if kind == "arff" else 0] = bad_number
+        lines[i] = ",".join(cells)
+    return head + sep + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutated_inputs_exit_2(valid, capsys, seed):
+    d, texts = valid
+    rng = random.Random(seed)
+    for round_ in range(120):
+        kind = KINDS[round_ % len(KINDS)]
+        data = malformed_variant(kind, texts[kind], rng)
+        assert_contract(run_with(capsys, d, kind, data),
+                        f"seed {seed} round {round_} {kind} "
+                        f"{data[:60]!r} ... {data[-60:]!r}")

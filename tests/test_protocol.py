@@ -220,6 +220,20 @@ class TestSessionFiles:
         with pytest.raises(SessionFormatError):
             read_session(csv, man)
 
+    @pytest.mark.parametrize("field", [
+        {"fs_hz": 512.9},   # was truncated to 512
+        {"fs_hz": "abc"},
+        {"channels": 5},
+        {"channels": "ch0"},  # a string, not a list of names
+    ])
+    def test_manifest_field_types_rejected(self, tmp_path, field):
+        csv = tmp_path / "s.csv"
+        man = tmp_path / "s.manifest.json"
+        write_session(self.make_session(n=4), csv, man)
+        man.write_text(json.dumps({**json.loads(man.read_text()), **field}))
+        with pytest.raises(SessionFormatError):
+            read_session(csv, man)
+
     def test_packet_stream_round_trip(self):
         sess = self.make_session(n=300)
         raw, corrupt = packets_to_samples(session_to_packets(sess))

@@ -332,7 +332,7 @@ class TestCalibration:
                                        _hop_feature_rows)
         train = [synth_session(1, TaskLabel.BASE),
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
-        rows, truth = _hop_feature_rows(train, 4.0, 1.0)
+        rows, truth = _hop_feature_rows(train, profile(window_s=4.0, hop_s=1.0))
         best_single = 0.0
         for dim in range(6):
             col = rows[:, dim]
@@ -370,14 +370,12 @@ class TestCalibration:
         result = calibrate_thresholds([a, b], subject_id="pooled")
         assert result.profile.subject_id == "pooled"
 
-    def test_and_combinator_unsupported(self):
-        train = [synth_session(1, TaskLabel.BASE),
-                 synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
-        with pytest.raises(ParameterError):
-            calibrate_thresholds(train, combine="and")
-
-    @pytest.mark.parametrize("timing", [{"window_s": 1.5}, {"hop_s": 0.0},
-                                        {"refractory_s": 0.5}])
+    @pytest.mark.parametrize("timing", [
+        {"window_s": 1.5}, {"hop_s": 0.0}, {"refractory_s": 0.5},
+        {"window_s": math.nan}, {"window_s": math.inf}, {"hop_s": math.nan},
+        {"refractory_s": math.nan}, {"refractory_s": math.inf},
+        {"refractory_s": -math.inf},
+        {"window_s": 4.001}])  # not a whole number of samples at 512 Hz
     def test_invalid_timing_rejected(self, timing):
         train = [synth_session(1, TaskLabel.BASE),
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]

@@ -1,5 +1,7 @@
 """Synthetic EEG generator: validation, spectra, and the benchmark suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,12 +42,19 @@ class TestSpecValidation:
             spec(seed="seven")
         with pytest.raises(ParameterError):
             spec(seed=(1, "a"))
+        with pytest.raises(ParameterError):
+            spec(seed=-1)  # numpy seeds must be >= 0
+        with pytest.raises(ParameterError):
+            spec(seed=(1, -2))
 
     def test_task_and_rate(self):
         with pytest.raises(ParameterError):
             spec(task="Base")
         with pytest.raises(ParameterError):
             spec(fs_hz=256)
+        for not_int in (512.0, 512.9):
+            with pytest.raises(ParameterError):
+                spec(fs_hz=not_int)
         assert spec(fs_hz=128).device is Device.MULTI_ELECTRODE_128
         assert spec().device is Device.SINGLE_ELECTRODE_512
 
@@ -54,11 +63,16 @@ class TestSpecValidation:
             spec(duration_s=0.003)
         with pytest.raises(ParameterError):
             spec(duration_s=1.0 / FS)
+        for non_finite in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                spec(duration_s=non_finite)
         assert spec(duration_s=2.0 / FS).n_samples == 2
 
     def test_channels_and_bursts(self):
         with pytest.raises(ParameterError):
             spec(channels=())
+        with pytest.raises(ParameterError):
+            spec(channels="FP1")  # a string, not three channels F, P, 1
         with pytest.raises(ParameterError):
             spec(bursts=("alpha",))
         two = spec(channels=("AF3", "AF4"))
@@ -69,6 +83,8 @@ class TestSpecValidation:
             PinkNoiseSpec(amplitude_uv=0.0)
         with pytest.raises(ParameterError):
             PinkNoiseSpec(amplitude_uv=-3.0)
+        with pytest.raises(ParameterError):
+            PinkNoiseSpec(amplitude_uv=math.inf)
         with pytest.raises(ParameterError):
             PinkNoiseSpec(exponent=-0.1)
         with pytest.raises(ParameterError):
@@ -93,6 +109,9 @@ class TestSpecValidation:
             BurstSpec(band="beta", center_hz=20.0, duration_s=0.0)
         with pytest.raises(ParameterError):
             BurstSpec(band="beta", center_hz=20.0, gain=0.0)
+        for field in ("rate_hz", "duration_s", "gain"):
+            with pytest.raises(ParameterError):
+                BurstSpec(band="beta", center_hz=20.0, **{field: math.inf})
 
 
 class TestGeneration:
