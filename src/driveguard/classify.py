@@ -162,8 +162,9 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ParameterError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 0:

@@ -32,7 +32,8 @@ from .dsp import (
 )
 from .errors import DriveGuardError, ParameterError
 from .index import CoverageError, distraction_index, rank_tasks
-# perfbench/tracing.py rebinds cli.EegSample and cli.process_sample, so keep both
+# perfbench/tracing.py rebinds cli.EegSample, cli.process_sample,
+# cli.replay_session and cli.stream_session, so keep all four imported
 from .model import EegSample, TaskLabel, split_into_trials  # noqa: F401
 from .protocol import (
     packets_to_samples,
@@ -50,9 +51,10 @@ from .stream import (
     TRACE_HEADER,
     calibrate_thresholds,
     process_sample,  # noqa: F401
-    replay_session,
+    replay_session,  # noqa: F401
+    stream_channel,
     stream_samples,
-    stream_session,
+    stream_session,  # noqa: F401
 )
 from .synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
 
@@ -341,18 +343,14 @@ def _read_packets(path: str):
 def _cmd_stream(args, config):
     profile = read_json_record(args.profile, "profile",
                                CalibrationProfile.from_dict, CliError)
-    is_csv = args.input.endswith(".csv")
-    if args.trace and not is_csv:
-        raise CliError("--trace needs a session CSV input, not packets")
-    if is_csv:
-        session = _load_sessions([args.input])[0]
-        alerts, _ = stream_session(session, profile)
+    if args.input.endswith(".csv"):
+        raw = stream_channel(_load_sessions([args.input])[0])
     else:
-        alerts, _ = stream_samples(_read_packets(args.input), profile)
+        raw = _read_packets(args.input)
+    alerts, trace = stream_samples(raw, profile)
     for alert in alerts:
         print(alert.to_json())
     if args.trace:
-        _, trace = replay_session(session, profile)
         _write_text(args.trace, "\n".join(
             [TRACE_HEADER] + [rec.csv_row() for rec in trace]) + "\n")
         log.info("wrote %d trace rows to %s", len(trace), args.trace)

@@ -9,6 +9,7 @@ the mean absolute coefficient and the mean squared coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,19 @@ class ResolutionError(ValidationError):
     """Window too short for the frequency resolution a computation needs."""
 
 
+@functools.lru_cache(maxsize=32)
+def band_bins(n: int, fs_hz) -> tuple:
+    """Each band's contiguous bin range in an n-point rfft at ``fs_hz``, as
+    slices in ``BANDS`` order; a band that holds no bin gets an empty slice."""
+    freqs = np.fft.rfftfreq(n, 1.0 / fs_hz)
+    bins = []
+    for band in BANDS:
+        m = band.mask(freqs)
+        lo = int(np.argmax(m))
+        bins.append(slice(lo, lo + int(m.sum())))
+    return tuple(bins)
+
+
 def fold_one_sided(power, n):
     """Double, in place, the bins of an n-point rfft power array that have a
     negative-frequency mirror: all but DC and, for even n, Nyquist."""
@@ -82,14 +96,13 @@ def band_powers_from_samples(raw_samples, fs_hz) -> BandPowers:
             f"window of {n} samples at {fs_hz} Hz is shorter than 2 s; "
             "band edges need at most 0.5 Hz bin spacing"
         )
-    freqs, psd = periodogram(raw_to_microvolts(raw_samples), fs_hz)
-    values = {}
-    for band in BANDS:
-        m = band.mask(freqs)
-        if not m.any():
+    _, psd = periodogram(raw_to_microvolts(raw_samples), fs_hz)
+    values = []
+    for band, bins in zip(BANDS, band_bins(n, fs_hz)):
+        if bins.start == bins.stop:
             raise ResolutionError(f"no FFT bins fall inside band {band.name}")
-        values[band.name] = float(psd[m].mean())
-    return BandPowers(**values)
+        values.append(float(psd[bins].mean()))
+    return BandPowers(*values)
 
 
 def band_powers_fft(trial: TrialWindow) -> BandPowers:
@@ -124,6 +137,8 @@ def stft_spectrogram(samples, fs_hz, window_s: float = 1.0, overlap: float = 0.5
     silence) is clamped to the floor.
     """
     x = raw_to_microvolts(samples)
+    if not np.isfinite(window_s * fs_hz):
+        raise ParameterError(f"window must be finite, got {window_s} s")
     w = int(round(window_s * fs_hz))
     if w < MIN_STFT_WINDOW_SAMPLES:
         raise ParameterError(
@@ -246,10 +261,7 @@ def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
     """
     if mode not in FEATURE_MODES:
         raise ParameterError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
-    if isinstance(trials, TrialWindow):
-        trials = [trials]
-    else:
-        trials = list(trials)
+    trials = [trials] if isinstance(trials, TrialWindow) else list(trials)
     if not trials:
         raise ValidationError("no trial windows given")
     first = trials[0]
@@ -267,15 +279,13 @@ def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
             raise ValidationError(f"duplicate channel {tr.channel!r} in trial set")
         seen.add(tr.channel)
 
+    blocks = {"fft": (_fft_block,), "dwt": (_dwt_block,),
+              "combined": (_fft_block, _dwt_block)}[mode]
     names = []
     values = []
     for tr in trials:
-        if mode in ("fft", "combined"):
-            n, v = _fft_block(tr)
-            names += n
-            values += v
-        if mode in ("dwt", "combined"):
-            n, v = _dwt_block(tr)
+        for block in blocks:
+            n, v = block(tr)
             names += n
             values += v
     return FeatureVector(values=tuple(values), schema=tuple(names), label=first.task)

@@ -5,18 +5,18 @@ A sliding window of the most recent samples is re-scored once per hop
 check against a per-subject calibration profile. Crossings raise
 structured alert events, rate-limited by a refractory period.
 
-The detector keeps only the current window in memory, so arbitrarily
-long streams run in constant space. ``replay_session`` recomputes the
-same schedule directly from a stored session array and must produce an
-identical alert sequence; tests rely on the two code paths staying
-independent.
+The detector keeps only the current window and its latest hop, so
+arbitrarily long streams run in constant space. ``replay_session`` cuts
+the same windows directly from a stored session array and must produce
+identical alerts and hop trace; tests rely on the two routes cutting
+windows independently. Both score a window with ``_hop_record``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,15 +102,7 @@ class CalibrationProfile:
         return tuple(names)
 
     def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "band_thresholds": dict(self.band_thresholds),
-            "di_threshold": self.di_threshold,
-            "refractory_s": self.refractory_s,
-            "window_s": self.window_s,
-            "hop_s": self.hop_s,
-            "combine": self.combine,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -177,20 +169,23 @@ class HopRecord:
 TRACE_HEADER = "t_s,delta,theta,alpha,beta,gamma,di"
 
 
-def _window_di(powers: BandPowers) -> float | None:
+def _hop_record(t: float, window, fs_hz: int) -> HopRecord:
+    """The one step from a window of raw samples ending at ``t`` to its band
+    powers and DI, shared by the streaming and the stored-array routes."""
+    powers = band_powers_from_samples(window, fs_hz)
     try:
-        return distraction_index(powers)
+        di = distraction_index(powers)
     except UndefinedIndexError:
-        return None
+        di = None
+    return HopRecord(t=t, powers=powers, di=di)
 
 
 CRITERION_ORDER = (*BAND_NAMES, DI_KEY)
 
 
-def _evaluate_window(powers: BandPowers, di: float | None,
-                     profile: CalibrationProfile):
+def _evaluate_window(hop: HopRecord, profile: CalibrationProfile):
     """Returns (crossed criteria names, observed values for all criteria)."""
-    pd = powers.as_dict()
+    pd = hop.powers.as_dict()
     crossed = []
     observed = {}
     for band, thr in profile.band_thresholds.items():
@@ -198,33 +193,30 @@ def _evaluate_window(powers: BandPowers, di: float | None,
         if pd[band] > thr:
             crossed.append(band)
     if profile.di_threshold is not None:
-        observed[DI_KEY] = di
-        if di is not None and di > profile.di_threshold:
+        observed[DI_KEY] = hop.di
+        if hop.di is not None and hop.di > profile.di_threshold:
             crossed.append(DI_KEY)
     crossed.sort(key=CRITERION_ORDER.index)
     return tuple(crossed), observed
 
 
 def _should_alert(crossed, profile: CalibrationProfile) -> bool:
-    n_criteria = len(profile.criteria)
-    if n_criteria == 0:
-        return False
     if profile.combine == "or":
         return len(crossed) > 0
-    return len(crossed) == n_criteria
+    return 0 < len(crossed) == len(profile.criteria)
 
 
-def _hop_alert(t: float, powers: BandPowers, di: float | None,
-               last_alert_t: float | None, profile: CalibrationProfile):
-    """The alert raised by the hop ending at ``t``, or None when no criterion
-    combination crossed or the refractory period since ``last_alert_t`` has
-    not yet elapsed."""
-    crossed, observed = _evaluate_window(powers, di, profile)
+def _hop_alert(hop: HopRecord, last_alert_t: float | None,
+               profile: CalibrationProfile):
+    """The alert raised by ``hop``, or None when no criterion combination
+    crossed or the refractory period since ``last_alert_t`` has not yet
+    elapsed."""
+    crossed, observed = _evaluate_window(hop, profile)
     if not _should_alert(crossed, profile):
         return None
-    if last_alert_t is not None and t - last_alert_t < profile.refractory_s - 1e-9:
+    if last_alert_t is not None and hop.t - last_alert_t < profile.refractory_s - 1e-9:
         return None
-    return AlertEvent(t=t, trigger=crossed, observed=observed, severity=di)
+    return AlertEvent(t=hop.t, trigger=crossed, observed=observed, severity=hop.di)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +224,14 @@ def _hop_alert(t: float, powers: BandPowers, di: float | None,
 
 
 class DetectorState:
-    """Single-owner detector memory: one window of samples plus alert timing.
+    """Single-owner detector memory: one window, the latest HopRecord, alert timing.
 
     The buffer is a fixed ring of window_s * fs samples; feeding a
     sample is O(1) and each hop evaluation touches only the buffer.
     """
 
     __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_count",
-                 "_prev_t", "last_alert_t")
+                 "_prev_t", "last_hop", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
         if fs_hz <= 0:
@@ -250,6 +242,7 @@ class DetectorState:
         self._buf = np.zeros(self.win_n, dtype=np.int32)
         self._count = 0
         self._prev_t = -math.inf
+        self.last_hop = None
         self.last_alert_t = None
 
     @property
@@ -269,7 +262,8 @@ def process_sample(state: DetectorState, sample: EegSample):
 
     Returns ``(state, alert)`` where ``alert`` is None except at hop
     boundaries where a configured criterion crossed its threshold and
-    the refractory period since the previous alert has elapsed.
+    the refractory period since the previous alert has elapsed. Each hop
+    boundary replaces ``state.last_hop``.
     """
     if sample.t < state._prev_t:
         raise SequencingError(
@@ -279,9 +273,8 @@ def process_sample(state: DetectorState, sample: EegSample):
     state._count += 1
     if state._count < state.win_n or (state._count - state.win_n) % state.hop_n != 0:
         return state, None
-    powers = band_powers_from_samples(state.window_samples(), state.fs_hz)
-    alert = _hop_alert(sample.t, powers, _window_di(powers),
-                       state.last_alert_t, state.profile)
+    hop = state.last_hop = _hop_record(sample.t, state.window_samples(), state.fs_hz)
+    alert = _hop_alert(hop, state.last_alert_t, state.profile)
     if alert is not None:
         state.last_alert_t = sample.t
     return state, alert
@@ -290,22 +283,29 @@ def process_sample(state: DetectorState, sample: EegSample):
 def stream_samples(raw, profile: CalibrationProfile):
     """Feed raw ADC samples through a fresh detector, sample i at i / 512 s.
 
-    Returns ``(alerts, state)``.
+    Returns ``(alerts, trace)``, the trace holding every HopRecord the
+    detector evaluated, as ``replay_session`` does.
     """
     state = DetectorState(profile)
     alerts = []
+    trace = []
+    hop = None
     for i, value in enumerate(np.asarray(raw).tolist()):
         state, alert = process_sample(state, EegSample(t=i / STREAM_FS_HZ, raw=value))
+        if state.last_hop is not hop:
+            hop = state.last_hop
+            trace.append(hop)
         if alert is not None:
             alerts.append(alert)
-    return alerts, state
+    return alerts, trace
 
 
 # ---------------------------------------------------------------------------
 # batch replay
 
 
-def _session_stream_channel(session: SubjectSession) -> np.ndarray:
+def stream_channel(session: SubjectSession) -> np.ndarray:
+    """The one 512 Hz channel of a stored session, as the detector scores it."""
     if session.fs_hz != STREAM_FS_HZ:
         raise ValidationError(
             f"detector expects a {STREAM_FS_HZ} Hz stream, session is "
@@ -320,14 +320,11 @@ def _session_stream_channel(session: SubjectSession) -> np.ndarray:
 def _hop_trace(session: SubjectSession, profile: CalibrationProfile):
     """A HopRecord for every window of a stored session, cut directly from
     the session array rather than by delegating to the streaming path."""
-    data = _session_stream_channel(session)
+    data = stream_channel(session)
     fs = session.fs_hz
     win_n, hop_n = profile.sample_counts(fs)
-    trace = []
-    for end in range(win_n, data.size + 1, hop_n):
-        powers = band_powers_from_samples(data[end - win_n:end], fs)
-        trace.append(HopRecord(t=(end - 1) / fs, powers=powers, di=_window_di(powers)))
-    return trace
+    return [_hop_record((end - 1) / fs, data[end - win_n:end], fs)
+            for end in range(win_n, data.size + 1, hop_n)]
 
 
 def replay_session(session: SubjectSession, profile: CalibrationProfile):
@@ -339,18 +336,16 @@ def replay_session(session: SubjectSession, profile: CalibrationProfile):
     """
     trace = _hop_trace(session, profile)
     alerts = []
-    last_alert_t = None
     for rec in trace:
-        alert = _hop_alert(rec.t, rec.powers, rec.di, last_alert_t, profile)
+        alert = _hop_alert(rec, alerts[-1].t if alerts else None, profile)
         if alert is not None:
-            last_alert_t = rec.t
             alerts.append(alert)
     return alerts, trace
 
 
 def stream_session(session: SubjectSession, profile: CalibrationProfile):
-    """Feed a stored session through the streaming detector sample by sample."""
-    return stream_samples(_session_stream_channel(session), profile)
+    """Stream a stored session's channel through the detector, as ``stream_samples``."""
+    return stream_samples(stream_channel(session), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +369,7 @@ class CalibrationResult:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "f1": self.f1, "profile": self.profile.to_dict(),
-                "n_windows": self.n_windows, "n_positive": self.n_positive,
-                "note": self.note}
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -408,8 +401,7 @@ def _f1_score(pred, truth) -> float:
 
 def _candidate_thresholds(values, max_candidates):
     """Midpoints between consecutive distinct finite values."""
-    finite = np.sort(values[np.isfinite(values)])
-    uniq = np.unique(finite)
+    uniq = np.unique(values[np.isfinite(values)])
     if uniq.size < 2:
         return np.empty(0)
     mids = 0.5 * (uniq[:-1] + uniq[1:])
@@ -440,6 +432,10 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     Needs at least one Base and one distraction session. A best F1 below
     ``min_f1`` yields ``ok=False`` with the best thresholds found.
     """
+    if max_candidates < 1:
+        raise ParameterError(f"max_candidates must be >= 1, got {max_candidates}")
+    if not 0.0 <= min_f1 <= 1.0:
+        raise ParameterError(f"min_f1 must lie in [0, 1], got {min_f1}")
     sessions = list(sessions)
     tasks = {s.task.is_distraction for s in sessions}
     if tasks != {True, False}:
@@ -509,7 +505,7 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     truths = []
     for session in sessions:
         for rec in _hop_trace(session, profile):
-            crossed, _ = _evaluate_window(rec.powers, rec.di, profile)
+            crossed, _ = _evaluate_window(rec, profile)
             preds.append(_should_alert(crossed, profile))
             truths.append(session.task.is_distraction)
     if not preds:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import BANDS, fold_one_sided
+from .dsp import BANDS, band_bins, fold_one_sided
 from .errors import ParameterError, ValidationError
 from .model import ADC_MAX, ADC_MIN, Device, SubjectSession, TaskLabel
 from .protocol import UV_PER_COUNT
@@ -74,13 +74,8 @@ class BurstSpec:
     gain: float = 1.0
 
     def __post_init__(self):
-        band = _band_by_name(self.band)
-        if not 1.0 <= self.center_hz <= 40.0:
-            raise ParameterError(
-                f"burst center must lie in [1, 40] Hz, got {self.center_hz}")
-        top_ok = (self.center_hz <= band.hi_hz if band.closed_top
-                  else self.center_hz < band.hi_hz)
-        if not (band.lo_hz <= self.center_hz and top_ok):
+        # the bands tile [1, 40] Hz, so membership also bounds the center
+        if not _band_by_name(self.band).mask(self.center_hz):
             raise ParameterError(
                 f"burst center {self.center_hz} Hz outside its {self.band} band")
         if not 0 < self.rate_hz < math.inf:
@@ -167,9 +162,15 @@ def _pink_noise(rng: np.random.Generator, pink: PinkNoiseSpec,
 
 
 def _expected_periodogram(pink: PinkNoiseSpec, fs_hz: int, n: int):
-    freqs, a = _carrier_bin_amplitudes(pink, fs_hz, n)
-    sides = fold_one_sided(np.ones(freqs.size), n)
-    return freqs, sides * a ** 2 / (fs_hz * n)
+    _, a = _carrier_bin_amplitudes(pink, fs_hz, n)
+    return fold_one_sided(np.ones(a.size), n) * a ** 2 / (fs_hz * n)
+
+
+def _band_bins(band_name: str, fs_hz: int, n: int) -> slice:
+    bins = band_bins(n, fs_hz)[BANDS.index(_band_by_name(band_name))]
+    if bins.start == bins.stop:
+        raise ParameterError(f"no spectral bins fall in band {band_name!r}")
+    return bins
 
 
 def expected_band_power(pink: PinkNoiseSpec, band_name: str,
@@ -180,11 +181,8 @@ def expected_band_power(pink: PinkNoiseSpec, band_name: str,
     whole window, mean across in-band bins. Quantization adds roughly
     ``QUANTIZATION_NOISE_PSD[fs]`` on top of this.
     """
-    freqs, exp_p = _expected_periodogram(pink, fs_hz, n)
-    mask = _band_by_name(band_name).mask(freqs)
-    if not mask.any():
-        raise ParameterError(f"no spectral bins fall in band {band_name!r}")
-    return float(np.mean(exp_p[mask]))
+    exp_p = _expected_periodogram(pink, fs_hz, n)
+    return float(np.mean(exp_p[_band_bins(band_name, fs_hz, n)]))
 
 
 def expected_band_power_sd(pink: PinkNoiseSpec, band_name: str,
@@ -194,11 +192,7 @@ def expected_band_power_sd(pink: PinkNoiseSpec, band_name: str,
     Per-bin periodogram values of a Gaussian carrier are independent
     exponentials, so the bin variance equals the squared bin mean.
     """
-    freqs, exp_p = _expected_periodogram(pink, fs_hz, n)
-    mask = _band_by_name(band_name).mask(freqs)
-    if not mask.any():
-        raise ParameterError(f"no spectral bins fall in band {band_name!r}")
-    vals = exp_p[mask]
+    vals = _expected_periodogram(pink, fs_hz, n)[_band_bins(band_name, fs_hz, n)]
     return float(math.sqrt(np.sum(vals ** 2)) / vals.size)
 
 

@@ -231,10 +231,11 @@ def test_acceptance_5_streaming_and_calibration():
             seed=seed, task=TaskLabel.TEXT if seed % 4 else TaskLabel.BASE,
             duration_s=8.0, baseline=PinkNoiseSpec(amplitude_uv=15.0),
             bursts=variants[seed % 4]))
-        streamed, _ = stream_session(session, profile)
-        replayed, _ = replay_session(session, profile)
+        streamed, streamed_trace = stream_session(session, profile)
+        replayed, replayed_trace = replay_session(session, profile)
         assert [a.to_dict() for a in streamed] == \
             [a.to_dict() for a in replayed]
+        assert streamed_trace == replayed_trace
         times = [a.t for a in streamed]
         assert all(b - a >= profile.refractory_s - 1e-9
                    for a, b in zip(times, times[1:]))

@@ -197,8 +197,9 @@ class TestMlp:
                 train_mlp(X, y, ("a", "b"), MlpConfig(epochs=3))
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            MlpConfig(learning_rate=0.0)
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                MlpConfig(learning_rate=rate)
         with pytest.raises(ParameterError):
             MlpConfig(momentum=1.0)
         with pytest.raises(ParameterError):

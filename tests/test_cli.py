@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import driveguard.cli
+import driveguard.stream
 from driveguard.cli import main
 from driveguard.protocol import read_arff, session_to_packets, write_session
 from driveguard.stream import TRACE_HEADER, CalibrationProfile
@@ -307,12 +309,30 @@ class TestCalibrateAndStream:
                              "--profile", str(profile_path))
         assert rc == 0
         assert csv_out == out
-        rc, out, err = run(capsys, "stream", str(bin_path),
-                           "--profile", str(profile_path),
-                           "--trace", str(tmp_path / "t.csv"))
-        assert rc == 2
-        assert out == ""
-        assert json.loads(err)["error"] == "CliError"
+        traces = {}
+        for name, path in (("bin", str(bin_path)), ("csv", csv_path)):
+            traces[name] = tmp_path / f"{name}_trace.csv"
+            rc, traced_out, _ = run(capsys, "stream", path, "--profile",
+                                    str(profile_path), "--trace", str(traces[name]))
+            assert rc == 0
+            assert traced_out == out
+        assert traces["bin"].read_bytes() == traces["csv"].read_bytes()
+        assert traces["bin"].read_text().startswith(TRACE_HEADER + "\n")
+
+    def test_stream_trace_needs_no_replay(self, tmp_path, capsys, monkeypatch):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("stream --trace ran a replay pass")
+        monkeypatch.setattr(driveguard.cli, "replay_session", no_replay)
+        monkeypatch.setattr(driveguard.stream, "_hop_trace", no_replay)
+        csv = write_fixture(tmp_path, "one", seed=5)
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(CalibrationProfile(
+            subject_id="s", band_thresholds={"beta": 1.0}).to_json())
+        trace_path = tmp_path / "trace.csv"
+        rc, _, err = run(capsys, "stream", csv, "--profile", str(profile_path),
+                         "--trace", str(trace_path))
+        assert rc == 0, err
+        assert len(trace_path.read_text().splitlines()) == 1 + 5  # 8 s, 4 s windows
 
 
 class TestErrorSurface:

@@ -10,6 +10,7 @@ from driveguard.dsp import (
     MIN_STFT_WINDOW_SAMPLES,
     ResolutionError,
     SPECTROGRAM_DB_FLOOR,
+    band_bins,
     band_powers_fft,
     band_powers_from_samples,
     build_feature_vector,
@@ -92,6 +93,17 @@ class TestBandDefinitions:
         }
         assert 0.75 not in owner and 40.25 not in owner
 
+    @pytest.mark.parametrize("n, fs", [(1024, 512), (2048, 512), (2049, 512),
+                                       (3000, 512), (512, 128), (64, 512)])
+    def test_bins_are_the_mask_ranges(self, n, fs):
+        freqs = np.fft.rfftfreq(n, 1.0 / fs)
+        bins = band_bins(n, fs)
+        assert len(bins) == len(BANDS)
+        for band, sl in zip(BANDS, bins):
+            assert np.array_equal(np.arange(freqs.size)[sl],
+                                  np.flatnonzero(band.mask(freqs)))
+        assert band_bins(n, fs) is bins
+
 
 class TestBandPowers:
     def test_window_too_short(self):
@@ -154,6 +166,11 @@ class TestSpectrogram:
     def test_window_too_small(self):
         with pytest.raises(ParameterError):
             stft_spectrogram(np.zeros(N), FS, window_s=(MIN_STFT_WINDOW_SAMPLES - 1) / FS)
+
+    @pytest.mark.parametrize("window_s", [np.nan, np.inf, -np.inf, 1e308])
+    def test_window_not_finite(self, window_s):
+        with pytest.raises(ParameterError):
+            stft_spectrogram(np.zeros(N), FS, window_s=window_s)
 
     def test_overlap_domain(self):
         with pytest.raises(ParameterError):

@@ -1,9 +1,10 @@
-"""The CLI's error contract on malformed input files.
+"""The CLI's error contract on malformed input files and numeric settings.
 
 A malformed profile, manifest, generator spec, config, session CSV or
-ARFF file must end in exit status 2, with nothing on stdout and exactly
-one JSON object on stderr: never a traceback. ``ESCAPES`` pins inputs
-that once broke the contract. The seeded mutation test derives many more
+ARFF file, or an out-of-range numeric setting, must end in exit status
+2, with nothing on stdout and exactly one JSON object on stderr: never a
+traceback. ``ESCAPES`` and ``NUMERIC_ESCAPES`` pin inputs that once broke
+the contract. The seeded mutation test derives many more
 from valid files by truncation, wrong JSON types, non-UTF-8 bytes, NaN
 and infinities, and a JSON top level that is not an object.
 """
@@ -188,6 +189,38 @@ def test_calibrate_rejects_fractional_window_samples(valid, capsys):
     assert_contract((rc, out, err), "calibrate --window 4.001")
     assert json.loads(err)["error"] == "ParameterError"
     assert not profile.exists()
+
+
+# numeric settings that once ended in a traceback, exit 0 with a
+# meaningless result, or a diverging fit; "{d}" is the input directory
+NUMERIC_ESCAPES = [
+    pytest.param(["spectrogram", "{d}/base.csv", "--window", "nan"],
+                 id="spectrogram-window-nan"),
+    pytest.param(["spectrogram", "{d}/base.csv", "--window", "inf"],
+                 id="spectrogram-window-inf"),
+    pytest.param(["calibrate", "--base", "{d}/base.csv", "--distraction",
+                  "{d}/text.csv", "--max-candidates", "-3"],
+                 id="calibrate-max-candidates-negative"),
+    pytest.param(["calibrate", "--base", "{d}/base.csv", "--distraction",
+                  "{d}/text.csv", "--max-candidates", "0"],
+                 id="calibrate-max-candidates-zero"),
+    pytest.param(["calibrate", "--base", "{d}/base.csv", "--distraction",
+                  "{d}/text.csv", "--min-f1", "nan"], id="calibrate-min-f1-nan"),
+    pytest.param(["train-eval", "{d}/numeric.arff", "--k", "2", "--classifier",
+                  "mlp", "--learning-rate", "nan"], id="mlp-learning-rate-nan"),
+    pytest.param(["train-eval", "{d}/numeric.arff", "--k", "2", "--classifier",
+                  "mlp", "--learning-rate", "inf"], id="mlp-learning-rate-inf"),
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ESCAPES)
+def test_numeric_settings_exit_2(valid, capsys, argv):
+    d, texts = valid
+    (d / "numeric.arff").write_text(texts["arff"])
+    rc = main([arg.format(d=d) for arg in argv])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), " ".join(argv))
+    assert json.loads(err)["error"] == "ParameterError"
 
 
 def malformed_variant(kind, text, rng):

@@ -114,6 +114,17 @@ class TestDetectorState:
                                                      3 * state.win_n)])
         assert np.array_equal(state.window_samples(), expected)
 
+    def test_last_hop_replaced_only_at_hop_boundaries(self):
+        state = DetectorState(profile(), fs_hz=FS)
+        hops = []
+        for i in range(state.win_n + 2 * state.hop_n):
+            process_sample(state, EegSample(t=i / FS, raw=i % 1024))
+            if not hops or state.last_hop is not hops[-1]:
+                hops.append(state.last_hop)
+        assert hops[0] is None
+        assert [h.t for h in hops[1:]] == [
+            (state.win_n + k * state.hop_n - 1) / FS for k in range(3)]
+
     def test_window_before_full_rejected(self):
         state = DetectorState(profile(), fs_hz=FS)
         process_sample(state, EegSample(t=0.0, raw=0))
@@ -138,7 +149,7 @@ class TestStreaming:
         data = tone(10.0, 6.0)
         session = raw_session(data)
         p = profile(band_thresholds={"alpha": 0.001}, refractory_s=1.0)
-        alerts, state = stream_session(session, p)
+        alerts, _ = stream_session(session, p)
         assert [a.t for a in alerts] == [
             (2048 - 1) / FS, (2560 - 1) / FS, (3072 - 1) / FS]
         assert all(a.trigger == ("alpha",) for a in alerts)
@@ -286,10 +297,11 @@ class TestReplay:
                                     dur=25.0)
             p = profile(band_thresholds={"beta": 2.0, "theta": 1.0},
                         di_threshold=5.0, refractory_s=3.0)
-            streamed, _ = stream_session(session, p)
-            replayed, _ = replay_session(session, p)
+            streamed, streamed_trace = stream_session(session, p)
+            replayed, replayed_trace = replay_session(session, p)
             assert [a.to_dict() for a in streamed] == \
                 [a.to_dict() for a in replayed]
+            assert streamed_trace == replayed_trace
 
 
 class TestAlertEvent:
@@ -381,6 +393,16 @@ class TestCalibration:
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
         with pytest.raises(ParameterError):
             calibrate_thresholds(train, **timing)
+
+    @pytest.mark.parametrize("setting", [
+        {"max_candidates": 0}, {"max_candidates": -3},
+        {"min_f1": math.nan}, {"min_f1": math.inf}, {"min_f1": -0.1},
+        {"min_f1": 1.5}])
+    def test_invalid_search_settings_rejected(self, setting):
+        train = [synth_session(1, TaskLabel.BASE),
+                 synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
+        with pytest.raises(ParameterError):
+            calibrate_thresholds(train, **setting)
 
     def test_sessions_too_short_for_windows(self):
         short = [raw_session(np.zeros(2 * FS, dtype=np.int32), TaskLabel.BASE),
