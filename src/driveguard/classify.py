@@ -264,30 +264,33 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
 
     lr = config.learning_rate
     mom = config.momentum
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for i in range(n):
-            loss, gw1, gb1, gw2, gb2 = mlp_sample_gradients(
-                w1, b1, w2, b2, Xs[i], targets[i]
-            )
-            epoch_loss += loss
-            vw1 *= mom
-            vw1 -= lr * gw1
-            w1 += vw1
-            vb1 *= mom
-            vb1 -= lr * gb1
-            b1 += vb1
-            vw2 *= mom
-            vw2 -= lr * gw2
-            w2 += vw2
-            vb2 *= mom
-            vb2 -= lr * gb2
-            b2 += vb2
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(
-                f"training loss became non-finite in epoch {epoch + 1}; "
-                "try a smaller learning_rate"
-            )
+    # a saturated sigmoid's exp overflows to inf and the unit to its
+    # correct limit 0; set once per fit, as the online step is call-bound
+    with np.errstate(over="ignore"):
+        for epoch in range(config.epochs):
+            epoch_loss = 0.0
+            for i in range(n):
+                loss, gw1, gb1, gw2, gb2 = mlp_sample_gradients(
+                    w1, b1, w2, b2, Xs[i], targets[i]
+                )
+                epoch_loss += loss
+                vw1 *= mom
+                vw1 -= lr * gw1
+                w1 += vw1
+                vb1 *= mom
+                vb1 -= lr * gb1
+                b1 += vb1
+                vw2 *= mom
+                vw2 -= lr * gw2
+                w2 += vw2
+                vb2 *= mom
+                vb2 -= lr * gb2
+                b2 += vb2
+            if not np.isfinite(epoch_loss):
+                raise DivergenceError(
+                    f"training loss became non-finite in epoch {epoch + 1}; "
+                    "try a smaller learning_rate"
+                )
     if not (
         np.isfinite(w1).all()
         and np.isfinite(b1).all()
@@ -323,7 +326,8 @@ def predict_mlp_many(model: MlpModel, X):
             f"input has shape {X.shape}, model expects (n, {n_features})"
         )
     Xs = (X - model.feature_mean) / model.feature_scale
-    _, o = mlp_forward(model.w1, model.b1, model.w2, model.b2, Xs)
+    with np.errstate(over="ignore"):  # saturated units, as in train_mlp
+        _, o = mlp_forward(model.w1, model.b1, model.w2, model.b2, Xs)
     return np.argmax(o, axis=1), o
 
 

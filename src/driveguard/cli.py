@@ -6,7 +6,8 @@ classifiers, score distraction, run the statistics battery, export
 spectrogram grids, generate synthetic sessions, calibrate per-subject
 alert thresholds, and stream alerts.
 
-Settings resolve with precedence: explicit flags, then a key=value
+Each subcommand's settings are declared once, in ``SETTINGS``, and
+resolve in one pass before dispatch: explicit flags, then a key=value
 config file (``--config``), then ``DRIVEGUARD_``-prefixed environment
 variables, then built-in defaults. Failures print a machine-readable
 JSON object on stderr and exit nonzero. ``DRIVEGUARD_LOG`` sets the log
@@ -16,10 +17,12 @@ level. Plot-oriented outputs are plain CSV/JSON data files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+from typing import NamedTuple
 
 from .classify import MlpConfig, kfold_evaluate, vectors_to_dataset
 from .dsp import (
@@ -30,7 +33,7 @@ from .dsp import (
     spectrogram_triples_csv,
     stft_spectrogram,
 )
-from .errors import DriveGuardError, ParameterError
+from .errors import DriveGuardError
 from .index import CoverageError, distraction_index, rank_tasks
 # perfbench/tracing.py rebinds cli.EegSample, cli.process_sample,
 # cli.replay_session and cli.stream_session, so keep all four imported
@@ -75,12 +78,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# settings
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+class Setting(NamedTuple):
+    """Flag ``--key-with-dashes``, config key, ``DRIVEGUARD_KEY``."""
+
+    key: str
+    type: type
+    default: object
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_MODE = Setting("mode", str, "fft", FEATURE_MODES)
+_TRIAL_SECONDS = Setting("trial_seconds", float, 4.0)
+
+# the settings each subcommand reads; subcommands not listed take none
+SETTINGS = {
+    "features": (_MODE, _TRIAL_SECONDS),
+    "train-eval": (
+        Setting("classifier", str, "gnb", ("gnb", "mlp")),
+        Setting("classes", str, "five", ("two", "five")),
+        Setting("k", int, 10), _MODE, _TRIAL_SECONDS,
+        Setting("epochs", int, 500, help="MLP training epochs"),
+        Setting("hidden", int, None, help="MLP hidden units"),
+        Setting("learning_rate", float, 0.3), Setting("momentum", float, 0.2),
+        Setting("seed", int, 0, help="seed for folds and MLP weights")),
+    "index": (_TRIAL_SECONDS,),
+    "stats": (Setting("alpha", float, 0.05),),
+    "spectrogram": (Setting("window", float, 1.0), Setting("overlap", float, 0.5)),
+    "synth": (Setting("seed", int, None, help="replaces the spec's seed"),),
+    "calibrate": (
+        Setting("window", float, 4.0), Setting("hop", float, 1.0),
+        Setting("refractory", float, 2.0), Setting("min_f1", float, 0.75),
+        Setting("max_candidates", int, 32)),
+}
+
+
+def _load_config(path: str) -> dict:
+    """key -> (value, source) for each key=value line of ``path``."""
+    known = {s.key for settings in SETTINGS.values() for s in settings}
     config = {}
     text = read_text(path, "config", CliError)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -89,44 +127,45 @@ def _load_config(path: str | None) -> dict:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        # any subcommand's key is accepted, so one file can serve them all
+        if key not in known:
+            raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
+        config[key] = (value, f"{path}:{lineno}: config key {key}")
     return config
 
 
-def _resolve(flag_value, key: str, default, cast, config: dict):
-    """Flags beat config file entries beat environment beat defaults."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        raw = config[key]
-        source = f"config key {key}"
-    else:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        source = f"environment {ENV_PREFIX}{key.upper()}"
-        if raw is None:
-            return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{source}: cannot parse {raw!r}: {exc}") from exc
-
-
-def _emit_error(exc: BaseException):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload), file=sys.stderr)
-
-
-def _manifest_for(csv_path: str) -> str:
-    if not csv_path.endswith(".csv"):
-        raise CliError(f"session path must end in .csv, got {csv_path!r}")
-    return csv_path[:-4] + ".manifest.json"
+def _resolve_settings(args):
+    """Set each of the command's settings on ``args``: a flag beats a
+    config file entry beats the environment beats the default."""
+    settings = SETTINGS.get(args.command, ())
+    config = _load_config(args.config) if settings and args.config else {}
+    for s in settings:
+        if getattr(args, s.key) is not None:  # argparse checked the flag
+            continue
+        env = ENV_PREFIX + s.key.upper()
+        if s.key in config:
+            raw, source = config[s.key]
+        elif env in os.environ:
+            raw, source = os.environ[env], f"environment {env}"
+        else:
+            setattr(args, s.key, s.default)
+            continue
+        try:
+            value = s.type(raw)
+        except ValueError as exc:
+            raise CliError(f"{source}: cannot parse {raw!r}: {exc}") from exc
+        if s.choices is not None and value not in s.choices:
+            raise CliError(f"{source}: {raw!r} is not one of {s.choices}")
+        setattr(args, s.key, value)
 
 
 def _load_sessions(paths):
     sessions = []
     for p in paths:
-        sessions.append(read_session(p, _manifest_for(p)))
+        if not p.endswith(".csv"):
+            raise CliError(f"session path must end in .csv, got {p!r}")
+        sessions.append(read_session(p, p[:-4] + ".manifest.json"))
         log.info("loaded session %s", p)
     return sessions
 
@@ -140,7 +179,7 @@ def _write_text(path: str, text: str):
 # subcommands
 
 
-def _cmd_ingest(args, config):
+def _cmd_ingest(args):
     session = read_session(args.csv, args.manifest)
     record = {
         "subject_id": session.subject_id,
@@ -155,16 +194,13 @@ def _cmd_ingest(args, config):
     return 0
 
 
-def _cmd_features(args, config):
-    mode = _resolve(args.mode, "mode", "fft", str, config)
-    trial_s = _resolve(args.trial_seconds, "trial_seconds", 4.0, float, config)
-    if mode not in FEATURE_MODES:
-        raise CliError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
+def _cmd_features(args):
     sessions = _load_sessions(args.sessions)
-    vectors = feature_vectors_from_sessions(sessions, mode=mode,
-                                            trial_seconds=trial_s)
+    vectors = feature_vectors_from_sessions(sessions, mode=args.mode,
+                                            trial_seconds=args.trial_seconds)
     out = {"vectors": len(vectors), "features": len(vectors[0].schema),
-           "mode": mode, "trial_seconds": trial_s, "arff": args.arff}
+           "mode": args.mode, "trial_seconds": args.trial_seconds,
+           "arff": args.arff}
     if args.arff:
         _write_text(args.arff, write_arff(vectors, relation=args.relation))
         log.info("wrote %d vectors to %s", len(vectors), args.arff)
@@ -172,30 +208,22 @@ def _cmd_features(args, config):
     return 0
 
 
-def _cmd_train_eval(args, config):
-    classifier = _resolve(args.classifier, "classifier", "gnb", str, config)
-    classes = _resolve(args.classes, "classes", "five", str, config)
-    k = _resolve(args.k, "k", 10, int, config)
-    seed = _resolve(args.seed, "seed", 0, int, config)
-    mode = _resolve(args.mode, "mode", "fft", str, config)
-    trial_s = _resolve(args.trial_seconds, "trial_seconds", 4.0, float, config)
+def _cmd_train_eval(args):
     if len(args.inputs) == 1 and args.inputs[0].endswith(".arff"):
         vectors = read_arff(args.inputs[0])
     else:
-        vectors = feature_vectors_from_sessions(_load_sessions(args.inputs),
-                                                mode=mode, trial_seconds=trial_s)
-    X, y, class_names = vectors_to_dataset(vectors, problem=classes)
+        vectors = feature_vectors_from_sessions(
+            _load_sessions(args.inputs), mode=args.mode,
+            trial_seconds=args.trial_seconds)
+    X, y, class_names = vectors_to_dataset(vectors, problem=args.classes)
     mlp_config = None
-    if classifier == "mlp":
-        mlp_config = MlpConfig(
-            hidden=_resolve(args.hidden, "hidden", None, int, config),
-            learning_rate=_resolve(args.learning_rate, "learning_rate", 0.3,
-                                   float, config),
-            momentum=_resolve(args.momentum, "momentum", 0.2, float, config),
-            epochs=_resolve(args.epochs, "epochs", 500, int, config),
-            seed=seed)
-    overall, folds = kfold_evaluate(X, y, class_names, k=k,
-                                    classifier=classifier, seed=seed,
+    if args.classifier == "mlp":
+        mlp_config = MlpConfig(hidden=args.hidden,
+                               learning_rate=args.learning_rate,
+                               momentum=args.momentum, epochs=args.epochs,
+                               seed=args.seed)
+    overall, folds = kfold_evaluate(X, y, class_names, k=args.k,
+                                    classifier=args.classifier, seed=args.seed,
                                     mlp_config=mlp_config)
     print(overall.to_text())
     if args.json:
@@ -204,13 +232,12 @@ def _cmd_train_eval(args, config):
     return 0
 
 
-def _cmd_index(args, config):
-    trial_s = _resolve(args.trial_seconds, "trial_seconds", 4.0, float, config)
+def _cmd_index(args):
     sessions = _load_sessions(args.sessions)
     rows = []
     labeled = []
     for session in sessions:
-        for w in split_into_trials(session, trial_s):
+        for w in split_into_trials(session, args.trial_seconds):
             bp = band_powers_fft(w)
             labeled.append((session.task, bp))
             rows.append((session.subject_id, session.task.value, w.channel,
@@ -236,13 +263,12 @@ def _cmd_index(args, config):
     return 0
 
 
-def _cmd_stats(args, config):
-    alpha = _resolve(args.alpha, "alpha", 0.05, float, config)
+def _cmd_stats(args):
     reports = []
     if args.fixtures in ("table5", "all"):
-        reports.append(table5_report(alpha=alpha))
+        reports.append(table5_report(alpha=args.alpha))
     if args.fixtures in ("table6", "all"):
-        reports.extend(table6_reports(alpha=alpha))
+        reports.extend(table6_reports(alpha=args.alpha))
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -251,13 +277,11 @@ def _cmd_stats(args, config):
     return 0
 
 
-def _cmd_spectrogram(args, config):
-    window = _resolve(args.window, "window", 1.0, float, config)
-    overlap = _resolve(args.overlap, "overlap", 0.5, float, config)
+def _cmd_spectrogram(args):
     session = _load_sessions([args.session])[0]
     channel = args.channel or session.channels[0]
     spec = stft_spectrogram(session.channel_data(channel), session.fs_hz,
-                            window_s=window, overlap=overlap)
+                            window_s=args.window, overlap=args.overlap)
     grid = spectrogram_csv(spec)
     if args.out:
         _write_text(args.out, grid)
@@ -271,28 +295,28 @@ def _cmd_spectrogram(args, config):
 
 def _spec_from_json(path: str, seed_override) -> GeneratorSpec:
     def build(raw):
-        baseline = PinkNoiseSpec(**raw.get("baseline", {}))
-        bursts = tuple(BurstSpec(**b) for b in raw.get("bursts", []))
+        fields = {f.name for f in dataclasses.fields(GeneratorSpec)}
+        if unknown := sorted(raw.keys() - fields):
+            raise ValueError(f"unknown keys {unknown}")
+        # keys left out keep GeneratorSpec's defaults, except the duration
+        spec = dict(raw, duration_s=float(raw.get("duration_s", 20.0)),
+                    baseline=PinkNoiseSpec(**raw.get("baseline", {})),
+                    bursts=tuple(BurstSpec(**b) for b in raw.get("bursts", [])))
+        if "task" in raw:
+            spec["task"] = TaskLabel.from_string(raw["task"])
+        if "subject_id" in raw:
+            spec["subject_id"] = str(raw["subject_id"])
         seed = raw.get("seed") if seed_override is None else seed_override
-        return GeneratorSpec(
-            seed=0 if seed is None else seed,
-            task=TaskLabel.from_string(raw.get("task", "Base")),
-            fs_hz=raw.get("fs_hz", 512),
-            duration_s=float(raw.get("duration_s", 20.0)),
-            baseline=baseline,
-            bursts=bursts,
-            subject_id=str(raw.get("subject_id", "synth-01")),
-            channels=raw.get("channels", ("FP1",)),
-        )
+        spec["seed"] = 0 if seed is None else seed
+        return GeneratorSpec(**spec)
     return read_json_record(path, "spec", build, CliError)
 
 
-def _cmd_synth(args, config):
-    seed = _resolve(args.seed, "seed", None, int, config)
+def _cmd_synth(args):
     if args.spec == "default":
-        spec = GeneratorSpec(seed=0 if seed is None else seed)
+        spec = GeneratorSpec(seed=0 if args.seed is None else args.seed)
     else:
-        spec = _spec_from_json(args.spec, seed)
+        spec = _spec_from_json(args.spec, args.seed)
     session = generate_session(spec)
     os.makedirs(args.out, exist_ok=True)
     stem = f"{session.subject_id}_{session.task.value}"
@@ -311,17 +335,13 @@ def _cmd_synth(args, config):
     return 0
 
 
-def _cmd_calibrate(args, config):
-    window = _resolve(args.window, "window", 4.0, float, config)
-    hop = _resolve(args.hop, "hop", 1.0, float, config)
-    refractory = _resolve(args.refractory, "refractory", 2.0, float, config)
-    min_f1 = _resolve(args.min_f1, "min_f1", 0.75, float, config)
+def _cmd_calibrate(args):
     sessions = _load_sessions(args.base) + _load_sessions(args.distraction)
     result = calibrate_thresholds(sessions, subject_id=args.subject,
-                                  window_s=window, hop_s=hop,
-                                  refractory_s=refractory,
+                                  window_s=args.window, hop_s=args.hop,
+                                  refractory_s=args.refractory,
                                   max_candidates=args.max_candidates,
-                                  min_f1=min_f1, use_di=not args.no_di)
+                                  min_f1=args.min_f1, use_di=not args.no_di)
     if args.out:
         _write_text(args.out, result.profile.to_json() + "\n")
         log.info("wrote calibration profile to %s", args.out)
@@ -340,7 +360,7 @@ def _read_packets(path: str):
     return raw
 
 
-def _cmd_stream(args, config):
+def _cmd_stream(args):
     profile = read_json_record(args.profile, "profile",
                                CalibrationProfile.from_dict, CliError)
     if args.input.endswith(".csv"):
@@ -362,74 +382,52 @@ def _cmd_stream(args, config):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value settings file")
-    common.add_argument("--seed", type=int, help="seed for stochastic steps")
-
     parser = _Parser(prog="driveguard",
                      description="EEG distracted-driving detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest",
                        help="validate a session CSV against its manifest")
     p.add_argument("csv")
     p.add_argument("manifest")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("features", parents=[common],
-                       help="extract per-trial feature vectors")
+    p = sub.add_parser("features", help="extract per-trial feature vectors")
     p.add_argument("sessions", nargs="+", help="session CSV paths "
                    "(manifest expected at <name>.manifest.json)")
-    p.add_argument("--mode", choices=FEATURE_MODES)
-    p.add_argument("--trial-seconds", type=float)
     p.add_argument("--arff", help="write vectors to this ARFF file")
     p.add_argument("--relation", default="driveguard-features")
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("train-eval", parents=[common],
+    p = sub.add_parser("train-eval",
                        help="stratified k-fold classifier evaluation")
     p.add_argument("inputs", nargs="+",
                    help="one .arff file, or session CSV paths")
-    p.add_argument("--classifier", choices=("gnb", "mlp"))
-    p.add_argument("--classes", choices=("two", "five"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=FEATURE_MODES)
-    p.add_argument("--trial-seconds", type=float)
-    p.add_argument("--epochs", type=int, help="MLP training epochs")
-    p.add_argument("--hidden", type=int, help="MLP hidden units")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum", type=float)
     p.add_argument("--json", help="also write the report as JSON here")
     p.set_defaults(func=_cmd_train_eval)
 
-    p = sub.add_parser("index", parents=[common],
+    p = sub.add_parser("index",
                        help="per-trial distraction index and task ranking")
     p.add_argument("sessions", nargs="+")
-    p.add_argument("--trial-seconds", type=float)
     p.add_argument("--csv", help="write per-trial DI rows here")
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="run the bundled statistical comparisons")
+    p = sub.add_parser("stats", help="run the bundled statistical comparisons")
     p.add_argument("--fixtures", choices=("table5", "table6", "all"),
                    default="all")
-    p.add_argument("--alpha", type=float)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("spectrogram", parents=[common],
+    p = sub.add_parser("spectrogram",
                        help="STFT grid for one channel of a session")
     p.add_argument("session")
-    p.add_argument("--window", type=float)
-    p.add_argument("--overlap", type=float)
     p.add_argument("--channel")
     p.add_argument("--out", help="grid CSV path (stdout when omitted)")
     p.add_argument("--triples", help="also write long-format rows here")
     p.set_defaults(func=_cmd_spectrogram)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic session")
+    p = sub.add_parser("synth", help="generate a synthetic session")
     p.add_argument("--spec", required=True,
                    help="generator spec JSON path, or 'default'")
     p.add_argument("--out", required=True, help="output directory")
@@ -437,31 +435,30 @@ def _build_parser() -> _Parser:
                    help="skip the packet-framed binary stream")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="search per-subject alert thresholds")
+    p = sub.add_parser("calibrate", help="search per-subject alert thresholds")
     p.add_argument("--base", nargs="+", required=True,
                    help="Base session CSVs")
     p.add_argument("--distraction", nargs="+", required=True,
                    help="distraction session CSVs")
     p.add_argument("--subject", help="subject id when sessions are mixed")
-    p.add_argument("--window", type=float)
-    p.add_argument("--hop", type=float)
-    p.add_argument("--refractory", type=float)
-    p.add_argument("--min-f1", type=float)
-    p.add_argument("--max-candidates", type=int, default=32)
     p.add_argument("--no-di", action="store_true",
                    help="exclude the distraction index criterion")
     p.add_argument("--out", help="write the profile JSON here")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("stream", parents=[common],
-                       help="run the alert detector over a recording")
+    p = sub.add_parser("stream", help="run the alert detector over a recording")
     p.add_argument("input", help="session CSV or packet .bin stream")
     p.add_argument("--profile", required=True,
                    help="calibration profile JSON")
     p.add_argument("--trace", help="write per-hop band powers and DI here")
     p.set_defaults(func=_cmd_stream)
 
+    for name, settings in SETTINGS.items():
+        p = sub.choices[name]
+        p.add_argument("--config", help="key=value settings file")
+        for s in settings:
+            p.add_argument("--" + s.key.replace("_", "-"), type=s.type,
+                           choices=s.choices, help=s.help)
     return parser
 
 
@@ -472,10 +469,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
+        _resolve_settings(args)
+        return args.func(args)
     except (DriveGuardError, OSError) as exc:
-        _emit_error(exc)
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(payload), file=sys.stderr)
         return 2
 
 

@@ -90,14 +90,18 @@ class EegSample:
     def __post_init__(self):
         if self.t < 0:
             raise ValidationError(f"sample timestamp must be >= 0, got {self.t}")
-        _check_raw_range(self.raw)
+        check_adc_range(self.raw, self.raw)
 
 
-def _check_raw_range(value):
-    if not (ADC_MIN <= value <= ADC_MAX):
-        raise ValidationError(
-            f"raw sample {value} outside ADC range [{ADC_MIN}, {ADC_MAX}]"
-        )
+def check_adc_range(lo, hi, error=ValidationError, what="raw sample"):
+    """Raise ``error`` unless counts ``lo`` to ``hi`` lie in the ADC range.
+
+    One count is passed as both bounds (an array as its min and max), so
+    EegSample's per-sample check stays one comparison with no numpy call.
+    """
+    if not (ADC_MIN <= lo and hi <= ADC_MAX):
+        bad = hi if ADC_MIN <= lo else lo
+        raise error(f"{what} {bad} outside ADC range [{ADC_MIN}, {ADC_MAX}]")
 
 
 def _freeze_array(obj, name, arr):
@@ -149,10 +153,7 @@ class SubjectSession:
             )
         if raw.shape[1] == 0:
             raise ValidationError("session contains no samples")
-        if raw.min() < ADC_MIN or raw.max() > ADC_MAX:
-            raise ValidationError(
-                f"raw samples outside ADC range [{ADC_MIN}, {ADC_MAX}]"
-            )
+        check_adc_range(raw.min(), raw.max(), what="raw samples")
         _freeze_array(self, "raw", raw)
 
     @property
@@ -197,8 +198,8 @@ class TrialWindow:
                 f"trial window must hold round(duration*fs)={expected} samples, "
                 f"got shape {samples.shape}"
             )
-        if samples.size and (samples.min() < ADC_MIN or samples.max() > ADC_MAX):
-            raise ValidationError("trial samples outside ADC range")
+        if samples.size:
+            check_adc_range(samples.min(), samples.max(), what="trial samples")
         _freeze_array(self, "samples", samples)
 
 

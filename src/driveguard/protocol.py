@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    ADC_MAX,
-    ADC_MIN,
     Device,
     FeatureVector,
     SubjectSession,
     TaskLabel,
+    check_adc_range,
 )
 
 SYNC = 0xAA
@@ -56,8 +55,7 @@ class SessionFormatError(ValidationError):
 
 def raw_to_voltage(raw: int) -> float:
     """Electrode voltage in volts for one signed ADC count."""
-    if not (ADC_MIN <= raw <= ADC_MAX):
-        raise PacketError(f"raw value {raw} outside ADC range [{ADC_MIN}, {ADC_MAX}]")
+    check_adc_range(raw, raw, PacketError, "raw value")
     return raw * VOLTS_PER_COUNT
 
 
@@ -72,8 +70,7 @@ def checksum(payload: bytes) -> int:
 
 def encode_packet(raw: int) -> bytes:
     """Frame one raw sample for the wire."""
-    if not (ADC_MIN <= raw <= ADC_MAX):
-        raise PacketError(f"raw value {raw} outside ADC range [{ADC_MIN}, {ADC_MAX}]")
+    check_adc_range(raw, raw, PacketError, "raw value")
     u = raw & 0xFFFF
     payload = bytes((RAW_CODE, RAW_LEN, (u >> 8) & 0xFF, u & 0xFF))
     return bytes((SYNC, SYNC, len(payload))) + payload + bytes((checksum(payload),))
@@ -295,10 +292,9 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
                 f"{csv_path}: timestamp spacing deviates from 1/{fs} s by "
                 f"{worst:.3e} s (tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
             )
-    if raw.min() < ADC_MIN or raw.max() > ADC_MAX:
-        raise SessionFormatError(
-            f"{csv_path}: raw samples outside ADC range [{ADC_MIN}, {ADC_MAX}]"
-        )
+    # before the int64 -> int32 cast below, which would wrap
+    check_adc_range(raw.min(), raw.max(), SessionFormatError,
+                    f"{csv_path}: raw samples")
 
     return SubjectSession(**manifest, raw=raw.astype(np.int32))
 

@@ -196,6 +196,17 @@ class TestMlp:
             with pytest.raises(DivergenceError):
                 train_mlp(X, y, ("a", "b"), MlpConfig(epochs=3))
 
+    def test_saturated_units_warn_nothing(self):
+        # exp overflows in a saturated sigmoid, whose limit 0 is correct
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(0, 1, (6, 4)), rng.normal(5, 1, (6, 4))])
+        y = np.array([0] * 6 + [1] * 6)
+        config = MlpConfig(learning_rate=1e6, momentum=0.99999, epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_mlp(X, y, ("a", "b"), config)
+            predict_mlp_many(model, 1e3 * X)
+
     def test_config_validation(self):
         for rate in (0.0, np.nan, np.inf):
             with pytest.raises(ParameterError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ class TestFeatures:
         rc, out, _ = run(capsys, "features", csv, "--config", str(config))
         assert rc == 0
         assert json.loads(out)["features"] == 15
+
+    def test_mode_and_trial_seconds_precedence(self, tmp_path, capsys,
+                                               monkeypatch):
+        csv = write_fixture(tmp_path, "a", seed=1)
+        config = tmp_path / "dg.conf"
+        config.write_text("mode = dwt\ntrial_seconds = 4.0\n")
+        mode_only = tmp_path / "mode.conf"
+        mode_only.write_text("mode = dwt\n")
+        monkeypatch.setenv("DRIVEGUARD_MODE", "combined")
+        monkeypatch.setenv("DRIVEGUARD_TRIAL_SECONDS", "5.0")
+
+        def settings_of(*argv):
+            rc, out, err = run(capsys, "features", csv, *argv)
+            assert rc == 0, err
+            record = json.loads(out)
+            return record["mode"], record["trial_seconds"]
+
+        assert settings_of("--config", str(config), "--mode", "fft",
+                           "--trial-seconds", "3") == ("fft", 3.0)
+        assert settings_of("--config", str(config)) == ("dwt", 4.0)
+        assert settings_of("--config", str(mode_only)) == ("dwt", 5.0)
+        assert settings_of() == ("combined", 5.0)
+        monkeypatch.delenv("DRIVEGUARD_MODE")
+        monkeypatch.delenv("DRIVEGUARD_TRIAL_SECONDS")
+        assert settings_of() == ("fft", 4.0)
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         csv = write_fixture(tmp_path, "a", seed=1)
@@ -345,6 +371,46 @@ class TestErrorSurface:
         rc, _, err = run(capsys, "stats", "--banana")
         assert rc == 2
         assert json.loads(err)["error"] == "CliError"
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--seed", "1"],
+        ["ingest", "a.csv", "a.manifest.json", "--config", "dg.conf"],
+        ["stream", "a.csv", "--profile", "p.json", "--config", "dg.conf"],
+    ], ids=["stats-seed", "ingest-config", "stream-config"])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments" in json.loads(err)["message"]
+
+    def test_unknown_config_key_names_file_and_line(self, tmp_path, capsys):
+        # another subcommand's key is fine: one file can serve them all
+        config = tmp_path / "dg.conf"
+        config.write_text("classifier = mlp\ntrial_second = 3.0\n")
+        rc, _, err = run(capsys, "stats", "--config", str(config))
+        assert rc == 2
+        error = json.loads(err)
+        assert error["error"] == "CliError"
+        assert f"{config}:2" in error["message"]
+        assert "'trial_second'" in error["message"]
+
+    def test_settings_table_matches_docs(self):
+        # README's CLI section, mirrored in PAPER.md, lists every
+        # subcommand's settings as key=default; None reads as "none"
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        usage = driveguard.cli._build_parser().format_usage()
+        commands = re.search(r"\{([\w,-]+)\}", usage).group(1).split(",")
+        assert len(commands) == 9
+        for doc in ("README.md", "PAPER.md"):
+            with open(os.path.join(root, doc), encoding="utf-8") as fh:
+                text = fh.read()
+            for command in commands:
+                row = re.search(rf"^\| `{command}` \|(.*)\|$", text, re.M)
+                assert row, f"{doc}: no settings row for {command}"
+                listed = re.findall(r"`(\w+)=([^`]*)`", row.group(1))
+                declared = [(s.key, "none" if s.default is None else str(s.default))
+                            for s in driveguard.cli.SETTINGS.get(command, ())]
+                assert listed == declared, f"{doc}: {command}"
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "dg.conf"

@@ -159,6 +159,11 @@ ESCAPES = [
     pytest.param("csv", with_bad_byte, id="csv-non-utf8"),
     pytest.param("arff", with_bad_byte, id="arff-non-utf8"),
     pytest.param("config", with_bad_byte, id="config-non-utf8"),
+    # a misspelt key was ignored, leaving the setting at its default
+    pytest.param("config", lambda t: t + "trial_second = 3.0\n",
+                 id="config-unknown-key"),
+    # a misspelt key was ignored: this wrote a 20 s session
+    pytest.param("spec", with_fields(duraton_s=4.0), id="spec-unknown-key"),
     # a NaN feature used to train a classifier and report a score
     pytest.param("arff", first_arff_value("nan"), id="arff-nan-value"),
 ]
@@ -221,6 +226,42 @@ def test_numeric_settings_exit_2(valid, capsys, argv):
     out, err = capsys.readouterr()
     assert_contract((rc, out, err), " ".join(argv))
     assert json.loads(err)["error"] == "ParameterError"
+
+
+# a setting from a config file or the environment gets the flag's checks;
+# each of these used to be ignored, or to reach the library unchecked
+SOURCED_ESCAPES = [
+    pytest.param(["calibrate", "--base", "{d}/base.csv", "--distraction",
+                  "{d}/text.csv"], "max_candidates", "0", "ParameterError",
+                 id="calibrate-max-candidates-zero"),
+    pytest.param(["train-eval", "{d}/numeric.arff", "--k", "2"], "classifier",
+                 "bogus", "CliError", id="train-eval-classifier"),
+    pytest.param(["features", "{d}/base.csv"], "mode", "wavelets", "CliError",
+                 id="features-mode"),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "environment"])
+@pytest.mark.parametrize("argv, key, value, error", SOURCED_ESCAPES)
+def test_settings_from_config_or_environment_checked(
+        valid, capsys, monkeypatch, source, argv, key, value, error):
+    d, texts = valid
+    (d / "numeric.arff").write_text(texts["arff"])
+    argv = [arg.format(d=d) for arg in argv]
+    if source == "config":
+        config = d / "sourced.conf"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+        where = f"{config}:1: config key {key}"
+    else:
+        monkeypatch.setenv(f"DRIVEGUARD_{key.upper()}", value)
+        where = f"environment DRIVEGUARD_{key.upper()}"
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), f"{key} = {value} from {source}")
+    assert json.loads(err)["error"] == error
+    if error == "CliError":
+        assert where in json.loads(err)["message"]
 
 
 def malformed_variant(kind, text, rng):
