@@ -58,6 +58,22 @@ def vectors_to_dataset(vectors, problem: str = "five"):
     return X, y, classes
 
 
+def _check_training_set(X, y, classes):
+    """(X, y, classes) as C-ordered float rows, integer labels and a tuple.
+
+    X must be 2-D and non-empty with one label per row, and every label
+    must index `classes`.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.intp)
+    classes = tuple(classes)
+    if X.ndim != 2 or y.shape != X.shape[:1] or y.size == 0:
+        raise ValidationError(f"X {X.shape} and y {y.shape} disagree or are empty")
+    if y.min() < 0 or y.max() >= len(classes):
+        raise ValidationError("label index outside class list")
+    return X, y, classes
+
+
 # ---------------------------------------------------------------------------
 # Gaussian naive Bayes
 
@@ -84,16 +100,10 @@ def train_gnb(X, y, classes) -> GnbModel:
     features cannot produce zero variance; with every feature constant
     the likelihoods cancel and prediction degenerates to the priors.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
-    classes = tuple(classes)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X {X.shape} and y {y.shape} disagree")
+    X, y, classes = _check_training_set(X, y, classes)
     present = np.unique(y)
     if present.size < 2:
         raise ValidationError("training data holds fewer than 2 classes")
-    if present.min() < 0 or present.max() >= len(classes):
-        raise ValidationError("label index outside class list")
 
     n, f = X.shape
     global_var = X.var(axis=0)
@@ -120,18 +130,12 @@ def _gnb_log_posteriors(model: GnbModel, X):
         raise ValidationError(
             f"input has {X.shape[1]} features, model expects {model.n_features}"
         )
+    # a class absent from training has prior 0, so its column is -inf
     with np.errstate(divide="ignore"):
         log_priors = np.log(model.priors)
-    joint = np.empty((X.shape[0], len(model.classes)))
-    for c in range(len(model.classes)):
-        if model.priors[c] == 0.0:
-            joint[:, c] = -np.inf
-            continue
-        v = model.variances[c]
-        d = X - model.means[c]
-        joint[:, c] = log_priors[c] - 0.5 * np.sum(
-            np.log(2.0 * np.pi * v) + d * d / v, axis=1
-        )
+    v = model.variances
+    d = X[:, np.newaxis, :] - model.means          # (n, C, F)
+    joint = log_priors - 0.5 * np.sum(np.log(2.0 * np.pi * v) + d * d / v, axis=2)
     # normalize rows into log posteriors
     peak = joint.max(axis=1, keepdims=True)
     log_post = joint - (peak + np.log(np.sum(np.exp(joint - peak), axis=1, keepdims=True)))
@@ -236,13 +240,7 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
     """
     if config is None:
         config = MlpConfig()
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.intp)
-    classes = tuple(classes)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X {X.shape} and y {y.shape} disagree")
-    if y.min() < 0 or y.max() >= len(classes):
-        raise ValidationError("label index outside class list")
+    X, y, classes = _check_training_set(X, y, classes)
 
     n, f = X.shape
     c = len(classes)
@@ -256,11 +254,12 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
     targets = np.zeros((n, c))
     targets[np.arange(n), y] = 1.0
 
-    w1, b1, w2, b2 = init_mlp_weights(f, hidden, c, config.seed)
-    vw1 = np.zeros_like(w1)
-    vb1 = np.zeros_like(b1)
-    vw2 = np.zeros_like(w2)
-    vb2 = np.zeros_like(b2)
+    # one parameter vector; w1, b1, w2 and b2 are views into it
+    init = init_mlp_weights(f, hidden, c, config.seed)
+    theta = np.concatenate([a.ravel() for a in init])
+    parts = np.split(theta, np.cumsum([a.size for a in init])[:-1])
+    w1, b1, w2, b2 = (part.reshape(a.shape) for part, a in zip(parts, init))
+    velocity = np.zeros_like(theta)
 
     lr = config.learning_rate
     mom = config.momentum
@@ -274,29 +273,15 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
                     w1, b1, w2, b2, Xs[i], targets[i]
                 )
                 epoch_loss += loss
-                vw1 *= mom
-                vw1 -= lr * gw1
-                w1 += vw1
-                vb1 *= mom
-                vb1 -= lr * gb1
-                b1 += vb1
-                vw2 *= mom
-                vw2 -= lr * gw2
-                w2 += vw2
-                vb2 *= mom
-                vb2 -= lr * gb2
-                b2 += vb2
+                velocity *= mom
+                velocity -= lr * np.concatenate((gw1.ravel(), gb1, gw2.ravel(), gb2))
+                theta += velocity
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(
                     f"training loss became non-finite in epoch {epoch + 1}; "
                     "try a smaller learning_rate"
                 )
-    if not (
-        np.isfinite(w1).all()
-        and np.isfinite(b1).all()
-        and np.isfinite(w2).all()
-        and np.isfinite(b2).all()
-    ):
+    if not np.isfinite(theta).all():
         raise DivergenceError(
             "weights became non-finite; try a smaller learning_rate"
         )

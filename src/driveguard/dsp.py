@@ -194,33 +194,34 @@ def _gamma_level(fs_hz):
     return level
 
 
-def wavelet_band_features(trial: TrialWindow, mode: str = "symmetric"):
+def wavelet_band_features(trial: TrialWindow):
     """Per-band (mean |coeff|, mean coeff^2) pairs from a db8 decomposition.
 
-    Detail levels are matched to bands by their dyadic frequency ranges;
-    the delta band pools the deepest detail level with the final
-    approximation so the whole [0, 4) Hz residue is covered. Returns a
-    dict {band: (mean_abs, mean_power)} in microvolt units.
+    Detail levels are matched to bands by their dyadic frequency ranges.
+    The decomposition goes one level below theta where the trial is long
+    enough, and the delta band pools every detail level below theta with
+    the final approximation, so it covers [0, 4) Hz at either depth.
+    Returns a dict {band: (mean_abs, mean_power)} in microvolt units.
     """
     fs = trial.fs_hz
     gamma_level = _gamma_level(fs)
-    depth = gamma_level + 4
+    theta_level = gamma_level + 3
     n = trial.samples.size
     allowed = max_decomposition_level(n)
-    if depth > allowed:
+    if allowed < theta_level:
         raise ResolutionError(
             f"trial of {n} samples allows {allowed} decomposition levels "
-            f"but the band ladder at fs={fs} needs {depth}"
+            f"but the band ladder at fs={fs} needs {theta_level}"
         )
     x = raw_to_microvolts(trial.samples)
-    decomp = dwt_db8(x, depth, mode)
+    decomp = dwt_db8(x, min(theta_level + 1, allowed))
     per_level = list(decomp.details)
     band_coeffs = {
         "gamma": [per_level[gamma_level - 1]],
         "beta": [per_level[gamma_level]],
         "alpha": [per_level[gamma_level + 1]],
-        "theta": [per_level[gamma_level + 2]],
-        "delta": [per_level[gamma_level + 3], decomp.approx],
+        "theta": [per_level[theta_level - 1]],
+        "delta": per_level[theta_level:] + [decomp.approx],
     }
     out = {}
     for band in BAND_NAMES:

@@ -8,9 +8,9 @@ pairwise signed-rank tests. Bundled measurement fixtures reproduce the
 published channel comparisons.
 
 No statistics library is used: the exact Wilcoxon null distribution is
-built by dynamic programming over doubled midranks, and the chi-square
-and normal tail areas come from an internal regularized incomplete
-gamma implementation.
+built by dynamic programming over doubled midranks, the normal tail
+comes from erfc, and the chi-square tail is the closed-form finite sum
+that holds for integer degrees of freedom.
 """
 
 from __future__ import annotations
@@ -42,57 +42,27 @@ def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    # lower regularized P(a, x) by power series; converges fast for x < a + 1
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(10000):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # upper regularized Q(a, x) by Lentz continued fraction; for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
 def _chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution with df degrees of freedom."""
+    """Upper tail of the chi-square distribution with df degrees of freedom.
+
+    For integer df the tail Q(df/2, x/2) is a finite sum: erfc(sqrt(x/2))
+    for odd df, plus df // 2 terms (x/2)^(k+a) e^(-x/2) / Gamma(k+a+1)
+    with a = (df % 2) / 2.
+    """
     if df < 1:
         raise ParameterError(f"chi-square df must be >= 1, got {df}")
     if x < 0:
         raise ParameterError(f"chi-square statistic must be >= 0, got {x}")
     if x == 0.0:
         return 1.0
-    a = 0.5 * df
     half = 0.5 * x
-    if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_contfrac(a, half)
+    a = 0.5 * (df % 2)
+    log_half = math.log(half)
+    terms = [math.exp((k + a) * log_half - half - math.lgamma(k + a + 1.0))
+             for k in range(df // 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(half)))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,16 @@ class TestGnb:
         with pytest.raises(ValidationError):
             train_gnb(X, np.array([0, 0, 2, 2]), ("a", "b"))
 
+    def test_classes_missing_from_training(self):
+        rng = np.random.default_rng(4)
+        y = np.repeat([0, 2, 4], 6)
+        X = rng.normal(size=(18, 3)) + 3.0 * y[:, np.newaxis]
+        model = train_gnb(X, y, FIVE_CLASS)
+        preds, log_post = predict_gnb_many(model, rng.normal(0, 6, size=(200, 3)))
+        assert np.all(log_post[:, [1, 3]] == -np.inf)
+        assert np.isfinite(log_post[:, [0, 2, 4]]).all()
+        assert set(preds.tolist()) <= {0, 2, 4}
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
@@ -135,6 +145,39 @@ class TestGnb:
             p, lp = predict_gnb(model, X[i])
             assert p == preds[i]
             assert np.allclose(lp, log_post[i])
+
+
+@pytest.mark.parametrize("train", [train_gnb, train_mlp])
+@pytest.mark.parametrize("X, y", [
+    (np.zeros(4), np.array([0, 0, 1, 1])),                  # X not 2-D
+    (np.zeros((4, 1)), np.array([0, 0, 1])),                # a row without label
+    (np.zeros((4, 1)), np.array([[0, 0], [1, 1]])),         # labels not 1-D
+    (np.zeros((0, 1)), np.array([], dtype=int)),            # empty
+    (np.zeros((4, 1)), np.array([0, 0, -1, 1])),            # label below 0
+    (np.zeros((4, 1)), np.array([0, 0, 2, 2])),             # label past classes
+])
+def test_training_set_checked(train, X, y):
+    with pytest.raises(ValidationError):
+        train(X, y, ("a", "b"))
+
+
+def per_array_momentum_fit(X, y, n_classes, config):
+    """Reference online fit: one momentum update per weight array."""
+    n, f = X.shape
+    hidden = config.hidden if config.hidden is not None else round((f + n_classes) / 2)
+    scale = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(scale < 1e-12, 1.0, scale)
+    targets = np.eye(n_classes)[y]
+    weights = init_mlp_weights(f, hidden, n_classes, config.seed)
+    velocities = [np.zeros_like(w) for w in weights]
+    for _ in range(config.epochs):
+        for i in range(n):
+            grads = mlp_sample_gradients(*weights, Xs[i], targets[i])[1:]
+            for w, v, g in zip(weights, velocities, grads):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                w += v
+    return weights
 
 
 class TestMlp:
@@ -187,6 +230,19 @@ class TestMlp:
         c = train_mlp(X, y, ("a", "b"), MlpConfig(epochs=20, seed=6))
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
         assert not np.array_equal(a.w1, c.w1)
+
+    @pytest.mark.parametrize("config", [
+        MlpConfig(epochs=5),
+        MlpConfig(hidden=3, momentum=0.9, epochs=5),
+    ])
+    def test_matches_per_array_momentum_loop(self, config):
+        rng = np.random.default_rng(7)
+        y = np.repeat(np.arange(5), 6)
+        X = rng.normal(size=(30, 5)) + y[:, np.newaxis]
+        expected = per_array_momentum_fit(X, y, 5, config)
+        model = train_mlp(X, y, FIVE_CLASS, config)
+        for got, want in zip((model.w1, model.b1, model.w2, model.b2), expected):
+            assert np.array_equal(got, want)
 
     def test_non_finite_input_raises_divergence(self):
         X = np.array([[0.0], [1.0], [np.inf], [2.0]])

@@ -126,6 +126,16 @@ class TestFeatures:
         vectors = read_arff(arff)
         assert len(vectors) == 2
 
+    def test_three_second_trials_combined(self, tmp_path, capsys):
+        csv = write_fixture(tmp_path, "a", seed=1, dur=9.0)
+        arff = str(tmp_path / "a.arff")
+        rc, out, err = run(capsys, "features", csv, "--arff", arff,
+                           "--mode", "combined", "--trial-seconds", "3")
+        assert rc == 0, err
+        record = json.loads(out)
+        assert (record["vectors"], record["features"]) == (3, 15)
+        assert len(read_arff(arff)) == 3
+
     def test_mode_from_config_file(self, tmp_path, capsys):
         csv = write_fixture(tmp_path, "a", seed=1)
         config = tmp_path / "dg.conf"

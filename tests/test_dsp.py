@@ -229,8 +229,16 @@ class TestWaveletFeatures:
         with pytest.raises(ParameterError):
             wavelet_band_features(trial)
 
+    @pytest.mark.parametrize("hz, band", [(2.5, "delta"), (6.0, "theta")])
+    def test_three_second_trial(self, hz, band):
+        # 1536 samples allow 6 levels: theta is the deepest detail level
+        # and delta is the approximation alone
+        t = np.arange(3 * FS) / FS
+        feats = wavelet_band_features(make_trial(300 * np.sin(2 * np.pi * hz * t)))
+        assert max(feats, key=lambda b: feats[b][1]) == band
+
     def test_trial_too_short_for_ladder(self):
-        trial = make_trial(np.zeros(1024), fs=FS)  # needs depth 7, allows 6
+        trial = make_trial(np.zeros(512), fs=FS)  # theta needs depth 6, allows 5
         with pytest.raises(ResolutionError):
             wavelet_band_features(trial)
 

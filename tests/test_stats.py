@@ -197,8 +197,8 @@ class TestTailAreas:
 
     def test_chi2_sf_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        for df in (1, 2, 3, 5, 13, 30):
-            for x in (0.0, 0.1, 1.0, 4.0, 12.5, 34.5, 80.0):
+        for df in (1, 2, 3, 5, 13, 30, 101, 2000):
+            for x in (0.0, 0.1, 1.0, 4.0, 12.5, 34.5, 80.0, 300.0, 1600.0, 2100.0):
                 assert _chi2_sf(x, df) == pytest.approx(
                     scipy_stats.chi2.sf(x, df), rel=1e-12, abs=1e-300)
 
