@@ -36,7 +36,6 @@ from .protocol import (
     UV_PER_COUNT,
     VOLTS_PER_COUNT,
     checksum,
-    decode_stream,
     encode_packet,
     packets_to_samples,
     raw_to_microvolts,

@@ -41,6 +41,7 @@ from .model import EegSample, TaskLabel, split_into_trials  # noqa: F401
 from .protocol import (
     packets_to_samples,
     read_arff,
+    read_bytes,
     read_json_record,
     read_session,
     read_text,
@@ -350,12 +351,7 @@ def _cmd_calibrate(args):
 
 
 def _read_packets(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read packet stream {path}: {exc}") from exc
-    raw, corrupt = packets_to_samples(data)
+    raw, corrupt = packets_to_samples(read_bytes(path, "packet stream", CliError))
     log.info("decoded %d samples (%d corrupt frames)", raw.size, corrupt)
     return raw
 

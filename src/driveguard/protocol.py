@@ -68,12 +68,20 @@ def checksum(payload: bytes) -> int:
     return 0xFF - (sum(payload) & 0xFF)
 
 
+# the five fixed bytes of a canonical raw frame, SYNC SYNC len code vlen;
+# the value's hi and lo bytes and the checksum follow
+RAW_HEADER = bytes((SYNC, SYNC, RAW_LEN + 2, RAW_CODE, RAW_LEN))
+RAW_FRAME_LEN = len(RAW_HEADER) + RAW_LEN + 1
+_RAW_HEADER_WORD = int.from_bytes(RAW_HEADER, "big")
+# a raw frame's checksum byte makes hi + lo + checksum equal this, mod 256
+_RAW_CHECK_SUM = (0xFF - RAW_CODE - RAW_LEN) & 0xFF
+
+
 def encode_packet(raw: int) -> bytes:
     """Frame one raw sample for the wire."""
     check_adc_range(raw, raw, PacketError, "raw value")
-    u = raw & 0xFFFF
-    payload = bytes((RAW_CODE, RAW_LEN, (u >> 8) & 0xFF, u & 0xFF))
-    return bytes((SYNC, SYNC, len(payload))) + payload + bytes((checksum(payload),))
+    hi, lo = (raw >> 8) & 0xFF, raw & 0xFF
+    return RAW_HEADER + bytes((hi, lo, (_RAW_CHECK_SUM - hi - lo) & 0xFF))
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,51 @@ def _decode_raw_value(payload: bytes):
     return None
 
 
+def _scan(buf: bytes, pos: int, out: list, one: bool = False):
+    """The frame scanner: read ``buf`` from offset ``pos``.
+
+    Appends each verified frame to ``out`` as a RawPacket and returns
+    ``(pos, corrupt, more)``: the offset to resume from, the corrupt
+    frames counted, and False once it needs bytes past the end of ``buf``.
+    A failed candidate is rescanned from its second byte, so a valid frame
+    overlapping garbage is never lost. With ``one`` it returns after one
+    step: one frame emitted, or one candidate rejected or slid past.
+    ``buf`` is never sliced except for an emitted payload, so the cost is
+    linear in ``len(buf) - pos``.
+    """
+    n = len(buf)
+    corrupt = 0
+    while True:
+        start = buf.find(b"\xaa\xaa", pos)
+        if start < 0:
+            # a lone trailing 0xAA may be half a sync pair
+            return (n - 1 if buf.endswith(b"\xaa", pos) else n), corrupt, False
+        pos = start
+        if n - pos < 3:
+            return pos, corrupt, False
+        length = buf[pos + 2]
+        if length == SYNC:
+            # runs of sync bytes: slide one and keep looking
+            pos += 1
+        elif length > MAX_PAYLOAD:
+            corrupt += 1
+            pos += 1
+        else:
+            end = pos + length + 4
+            if end > n:
+                return pos, corrupt, False
+            payload = buf[pos + 3:end - 1]
+            if buf[end - 1] == checksum(payload):
+                out.append(RawPacket(payload=payload,
+                                     raw_value=_decode_raw_value(payload)))
+                pos = end
+            else:
+                corrupt += 1
+                pos += 1
+        if one:
+            return pos, corrupt, True
+
+
 class PacketParser:
     """Incremental frame scanner over an unreliable byte stream.
 
@@ -115,7 +168,8 @@ class PacketParser:
     chunk and counts corrupt frames (bad length or failed checksum).
     Memory stays bounded by one maximal frame regardless of input, and a
     failed candidate frame is rescanned from its second byte so a valid
-    frame overlapping the garbage is never lost.
+    frame overlapping the garbage is never lost. Each feed scans its bytes
+    once, so its cost is linear in the pending bytes plus the chunk.
     """
 
     def __init__(self):
@@ -126,44 +180,11 @@ class PacketParser:
     def feed(self, data: bytes):
         out = []
         buf = self._pending + bytes(data)
-        while True:
-            start = buf.find(b"\xaa\xaa")
-            if start < 0:
-                # a lone trailing 0xAA may be half a sync pair
-                buf = buf[-1:] if buf.endswith(b"\xaa") else b""
-                break
-            buf = buf[start:]
-            if len(buf) < 3:
-                break
-            length = buf[2]
-            if length == SYNC:
-                # runs of sync bytes: slide one and keep looking
-                buf = buf[1:]
-                continue
-            if length > MAX_PAYLOAD:
-                self.corrupt_frames += 1
-                buf = buf[1:]
-                continue
-            frame_len = 3 + length + 1
-            if len(buf) < frame_len:
-                break
-            payload = buf[3:3 + length]
-            if buf[3 + length] == checksum(payload):
-                out.append(RawPacket(payload=payload, raw_value=_decode_raw_value(payload)))
-                buf = buf[frame_len:]
-            else:
-                self.corrupt_frames += 1
-                buf = buf[1:]
-        self._pending = bytes(buf)
+        pos, corrupt, _ = _scan(buf, 0, out)
+        self._pending = buf[pos:]
+        self.corrupt_frames += corrupt
         self.packets_emitted += len(out)
         return out
-
-
-def decode_stream(data: bytes, parser: PacketParser | None = None):
-    """One-shot or resumable decode; returns (packets, parser)."""
-    if parser is None:
-        parser = PacketParser()
-    return parser.feed(data), parser
 
 
 def session_to_packets(session: SubjectSession) -> bytes:
@@ -172,14 +193,63 @@ def session_to_packets(session: SubjectSession) -> bytes:
         raise PacketError(
             f"packet streams carry one channel, session has {len(session.channels)}"
         )
-    return b"".join(encode_packet(int(v)) for v in session.raw[0])
+    raw = session.raw[0]
+    check_adc_range(raw.min(), raw.max(), PacketError, "raw value")
+    frames = np.empty((raw.size, RAW_FRAME_LEN), dtype=np.uint8)
+    frames[:, :5] = tuple(RAW_HEADER)
+    frames[:, 5:7] = raw.astype(">i2").view(np.uint8).reshape(-1, 2)
+    # uint8 arithmetic wraps mod 256
+    frames[:, 7] = _RAW_CHECK_SUM - frames[:, 5] - frames[:, 6]
+    return frames.tobytes()
+
+
+# rows checked per numpy block: reset after an irregular row, doubled after
+# a block of canonical frames, so checking costs at most a few times the
+# bytes taken plus one small block per irregularity
+BULK_MIN_ROWS = 64
+BULK_MAX_ROWS = 4096
 
 
 def packets_to_samples(data: bytes):
-    """Decode a byte stream into (raw sample array, corrupt frame count)."""
-    packets, parser = decode_stream(data)
-    values = [p.raw_value for p in packets if p.raw_value is not None]
-    return np.array(values, dtype=np.int32), parser.corrupt_frames
+    """Decode a byte stream into (raw sample array, corrupt frame count).
+
+    Equal to one PacketParser().feed(data), keeping the raw values of the
+    packets that carry one. From the scanner's cursor, a block of the next
+    bytes is viewed as 8-byte rows and the canonical raw frames at its
+    start (RAW_HEADER, value, valid checksum) are taken as values at once:
+    such a frame at the cursor is the frame the scanner would accept
+    there. At the first other row the scanner takes one step, then the
+    block check resumes. The cost is linear in ``len(data)``.
+    """
+    buf = bytes(data)
+    n = len(buf)
+    parts = [np.empty(0, dtype=np.int32)]
+    pos = corrupt = 0
+    rows_per_block = BULK_MIN_ROWS
+    more = True
+    while more:
+        m = min(rows_per_block, (n - pos) // RAW_FRAME_LEN)
+        if m and buf.startswith(RAW_HEADER, pos):
+            # one big-endian word per frame: header, hi, lo, checksum
+            words = np.frombuffer(buf, ">u8", m, pos)
+            hi, lo, check = words.view(np.uint8).reshape(m, RAW_FRAME_LEN)[:, 5:].T
+            ok = words >> 24 == _RAW_HEADER_WORD
+            ok &= hi + lo + check == _RAW_CHECK_SUM
+            k = int(ok.argmin())
+            if ok[k]:
+                k = m
+            # bits 8-23 hold hi, lo: read them as a signed 16-bit value
+            parts.append((words[:k] >> 8).astype(np.int16))
+            pos += k * RAW_FRAME_LEN
+            if k == m:
+                rows_per_block = min(2 * rows_per_block, BULK_MAX_ROWS)
+                continue
+            rows_per_block = BULK_MIN_ROWS
+        packets = []
+        pos, step_corrupt, more = _scan(buf, pos, packets, one=True)
+        corrupt += step_corrupt
+        parts += [(p.raw_value,) for p in packets if p.raw_value is not None]
+    return np.concatenate(parts, dtype=np.int32), corrupt
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +262,23 @@ def _expected_header(n_channels):
     return cols
 
 
+def read_bytes(path, what: str, error):
+    """The bytes of input file ``path``, read whole. ``error`` is raised,
+    naming ``what``, when the file cannot be opened or read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_text(path, what: str, error):
     """The text of input file ``path``, exactly as stored (no newline
     translation). ``error`` is raised, naming ``what``, when the file
     cannot be opened or is not UTF-8."""
+    data = read_bytes(path, what, error)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Wire framing, ADC conversion, session files, and ARFF export."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from driveguard.errors import ValidationError
 from driveguard.model import Device, EPOC_CHANNELS, FeatureVector, SubjectSession, TaskLabel
 from driveguard.protocol import (
+    BULK_MAX_ROWS,
+    BULK_MIN_ROWS,
     MAX_PAYLOAD,
     PacketError,
     PacketParser,
@@ -15,7 +18,6 @@ from driveguard.protocol import (
     UV_PER_COUNT,
     VOLTS_PER_COUNT,
     checksum,
-    decode_stream,
     encode_packet,
     packets_to_samples,
     raw_to_microvolts,
@@ -68,7 +70,8 @@ class TestFraming:
 
     def test_single_round_trip(self):
         for value in (-2048, -1, 0, 1, 2047, 321):
-            packets, parser = decode_stream(encode_packet(value))
+            parser = PacketParser()
+            packets = parser.feed(encode_packet(value))
             assert len(packets) == 1
             assert packets[0].raw_value == value
             assert parser.corrupt_frames == 0
@@ -79,7 +82,7 @@ class TestParserRobustness:
         rng = np.random.default_rng(5)
         values = rng.integers(-2048, 2048, size=200)
         stream = b"".join(encode_packet(int(v)) for v in values)
-        whole, _ = decode_stream(stream)
+        whole = PacketParser().feed(stream)
         parser = PacketParser()
         split = []
         i = 0
@@ -92,18 +95,21 @@ class TestParserRobustness:
 
     def test_leading_garbage_skipped(self):
         stream = b"\x01\x02\x99" + encode_packet(7)
-        packets, parser = decode_stream(stream)
+        parser = PacketParser()
+        packets = parser.feed(stream)
         assert [p.raw_value for p in packets] == [7]
 
     def test_sync_runs_between_frames(self):
         # long 0xAA runs look like sync+sync+len==0xAA; parser must slide
         stream = encode_packet(3) + b"\xaa" * 7 + encode_packet(-3)
-        packets, parser = decode_stream(stream)
+        parser = PacketParser()
+        packets = parser.feed(stream)
         assert [p.raw_value for p in packets] == [3, -3]
 
     def test_oversized_length_counts_corrupt(self):
         stream = bytes([0xAA, 0xAA, MAX_PAYLOAD + 1, 0, 0]) + encode_packet(9)
-        packets, parser = decode_stream(stream)
+        parser = PacketParser()
+        packets = parser.feed(stream)
         assert [p.raw_value for p in packets] == [9]
         assert parser.corrupt_frames == 1
 
@@ -112,7 +118,8 @@ class TestParserRobustness:
         bad = bytearray(encode_packet(22))
         bad[-1] ^= 0xFF
         stream = bytes(bad) + good + good
-        packets, parser = decode_stream(stream)
+        parser = PacketParser()
+        packets = parser.feed(stream)
         assert [p.raw_value for p in packets] == [11, 11]
         assert parser.corrupt_frames >= 1
 
@@ -121,7 +128,8 @@ class TestParserRobustness:
         # real packet begins inside the would-be payload
         inner = encode_packet(99)
         stream = bytes([0xAA, 0xAA, 30]) + inner + b"\x00" * 23
-        packets, parser = decode_stream(stream)
+        parser = PacketParser()
+        packets = parser.feed(stream)
         assert [p.raw_value for p in packets] == [99]
         assert parser.corrupt_frames == 1
 
@@ -134,10 +142,228 @@ class TestParserRobustness:
     def test_non_raw_payload_passes_checksum_without_value(self):
         payload = bytes([0x02, 0x55])  # single-byte row, no raw sample
         frame = bytes([0xAA, 0xAA, len(payload)]) + payload + bytes([checksum(payload)])
-        packets, parser = decode_stream(frame)
+        parser = PacketParser()
+        packets = parser.feed(frame)
         assert len(packets) == 1
         assert packets[0].raw_value is None
         assert parser.corrupt_frames == 0
+
+
+def scalar_samples(wire):
+    """The scalar route: one feed, the raw values of the packets that carry one."""
+    parser = PacketParser()
+    values = [p.raw_value for p in parser.feed(wire) if p.raw_value is not None]
+    return values, parser.corrupt_frames
+
+
+def assert_bulk_matches_scalar(wire):
+    raw, corrupt = packets_to_samples(wire)
+    assert raw.dtype == np.int32
+    assert (raw.tolist(), corrupt) == scalar_samples(wire)
+
+
+def frame(payload):
+    return bytes([0xAA, 0xAA, len(payload)]) + payload + bytes([checksum(payload)])
+
+
+def clean_stream(values):
+    return b"".join(encode_packet(int(v)) for v in values)
+
+
+def wire_of(values):
+    """Clean wire bytes for raw ``values`` through the vectorised encoder."""
+    session = SubjectSession(subject_id="w", task=TaskLabel.TEXT,
+                             device=Device.SINGLE_ELECTRODE_512, fs_hz=512,
+                             channels=("FP1",), raw=np.asarray(values)[None, :])
+    return session_to_packets(session)
+
+
+def noisy_stream(n_frames, seed):
+    """Clean frames with one byte flipped in one frame of every 200."""
+    rng = np.random.default_rng(seed)
+    wire = wire_of(rng.integers(-2048, 2048, size=n_frames))
+    rows = np.frombuffer(wire, dtype=np.uint8).reshape(n_frames, 8).copy()
+    hit = np.arange(0, n_frames, 200)
+    hit += rng.integers(0, 200, size=hit.size)
+    hit = hit[hit < n_frames]
+    rows[hit, rng.integers(3, 8, size=hit.size)] ^= rng.integers(
+        1, 256, size=hit.size).astype(np.uint8)
+    return rows.tobytes()
+
+
+# payloads the block check must hand to the scanner, with the raw value
+# each carries: no raw row, a raw row after or before other rows, a raw
+# code with the wrong value length, and two maximal (169-byte) payloads,
+# one ending in a raw row and one holding a whole canonical frame
+ODD_PAYLOADS = (
+    (bytes([0x02, 0x55]), None),
+    (bytes([0x02, 0x55, 0x80, 0x02, 0x07, 0xD0]), 2000),
+    (bytes([0x80, 0x02, 0xFF, 0x38, 0x04, 0x22]), -200),
+    (bytes([0x80, 0x03, 0x01, 0x02, 0x03]), None),
+    (bytes([0x81, 0x01, 0x00]) + bytes([0x04, 0x10]) * 81
+     + bytes([0x80, 0x02, 0xF8, 0x00]), -2048),
+    (bytes([0x04, 0x10]) * 80 + encode_packet(-5) + b"\x02", None),
+)
+
+
+def mixed_stream(rng, n_frames=60):
+    """Canonical frames with odd payloads, garbage and 0xAA runs between."""
+    parts = []
+    for _ in range(n_frames):
+        roll = rng.random()
+        if roll < 0.15:
+            parts.append(frame(ODD_PAYLOADS[int(rng.integers(len(ODD_PAYLOADS)))][0]))
+        elif roll < 0.22:
+            parts.append(b"\xaa" * int(rng.integers(1, 10)))
+        elif roll < 0.28:
+            parts.append(bytes(rng.integers(0, 256, size=int(rng.integers(1, 12)),
+                                            dtype=np.uint8)))
+        else:
+            parts.append(encode_packet(int(rng.integers(-2048, 2048))))
+    return b"".join(parts)
+
+
+class TestBulkDecode:
+    """packets_to_samples against the scalar route on one feed."""
+
+    def test_acceptance_six_corpus_in_one_shot(self):
+        rng = np.random.default_rng(2026)
+        n = 100_000
+        values = rng.integers(-2048, 2048, size=n)
+        frames = [bytearray(encode_packet(int(v))) for v in values]
+        corrupted = set(rng.choice(n, size=1000, replace=False).tolist())
+        for i in corrupted:
+            frames[i][int(rng.integers(3, 8))] ^= int(rng.integers(1, 256))
+        wire = b"".join(bytes(f) for f in frames)
+        raw, corrupt = packets_to_samples(wire)
+        assert (raw.tolist(), corrupt) == scalar_samples(wire)
+        assert raw.tolist() == [int(v) for i, v in enumerate(values) if i not in corrupted]
+        assert corrupt == len(corrupted)
+
+    def test_empty_and_garbage_only(self):
+        for wire in (b"", b"\xaa", b"\xaa\xaa", b"\x00" * 100, b"\xaa" * 100):
+            assert_bulk_matches_scalar(wire)
+            assert packets_to_samples(wire)[0].size == 0
+
+    def test_split_point_sweep(self):
+        wire = mixed_stream(np.random.default_rng(8))
+        whole, corrupt = packets_to_samples(wire)
+        for cut in range(len(wire) + 1):
+            assert_bulk_matches_scalar(wire[:cut])
+            parser = PacketParser()
+            packets = parser.feed(wire[:cut]) + parser.feed(wire[cut:])
+            assert [p.raw_value for p in packets if p.raw_value is not None] == whole.tolist()
+            assert parser.corrupt_frames == corrupt
+
+    @pytest.mark.parametrize("payload, value", ODD_PAYLOADS)
+    def test_odd_payloads_between_canonical_frames(self, payload, value):
+        wire = clean_stream([1, -2, 3]) + frame(payload) + clean_stream([4, -5])
+        assert_bulk_matches_scalar(wire)
+        carried = [] if value is None else [value]
+        assert packets_to_samples(wire)[0].tolist() == [1, -2, 3] + carried + [4, -5]
+
+    def test_sync_runs(self):
+        rng = np.random.default_rng(12)
+        for run in range(1, 10):
+            wire = (b"\xaa" * run + encode_packet(1) + b"\xaa" * run
+                    + clean_stream(rng.integers(-2048, 2048, size=20)) + b"\xaa" * run)
+            assert_bulk_matches_scalar(wire)
+
+    def test_frames_straddling_block_boundaries(self):
+        # the first blocks from offset 0 end after these many rows
+        ends, rows = [], BULK_MIN_ROWS
+        while len(ends) < 4:
+            ends.append(rows + (ends[-1] if ends else 0))
+            rows = min(2 * rows, BULK_MAX_ROWS)
+        values = np.random.default_rng(13).integers(-2048, 2048, size=ends[-1] + 8)
+        for end in ends:
+            for lead in range(end - 2, end + 2):
+                for odd in (frame(ODD_PAYLOADS[-2][0]), b"\x00", encode_packet(3)[:-1]):
+                    for skew in (b"", b"\x01\x02\x03"):
+                        wire = (skew + clean_stream(values[:lead]) + odd
+                                + clean_stream(values[lead:]))
+                        assert_bulk_matches_scalar(wire)
+
+    def test_truncated_tail(self):
+        wire = clean_stream(np.random.default_rng(14).integers(-2048, 2048, size=300))
+        for cut in range(1, 17):
+            assert_bulk_matches_scalar(wire[:-cut])
+            assert packets_to_samples(wire[:-cut])[0].size == 300 - (cut + 7) // 8
+
+    def test_seeded_mutation_fuzz(self):
+        rng = np.random.default_rng(15)
+        base = mixed_stream(rng, n_frames=40) + clean_stream(
+            rng.integers(-2048, 2048, size=300))
+        for _ in range(300):
+            wire = bytearray(base[:int(rng.integers(0, len(base) + 1))])
+            for _ in range(int(rng.integers(0, 20))):
+                if not wire:
+                    break
+                i = int(rng.integers(0, len(wire)))
+                op = int(rng.integers(0, 4))
+                if op == 0:
+                    wire[i] ^= int(rng.integers(1, 256))
+                elif op == 1:
+                    wire[i:i] = bytes(rng.integers(0, 256, size=int(rng.integers(1, 10)),
+                                                   dtype=np.uint8))
+                elif op == 2:
+                    del wire[i:i + int(rng.integers(1, 10))]
+                else:
+                    wire[i:i] = b"\xaa" * int(rng.integers(1, 5))
+            assert_bulk_matches_scalar(bytes(wire))
+
+
+def parse_time(wire):
+    t0 = time.perf_counter()
+    packets_to_samples(wire)
+    return time.perf_counter() - t0
+
+
+def doubling_ratio(half, whole, pairs=7):
+    """Median over ``pairs`` of parse time of ``whole`` over that of ``half``.
+
+    The two parses of a pair run back to back, in alternating order, so a
+    drift in machine speed (a shared VM can drift by 30 % within a second)
+    cancels.
+    """
+    ratios = []
+    for i in range(pairs):
+        if i % 2:
+            t_whole = parse_time(whole)
+            t_half = parse_time(half)
+        else:
+            t_half = parse_time(half)
+            t_whole = parse_time(whole)
+        ratios.append(t_whole / t_half)
+    return float(np.median(ratios))
+
+
+class TestParserCost:
+    def test_noisy_one_shot_cost_is_linear(self):
+        half = noisy_stream(156_250, seed=16)     # 1.25 MB
+        whole = noisy_stream(312_500, seed=16)    # 2.5 MB
+        assert doubling_ratio(half, whole) <= 2.5
+
+    def test_clean_600_s_stream_parses_fast(self):
+        values = np.random.default_rng(17).integers(-2048, 2048, size=600 * 512)
+        wire = wire_of(values)
+        assert min(parse_time(wire) for _ in range(3)) < 0.5
+        raw, corrupt = packets_to_samples(wire)
+        assert np.array_equal(raw, values) and corrupt == 0
+
+    def test_pending_stays_within_one_frame(self):
+        rng = np.random.default_rng(18)
+        # a third sync bytes, so candidates with every length keep appearing
+        noise = rng.integers(0, 256, size=200_000, dtype=np.uint8)
+        noise[rng.random(noise.size) < 0.33] = 0xAA
+        wire = noise.tobytes()
+        parser = PacketParser()
+        pos = 0
+        while pos < len(wire):
+            step = int(rng.integers(1, 513))
+            parser.feed(wire[pos:pos + step])
+            pos += step
+            assert len(parser._pending) <= MAX_PAYLOAD + 4
 
 
 class TestSessionFiles:
@@ -239,6 +465,16 @@ class TestSessionFiles:
         raw, corrupt = packets_to_samples(session_to_packets(sess))
         assert corrupt == 0
         assert np.array_equal(raw, sess.raw[0])
+
+    def test_packet_stream_matches_per_sample_frames(self):
+        sess = self.make_session(n=300)
+        raw = sess.raw.copy()
+        raw[0, :4] = (-2048, -1, 0, 2047)
+        sess = SubjectSession(subject_id="p1", task=TaskLabel.READ,
+                              device=Device.SINGLE_ELECTRODE_512, fs_hz=512,
+                              channels=("ch0",), raw=raw)
+        assert session_to_packets(sess) == b"".join(
+            encode_packet(int(v)) for v in raw[0])
 
     def test_packet_stream_is_single_channel_only(self):
         with pytest.raises(PacketError):
