@@ -114,6 +114,7 @@ from .stream import (
     SequencingError,
     calibrate_thresholds,
     evaluate_profile,
+    feed_block,
     process_sample,
     replay_session,
     stream_samples,

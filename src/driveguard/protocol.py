@@ -357,7 +357,7 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
             t[i] = float(parts[0])
             for c in range(len(channels)):
                 raw[c, i] = int(parts[c + 1])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
             raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
 
     if not t[0] >= 0:
@@ -377,17 +377,21 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     return SubjectSession(**manifest, raw=raw.astype(np.int32))
 
 
+WRITE_BLOCK_ROWS = 4096
+
+
 def write_session(session: SubjectSession, csv_path, manifest_path):
     """Write a session in the exact format read_session accepts."""
-    header = ",".join(_expected_header(len(session.channels)))
-    fs = session.fs_hz
-    rows = [header]
-    for i in range(session.n_samples):
-        # i/fs is exact in 9 decimals for the supported power-of-two rates
-        cells = [f"{i / fs:.9f}"] + [str(int(v)) for v in session.raw[:, i]]
-        rows.append(",".join(cells))
+    row = "%.9f" + ",%d" * len(session.channels) + "\n"
+    # i/fs is exact in 9 decimals for the supported power-of-two rates
+    times = np.arange(session.n_samples) / session.fs_hz
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(",".join(_expected_header(len(session.channels))) + "\n")
+        # a block of rows at a time, so no session's text is held whole
+        for start in range(0, session.n_samples, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            fh.write("".join(map(row.__mod__, zip(
+                times[block].tolist(), *session.raw[:, block].tolist()))))
     manifest = {
         "subject_id": session.subject_id,
         "task": session.task.value,

@@ -23,7 +23,8 @@ import numpy as np
 from .dsp import band_powers_from_samples
 from .errors import ParameterError, ValidationError
 from .index import UndefinedIndexError, distraction_index
-from .model import BAND_NAMES, BandPowers, EegSample, SubjectSession
+from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
+                    SubjectSession, check_adc_range)
 
 STREAM_FS_HZ = 512
 DEFAULT_WINDOW_S = 4.0
@@ -228,10 +229,13 @@ class DetectorState:
 
     The buffer is a fixed ring of window_s * fs samples; feeding a
     sample is O(1) and each hop evaluation touches only the buffer.
+    ``_to_hop`` counts the samples still due before the next hop: the
+    first hop ends the first full window, each later one ``hop_n``
+    samples after its predecessor.
     """
 
     __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_count",
-                 "_prev_t", "last_hop", "last_alert_t")
+                 "_to_hop", "_prev_t", "last_hop", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
         if fs_hz <= 0:
@@ -241,6 +245,7 @@ class DetectorState:
         self.fs_hz = int(fs_hz)
         self._buf = np.zeros(self.win_n, dtype=np.int32)
         self._count = 0
+        self._to_hop = self.win_n
         self._prev_t = -math.inf
         self.last_hop = None
         self.last_alert_t = None
@@ -257,13 +262,26 @@ class DetectorState:
         return np.concatenate([self._buf[cut:], self._buf[:cut]])
 
 
+def _hop(state: DetectorState, t: float):
+    """Score the window ending at ``t``, the hop boundary both feeding
+    routes reach: replaces ``state.last_hop``, restarts the countdown and
+    returns the alert, if any."""
+    state._to_hop = state.hop_n
+    hop = state.last_hop = _hop_record(t, state.window_samples(), state.fs_hz)
+    alert = _hop_alert(hop, state.last_alert_t, state.profile)
+    if alert is not None:
+        state.last_alert_t = t
+    return alert
+
+
 def process_sample(state: DetectorState, sample: EegSample):
     """Advance the detector by one sample.
 
     Returns ``(state, alert)`` where ``alert`` is None except at hop
     boundaries where a configured criterion crossed its threshold and
     the refractory period since the previous alert has elapsed. Each hop
-    boundary replaces ``state.last_hop``.
+    boundary replaces ``state.last_hop``. This is the route for samples
+    that arrive one at a time; ``feed_block`` takes arrays.
     """
     if sample.t < state._prev_t:
         raise SequencingError(
@@ -271,13 +289,56 @@ def process_sample(state: DetectorState, sample: EegSample):
     state._prev_t = sample.t
     state._buf[state._count % state.win_n] = sample.raw
     state._count += 1
-    if state._count < state.win_n or (state._count - state.win_n) % state.hop_n != 0:
-        return state, None
-    hop = state.last_hop = _hop_record(sample.t, state.window_samples(), state.fs_hz)
-    alert = _hop_alert(hop, state.last_alert_t, state.profile)
-    if alert is not None:
-        state.last_alert_t = sample.t
-    return state, alert
+    state._to_hop -= 1
+    return state, None if state._to_hop else _hop(state, sample.t)
+
+
+def feed_block(state: DetectorState, raw, t0: float):
+    """Advance the detector by an array of raw samples, sample j at t0 + j / fs.
+
+    Leaves ``state`` as feeding the same samples one by one through
+    ``process_sample`` would, but copies whole slices into the ring and
+    runs Python only at hop boundaries. The per-sample checks are made
+    once for the block, before anything changes: ``t0`` must be >= 0 and
+    not precede the previous sample, and the first raw value outside the
+    ADC range, in stream order, is the one reported. An empty block
+    changes nothing. Returns ``(alerts, hops)``, every HopRecord the
+    block completed.
+    """
+    raw = np.asarray(raw)
+    n = raw.size
+    alerts = []
+    hops = []
+    if n == 0:
+        return alerts, hops
+    if t0 < 0:
+        raise ValidationError(f"sample timestamp must be >= 0, got {t0}")
+    if t0 < state._prev_t:
+        raise SequencingError(f"sample at t={t0} precedes previous t={state._prev_t}")
+    bad = np.flatnonzero((raw < ADC_MIN) | (raw > ADC_MAX))
+    if bad.size:
+        first = int(raw[bad[0]])
+        check_adc_range(first, first)
+    buf, win_n, fs = state._buf, state.win_n, state.fs_hz
+    j = 0
+    while j < n:
+        take = min(state._to_hop, n - j)
+        # only the last win_n samples of a slice survive in the ring
+        tail = raw[j + max(0, take - win_n):j + take]
+        pos = (state._count + take - tail.size) % win_n
+        head = min(tail.size, win_n - pos)
+        buf[pos:pos + head] = tail[:head]
+        buf[:tail.size - head] = tail[head:]
+        state._count += take
+        state._to_hop -= take
+        j += take
+        if not state._to_hop:
+            alert = _hop(state, t0 + (j - 1) / fs)
+            hops.append(state.last_hop)
+            if alert is not None:
+                alerts.append(alert)
+    state._prev_t = t0 + (n - 1) / fs
+    return alerts, hops
 
 
 def stream_samples(raw, profile: CalibrationProfile):
@@ -286,18 +347,7 @@ def stream_samples(raw, profile: CalibrationProfile):
     Returns ``(alerts, trace)``, the trace holding every HopRecord the
     detector evaluated, as ``replay_session`` does.
     """
-    state = DetectorState(profile)
-    alerts = []
-    trace = []
-    hop = None
-    for i, value in enumerate(np.asarray(raw).tolist()):
-        state, alert = process_sample(state, EegSample(t=i / STREAM_FS_HZ, raw=value))
-        if state.last_hop is not hop:
-            hop = state.last_hop
-            trace.append(hop)
-        if alert is not None:
-            alerts.append(alert)
-    return alerts, trace
+    return feed_block(DetectorState(profile), raw, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 import driveguard.cli
 import driveguard.stream
 from driveguard.cli import main
-from driveguard.protocol import read_arff, session_to_packets, write_session
+from driveguard.protocol import (checksum, read_arff, session_to_packets,
+                                 write_session)
 from driveguard.stream import TRACE_HEADER, CalibrationProfile
 from driveguard.synth import (BurstSpec, GeneratorSpec, PinkNoiseSpec,
                               generate_benchmark_suite, generate_session)
@@ -354,6 +355,24 @@ class TestCalibrateAndStream:
             assert traced_out == out
         assert traces["bin"].read_bytes() == traces["csv"].read_bytes()
         assert traces["bin"].read_text().startswith(TRACE_HEADER + "\n")
+
+    def test_stream_names_first_out_of_range_sample(self, tmp_path, capsys):
+        # wire values beyond the 12-bit ADC: 3000 first, then -30000
+        frames = b""
+        for value in (0, 3000, 5, -30000):
+            payload = bytes([0x80, 0x02]) + value.to_bytes(2, "big", signed=True)
+            frames += b"\xaa\xaa\x04" + payload + bytes([checksum(payload)])
+        bin_path = tmp_path / "probe.bin"
+        bin_path.write_bytes(frames)
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(CalibrationProfile(
+            subject_id="s", band_thresholds={"beta": 1.0}).to_json())
+        rc, out, err = run(capsys, "stream", str(bin_path),
+                           "--profile", str(profile_path))
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["message"] == \
+            "raw sample 3000 outside ADC range [-2048, 2047]"
 
     def test_stream_trace_needs_no_replay(self, tmp_path, capsys, monkeypatch):
         def no_replay(*args, **kwargs):

@@ -133,6 +133,16 @@ def first_arff_value(replacement):
     return mutate
 
 
+def first_csv_raw(replacement):
+    def mutate(text):
+        header, first, rest = text.split("\n", 2)
+        return f"{header}\n{first.split(',')[0]},{replacement}\n{rest}"
+    return mutate
+
+
+# a raw cell beyond int64, which numpy cannot store
+OVERSIZED_RAW = "100000000000000000000"
+
 ESCAPES = [
     pytest.param("profile", lambda t: t[:len(t) // 2], id="profile-invalid-json"),
     pytest.param("profile", wrapped_in_list, id="profile-list"),
@@ -164,6 +174,8 @@ ESCAPES = [
                  id="config-unknown-key"),
     # a misspelt key was ignored: this wrote a 20 s session
     pytest.param("spec", with_fields(duraton_s=4.0), id="spec-unknown-key"),
+    # used to end in an uncaught OverflowError
+    pytest.param("csv", first_csv_raw(OVERSIZED_RAW), id="csv-raw-beyond-int64"),
     # a NaN feature used to train a classifier and report a score
     pytest.param("arff", first_arff_value("nan"), id="arff-nan-value"),
 ]
@@ -194,6 +206,23 @@ def test_calibrate_rejects_fractional_window_samples(valid, capsys):
     assert_contract((rc, out, err), "calibrate --window 4.001")
     assert json.loads(err)["error"] == "ParameterError"
     assert not profile.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "{csv}"],
+    ["calibrate", "--base", "{csv}", "--distraction", "{d}/text.csv"],
+    ["stream", "{csv}", "--profile", "{d}/profile.json"],
+], ids=["features", "calibrate", "stream"])
+def test_oversized_raw_cell_exits_2(valid, capsys, argv):
+    d, texts = valid
+    (d / "huge.csv").write_text(first_csv_raw(OVERSIZED_RAW)(texts["csv"]))
+    (d / "huge.manifest.json").write_text(texts["manifest"])
+    (d / "profile.json").write_text(texts["profile"])
+    rc = main([arg.format(d=d, csv=d / "huge.csv") for arg in argv])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), argv[0])
+    assert json.loads(err)["error"] == "SessionFormatError"
+    assert "huge.csv line 2:" in json.loads(err)["message"]
 
 
 # numeric settings that once ended in a traceback, exit 0 with a

@@ -17,6 +17,7 @@ from driveguard.protocol import (
     SessionFormatError,
     UV_PER_COUNT,
     VOLTS_PER_COUNT,
+    WRITE_BLOCK_ROWS,
     checksum,
     encode_packet,
     packets_to_samples,
@@ -394,6 +395,24 @@ class TestSessionFiles:
         back = read_session(tmp_path / "m.csv", tmp_path / "m.manifest.json")
         assert back.channels == ("ch0", "ch1", "ch2")
         assert np.array_equal(back.raw, sess.raw)
+
+    @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
+    def test_bulk_writer_matches_per_row_format(self, tmp_path, n_channels, fs):
+        # more than two write blocks, the last one partial
+        sess = self.make_session(n=2 * WRITE_BLOCK_ROWS + 5, n_channels=n_channels, fs=fs)
+        raw = sess.raw.copy()
+        raw[0, :4] = (-2048, 2047, 0, -1)
+        raw[-1, -2:] = (2047, -2048)
+        sess = SubjectSession(subject_id="p1", task=TaskLabel.READ,
+                              device=sess.device, fs_hz=fs,
+                              channels=sess.channels, raw=raw)
+        csv = tmp_path / "s.csv"
+        write_session(sess, csv, tmp_path / "s.manifest.json")
+        rows = [{1: "t_s,raw", 2: "t_s,raw,raw_ch2"}[n_channels]]
+        for i in range(sess.n_samples):
+            rows.append(",".join([f"{i / fs:.9f}"]
+                                 + [str(int(v)) for v in sess.raw[:, i]]))
+        assert csv.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_timestamp_format_is_nine_decimals(self, tmp_path):
         sess = self.make_session(n=3)

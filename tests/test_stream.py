@@ -1,6 +1,7 @@
 """Streaming detector, batch replay equivalence, and threshold calibration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from driveguard.stream import (
     TRACE_HEADER,
     calibrate_thresholds,
     evaluate_profile,
+    feed_block,
     process_sample,
     replay_session,
+    stream_samples,
     stream_session,
 )
 from driveguard.synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
@@ -235,6 +238,188 @@ class TestStreaming:
         alerts, _ = stream_session(raw_session(data),
                                    profile(band_thresholds={}))
         assert alerts == []
+
+
+# the acceptance-5 corpus: 100 seeded 8 s sessions over four burst variants
+A5_VARIANTS = (
+    (),
+    (BurstSpec(band="beta", center_hz=22.0, rate_hz=2.0, gain=2.5),),
+    (BurstSpec(band="theta", center_hz=6.0, rate_hz=1.5, gain=2.0),),
+    (BurstSpec(band="alpha", center_hz=10.0, rate_hz=1.0, gain=2.0),
+     BurstSpec(band="gamma", center_hz=34.0, rate_hz=1.0, gain=1.5)),
+)
+A5_PROFILE = CalibrationProfile(
+    subject_id="fuzz", band_thresholds={"beta": 2.0, "theta": 3.0},
+    di_threshold=6.0, refractory_s=2.0)
+
+
+def fed_one_by_one(state, raw, t0=0.0):
+    """The per-sample route: ``process_sample`` on each sample, j at t0 + j / fs."""
+    alerts, hops = [], []
+    for j, value in enumerate(np.asarray(raw).tolist()):
+        before = state.last_hop
+        _, alert = process_sample(state, EegSample(t=t0 + j / state.fs_hz, raw=value))
+        if state.last_hop is not before:
+            hops.append(state.last_hop)
+        if alert is not None:
+            alerts.append(alert)
+    return alerts, hops
+
+
+def fed_in_blocks(state, raw, sizes):
+    """``feed_block`` over consecutive slices of ``raw`` with the given sizes."""
+    alerts, hops = [], []
+    start = 0
+    for size in sizes:
+        a, h = feed_block(state, raw[start:start + size], start / state.fs_hz)
+        alerts += a
+        hops += h
+        start += size
+    assert start == raw.size
+    return alerts, hops
+
+
+def state_of(state):
+    return (state.samples_seen, state._prev_t, state.last_hop,
+            state.last_alert_t, state._to_hop, state._buf.tolist())
+
+
+def split_sizes(n, size):
+    return [size] * (n // size) + ([n % size] if n % size else [])
+
+
+def random_sizes(n, seed, high):
+    rng = np.random.default_rng(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(0, high)), n - sum(sizes)))
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def a5_oracle():
+    """Each acceptance-5 recording with its per-sample alerts, hops and state."""
+    corpus = []
+    for seed in range(100):
+        raw = generate_session(GeneratorSpec(
+            seed=seed, task=TaskLabel.TEXT if seed % 4 else TaskLabel.BASE,
+            duration_s=8.0, baseline=PinkNoiseSpec(amplitude_uv=15.0),
+            bursts=A5_VARIANTS[seed % 4])).raw[0]
+        state = DetectorState(A5_PROFILE)
+        alerts, hops = fed_one_by_one(state, raw)
+        corpus.append((raw, alerts, hops, state_of(state)))
+    assert sum(len(alerts) for _, alerts, _, _ in corpus) > 0
+    return corpus
+
+
+class TestFeedBlock:
+    @pytest.mark.parametrize("split", ["1", "hop_n-1", "hop_n", "win_n",
+                                       "win_n+1", "whole", "random"])
+    def test_equals_per_sample_route(self, a5_oracle, split):
+        for seed, (raw, alerts, hops, final) in enumerate(a5_oracle):
+            state = DetectorState(A5_PROFILE)
+            win_n, hop_n = state.win_n, state.hop_n
+            sizes = {"1": lambda: split_sizes(raw.size, 1),
+                     "hop_n-1": lambda: split_sizes(raw.size, hop_n - 1),
+                     "hop_n": lambda: split_sizes(raw.size, hop_n),
+                     "win_n": lambda: split_sizes(raw.size, win_n),
+                     "win_n+1": lambda: split_sizes(raw.size, win_n + 1),
+                     "whole": lambda: [raw.size],
+                     "random": lambda: random_sizes(raw.size, seed, 2 * win_n),
+                     }[split]()
+            assert fed_in_blocks(state, raw, sizes) == (alerts, hops), seed
+            assert state_of(state) == final, seed
+
+    def test_offset_start_time(self, a5_oracle):
+        for raw, _, _, _ in a5_oracle[:8]:
+            t0 = 3.3  # not a multiple of 1 / fs
+            one = DetectorState(A5_PROFILE)
+            block = DetectorState(A5_PROFILE)
+            assert feed_block(block, raw, t0) == fed_one_by_one(one, raw, t0)
+            assert state_of(block) == state_of(one)
+
+    def test_routes_mix(self, a5_oracle):
+        raw, alerts, hops, final = a5_oracle[1]
+        state = DetectorState(A5_PROFILE)
+        cut = 2500
+        head = fed_one_by_one(state, raw[:cut])
+        tail = feed_block(state, raw[cut:], cut / FS)
+        assert (head[0] + tail[0], head[1] + tail[1]) == (alerts, hops)
+        assert state_of(state) == final
+
+    @pytest.mark.parametrize("hop_s", [1.0, 4.0, 5.0])
+    def test_hop_at_or_beyond_window(self, a5_oracle, hop_s):
+        # a slice longer than the ring keeps only its last win_n samples
+        p = profile(window_s=4.0, hop_s=hop_s, refractory_s=hop_s)
+        raw = np.concatenate([a5_oracle[5][0], a5_oracle[6][0]])
+        one = DetectorState(p)
+        expected = fed_one_by_one(one, raw)
+        for size in (1, 700, 3000, raw.size):
+            block = DetectorState(p)
+            assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
+            assert state_of(block) == state_of(one)
+
+    def test_empty_block_changes_nothing(self, a5_oracle):
+        raw = a5_oracle[0][0]
+        state = DetectorState(A5_PROFILE)
+        feed_block(state, raw[:3000], 0.0)
+        before = state_of(state)
+        assert feed_block(state, raw[:0], 3000 / FS) == ([], [])
+        assert state_of(state) == before
+
+    def test_first_out_of_range_value_in_stream_order(self):
+        raw = np.zeros(40, dtype=np.int64)
+        raw[5], raw[9] = 3000, -30000
+        with pytest.raises(ValidationError) as per_sample:
+            fed_one_by_one(DetectorState(profile()), raw)
+        state = DetectorState(profile())
+        feed_block(state, np.ones(10, dtype=np.int32), 0.0)
+        before = state_of(state)
+        with pytest.raises(ValidationError) as block:
+            feed_block(state, raw, 10 / FS)
+        assert str(block.value) == str(per_sample.value) == \
+            "raw sample 3000 outside ADC range [-2048, 2047]"
+        assert state_of(state) == before
+
+    def test_negative_start_time(self):
+        with pytest.raises(ValidationError) as per_sample:
+            fed_one_by_one(DetectorState(profile()), [0, 1], t0=-0.5)
+        state = DetectorState(profile())
+        with pytest.raises(ValidationError) as block:
+            feed_block(state, [0, 1], -0.5)
+        assert str(block.value) == str(per_sample.value)
+        assert state.samples_seen == 0
+
+    def test_start_time_before_previous_sample(self):
+        per_sample = DetectorState(profile())
+        fed_one_by_one(per_sample, [0, 1, 2], t0=0.5)
+        with pytest.raises(SequencingError) as expected:
+            process_sample(per_sample, EegSample(t=0.5, raw=3))
+        state = DetectorState(profile())
+        feed_block(state, [0, 1, 2], 0.5)
+        before = state_of(state)
+        with pytest.raises(SequencingError) as block:
+            feed_block(state, [3, 4], 0.5)
+        assert str(block.value) == str(expected.value)
+        assert state_of(state) == before
+        # an equal timestamp is fine, as for process_sample
+        feed_block(state, [3], 0.5 + 2 / FS)
+        assert state.samples_seen == 4
+
+
+class TestStreamCost:
+    def test_600_s_recording_streams_fast(self):
+        raw = np.random.default_rng(19).integers(-2048, 2048, size=600 * FS)
+        p = profile(band_thresholds={"beta": 50.0}, di_threshold=5.0)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            alerts, trace = stream_samples(raw, p)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.25
+        session = raw_session(raw)
+        assert (alerts, trace) == replay_session(session, p)
+        assert len(trace) == 597
 
 
 class TestReplay:
