@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    ADC_MAX,
+    ADC_MIN,
     Device,
     FeatureVector,
     SubjectSession,
@@ -324,57 +326,129 @@ def read_manifest(path) -> dict:
     return read_json_record(path, "manifest", _manifest_fields, SessionFormatError)
 
 
+# characters of CSV text converted at a time: a block ends at the last line
+# break within this budget, so it holds whole lines, and only one block's
+# cells are alive at once
+READ_BLOCK_CHARS = 1 << 16
+
+
 def read_session(csv_path, manifest_path) -> SubjectSession:
-    """Load and validate a session from its CSV and JSON manifest."""
+    """Load and validate a session from its CSV and JSON manifest.
+
+    The samples are converted a block of lines at a time, with one numpy
+    conversion per column, which accepts and rejects exactly what Python's
+    ``float`` and ``int`` do. Only a block that fails is read line by line,
+    to name its first bad line.
+    """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
-    lines = read_text(csv_path, "session csv", SessionFormatError).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    text = read_text(csv_path, "session csv", SessionFormatError)
+    if not text:
         raise SessionFormatError(f"{csv_path} is empty")
 
-    expected = _expected_header(len(channels))
-    header = lines[0].split(",")
-    if header != expected:
+    expected = ",".join(_expected_header(len(channels)))
+    # the samples start after the header's line break (past the end if none)
+    pos = text.find("\n") + 1 or len(text) + 1
+    if text[:pos - 1] != expected:
         raise SessionFormatError(
-            f"{csv_path} header {','.join(header)!r} does not match expected "
-            f"{','.join(expected)!r} for {len(channels)} channel(s)"
+            f"{csv_path} header {text[:pos - 1]!r} does not match expected "
+            f"{expected!r} for {len(channels)} channel(s)"
         )
-    n = len(lines) - 1
-    if n == 0:
+    # the sample lines run from pos to end; a final line break ends the last
+    end = len(text) - text.endswith("\n")
+    if pos > end:
         raise SessionFormatError(f"{csv_path} has a header but no samples")
 
+    n = text.count("\n", pos, end) + 1
     t = np.empty(n)
     raw = np.empty((len(channels), n), dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != len(expected):
-            raise SessionFormatError(
-                f"{csv_path} line {i + 2}: {len(parts)} fields, expected {len(expected)}"
-            )
-        try:
-            t[i] = float(parts[0])
-            for c in range(len(channels)):
-                raw[c, i] = int(parts[c + 1])
-        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-            raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
+    row = 0
+    while row < n:
+        stop = end
+        if end - pos > READ_BLOCK_CHARS:
+            stop = text.rfind("\n", pos, pos + READ_BLOCK_CHARS)
+            if stop < 0:  # a line longer than the budget is a block of its own
+                stop = text.find("\n", pos, end)
+            if stop < 0:
+                stop = end
+        block = text[pos:stop]
+        m = _convert_block(block, t, raw, row)
+        if not m:
+            m = _convert_lines(csv_path, block, t, raw, row)
+        row += m
+        pos = stop + 1
+    del text  # freed before the checks below allocate
 
     if not t[0] >= 0:
         raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
-    if n > 1:
-        deltas = np.diff(t)
-        worst = np.abs(deltas - 1.0 / fs).max()
-        if not worst <= TIMESTAMP_TOLERANCE_S:
-            raise SessionFormatError(
-                f"{csv_path}: timestamp spacing deviates from 1/{fs} s by "
-                f"{worst:.3e} s (tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
-            )
-    # before the int64 -> int32 cast below, which would wrap
-    check_adc_range(raw.min(), raw.max(), SessionFormatError,
-                    f"{csv_path}: raw samples")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise SessionFormatError(
+            f"{csv_path} line {bad[0] + 2}: timestamp {t[bad[0]]} is not finite")
+    # the difference of two finite timestamps may overflow to inf, which is
+    # off the grid like any other wrong spacing
+    with np.errstate(over="ignore"):
+        deviation = np.abs(np.diff(t) - 1.0 / fs)
+    bad = np.flatnonzero(deviation > TIMESTAMP_TOLERANCE_S)
+    if bad.size:
+        raise SessionFormatError(
+            f"{csv_path} line {bad[0] + 3}: timestamp spacing deviates from "
+            f"1/{fs} s by {deviation[bad[0]]:.3e} s "
+            f"(tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
+        )
+    # the first value outside the ADC range in file order (lines, then
+    # channels), found before the int64 -> int32 cast below, which would wrap
+    bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
+    if bad.size:
+        i, c = divmod(int(bad[0]), len(channels))
+        first = int(raw[c, i])
+        check_adc_range(first, first, SessionFormatError,
+                        f"{csv_path} line {i + 2}: raw sample")
 
     return SubjectSession(**manifest, raw=raw.astype(np.int32))
+
+
+def _convert_block(block, t, raw, row):
+    """Store the lines of ``block`` as samples ``row`` onwards of ``t`` and
+    ``raw``, and return their count; 0 if a line has the wrong number of
+    fields or a cell does not convert."""
+    ncol = len(raw) + 1
+    # a line break or comma byte is never part of a multi-byte UTF-8 character
+    data = np.frombuffer(block.encode(), np.uint8)
+    breaks = np.flatnonzero(data == 10)
+    commas = np.flatnonzero(data == 44)
+    commas_per_line = np.diff(np.searchsorted(commas, breaks),
+                              prepend=0, append=commas.size)
+    if (commas_per_line != ncol - 1).any():
+        return 0
+    m = breaks.size + 1
+    cells = block.replace("\n", ",").split(",")
+    try:
+        t[row:row + m] = cells[0::ncol]
+        for c in range(ncol - 1):
+            raw[c, row:row + m] = cells[c + 1::ncol]
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        return 0
+    return m
+
+
+def _convert_lines(csv_path, block, t, raw, row):
+    """``_convert_block`` one line at a time, raising SessionFormatError at
+    the first bad line of ``block``, whose first line is sample ``row``."""
+    ncol = len(raw) + 1
+    lines = block.split("\n")
+    for i, line in enumerate(lines, row):
+        cells = line.split(",")
+        if len(cells) != ncol:
+            raise SessionFormatError(
+                f"{csv_path} line {i + 2}: {len(cells)} fields, expected {ncol}")
+        try:
+            t[i] = float(cells[0])
+            for c in range(ncol - 1):
+                raw[c, i] = int(cells[c + 1])
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
+            raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
+    return len(lines)
 
 
 WRITE_BLOCK_ROWS = 4096

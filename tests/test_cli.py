@@ -3,10 +3,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driveguard
 import driveguard.cli
 import driveguard.stream
 from driveguard.cli import main
@@ -61,6 +65,47 @@ class TestIngest:
         assert rc == 2
         assert out == ""
         assert "message" in json.loads(err)
+
+
+    def test_csv_names_first_out_of_range_sample(self, tmp_path, capsys):
+        # the values of the .bin probe below: 3000 first, then -30000
+        csv = write_fixture(tmp_path, "p", seed=1, dur=1.0)
+        rows = [f"{i / 512:.9f},{v}" for i, v in enumerate((0, 3000, 5, -30000))]
+        Path(csv).write_text("t_s,raw\n" + "\n".join(rows) + "\n")
+        rc, out, err = run(capsys, "ingest", csv, str(tmp_path / "p.manifest.json"))
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["message"] == \
+            f"{csv} line 3: raw sample 3000 outside ADC range [-2048, 2047]"
+
+
+class TestModuleEntryPoint:
+    """``python -m driveguard`` runs the CLI."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(driveguard.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "driveguard", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_ingest_exits_0(self, tmp_path):
+        csv = write_fixture(tmp_path, "a", seed=1, dur=2.0)
+        done = self.run_module("ingest", csv, str(tmp_path / "a.manifest.json"))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n_samples"] == 2 * 512
+
+    def test_bad_csv_exits_2_with_one_json_line(self, tmp_path):
+        csv = write_fixture(tmp_path, "a", seed=1, dur=2.0)
+        Path(csv).write_text("t_s,raw\n0.0,x\n")
+        done = self.run_module("ingest", csv, str(tmp_path / "a.manifest.json"))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "SessionFormatError",
+            "message": f"{csv} line 2: invalid literal for int() with base 10: 'x'"}
 
 
 class TestSynth:

@@ -140,6 +140,15 @@ def first_csv_raw(replacement):
     return mutate
 
 
+def first_csv_times(*times):
+    def mutate(text):
+        header, *lines = text.split("\n")
+        for i, t in enumerate(times):
+            lines[i] = t + lines[i][lines[i].index(","):]
+        return "\n".join([header, *lines])
+    return mutate
+
+
 # a raw cell beyond int64, which numpy cannot store
 OVERSIZED_RAW = "100000000000000000000"
 
@@ -176,6 +185,12 @@ ESCAPES = [
     pytest.param("spec", with_fields(duraton_s=4.0), id="spec-unknown-key"),
     # used to end in an uncaught OverflowError
     pytest.param("csv", first_csv_raw(OVERSIZED_RAW), id="csv-raw-beyond-int64"),
+    # numpy warned "invalid value encountered in subtract" on stderr, ahead
+    # of an error that named no line
+    pytest.param("csv", first_csv_times("inf", "inf"), id="csv-two-inf-timestamps"),
+    # numpy warned "overflow encountered in subtract"
+    pytest.param("csv", first_csv_times("1e308", "-1e308"),
+                 id="csv-timestamp-difference-overflows"),
     # a NaN feature used to train a classifier and report a score
     pytest.param("arff", first_arff_value("nan"), id="arff-nan-value"),
 ]

@@ -1,13 +1,24 @@
 """Wire framing, ADC conversion, session files, and ARFF export."""
 
 import json
+import math
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driveguard import protocol
 from driveguard.errors import ValidationError
-from driveguard.model import Device, EPOC_CHANNELS, FeatureVector, SubjectSession, TaskLabel
+from driveguard.model import (
+    Device,
+    EPOC_CHANNELS,
+    FeatureVector,
+    SubjectSession,
+    TaskLabel,
+    check_adc_range,
+)
 from driveguard.protocol import (
     BULK_MAX_ROWS,
     BULK_MIN_ROWS,
@@ -15,6 +26,7 @@ from driveguard.protocol import (
     PacketError,
     PacketParser,
     SessionFormatError,
+    TIMESTAMP_TOLERANCE_S,
     UV_PER_COUNT,
     VOLTS_PER_COUNT,
     WRITE_BLOCK_ROWS,
@@ -25,6 +37,7 @@ from driveguard.protocol import (
     raw_to_voltage,
     read_manifest,
     read_session,
+    read_text,
     session_to_packets,
     write_arff,
     read_arff,
@@ -498,6 +511,328 @@ class TestSessionFiles:
     def test_packet_stream_is_single_channel_only(self):
         with pytest.raises(PacketError):
             session_to_packets(self.make_session(n=16, n_channels=2, fs=128))
+
+
+def per_line_read_session(csv_path, manifest_path):
+    """The per-line CSV reader that read_session replaced, kept as its oracle.
+
+    It differs from read_session in three messages: a timestamp spacing
+    error and an out-of-range raw value name no line here, and a non-finite
+    timestamp is a spacing error "by nan s" (or "by inf s"). It also accepts
+    a one-line file whose timestamp is infinite.
+    """
+    manifest = read_manifest(manifest_path)
+    fs, channels = manifest["fs_hz"], manifest["channels"]
+    lines = read_text(csv_path, "session csv", SessionFormatError).split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise SessionFormatError(f"{csv_path} is empty")
+
+    expected = ["t_s", "raw"] + [f"raw_ch{i}" for i in range(2, len(channels) + 1)]
+    header = lines[0].split(",")
+    if header != expected:
+        raise SessionFormatError(
+            f"{csv_path} header {','.join(header)!r} does not match expected "
+            f"{','.join(expected)!r} for {len(channels)} channel(s)"
+        )
+    n = len(lines) - 1
+    if n == 0:
+        raise SessionFormatError(f"{csv_path} has a header but no samples")
+
+    t = np.empty(n)
+    raw = np.empty((len(channels), n), dtype=np.int64)
+    for i, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != len(expected):
+            raise SessionFormatError(
+                f"{csv_path} line {i + 2}: {len(parts)} fields, expected {len(expected)}"
+            )
+        try:
+            t[i] = float(parts[0])
+            for c in range(len(channels)):
+                raw[c, i] = int(parts[c + 1])
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
+            raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
+
+    if not t[0] >= 0:
+        raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
+    if n > 1:
+        deltas = np.diff(t)
+        worst = np.abs(deltas - 1.0 / fs).max()
+        if not worst <= TIMESTAMP_TOLERANCE_S:
+            raise SessionFormatError(
+                f"{csv_path}: timestamp spacing deviates from 1/{fs} s by "
+                f"{worst:.3e} s (tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
+            )
+    check_adc_range(raw.min(), raw.max(), SessionFormatError,
+                    f"{csv_path}: raw samples")
+
+    return SubjectSession(**manifest, raw=raw.astype(np.int32))
+
+
+def first_bad_sample_line(text, fs):
+    """The line read_session names where the oracle names none: the first
+    non-finite or mis-spaced timestamp, else the first out-of-range raw
+    value, taking lines first and then channels."""
+    rows = [line.split(",") for line in text.split("\n")[1:]]
+    if rows[-1] == [""]:
+        rows.pop()
+    times = [float(row[0]) for row in rows]
+    for i, t in enumerate(times):
+        if not math.isfinite(t):
+            return i + 2
+    for i in range(1, len(times)):
+        if not abs(times[i] - times[i - 1] - 1.0 / fs) <= TIMESTAMP_TOLERANCE_S:
+            return i + 2
+    for i, row in enumerate(rows):
+        if any(not -2048 <= int(cell) <= 2047 for cell in row[1:]):
+            return i + 2
+    raise AssertionError("no bad sample line")
+
+
+def read_outcome(read, csv, man):
+    try:
+        return read(csv, man)
+    except SessionFormatError as exc:
+        return exc
+
+
+def assert_matches_oracle(csv, man, fs):
+    # the oracle's np.diff warns on inf - inf, which tier-1 makes an error
+    with np.errstate(all="ignore"):
+        want = read_outcome(per_line_read_session, csv, man)
+    got = read_outcome(read_session, csv, man)
+    if isinstance(want, SubjectSession):
+        assert isinstance(got, SubjectSession), got
+        assert (got.subject_id, got.task, got.device, got.fs_hz, got.channels) == \
+            (want.subject_id, want.task, want.device, want.fs_hz, want.channels)
+        assert got.raw.dtype == np.int32 and np.array_equal(got.raw, want.raw)
+        return
+    assert isinstance(got, SessionFormatError), got
+    if str(want).startswith(f"{csv}: timestamp spacing "):
+        kind = r"timestamp (spacing deviates|\S+ is not finite)"
+    elif str(want).startswith(f"{csv}: raw samples "):
+        kind = r"raw sample -?\d+ outside ADC range"
+    else:
+        assert str(got) == str(want)
+        return
+    line = first_bad_sample_line(csv.read_bytes().decode(), fs)
+    assert re.match(re.escape(f"{csv} line {line}: ") + kind, str(got)), \
+        (str(got), str(want))
+
+
+def block_starts(text, budget):
+    """The lines (the header is line 0) that start a block when read_session
+    cuts ``text`` into blocks: after the last line break within ``budget``
+    characters, or after the first line if that is longer."""
+    pos = text.index("\n") + 1
+    end = len(text) - text.endswith("\n")
+    starts = []
+    while end - pos > budget:
+        stop = text.rfind("\n", pos, pos + budget)
+        if stop < 0:
+            stop = text.index("\n", pos)
+        starts.append(text.count("\n", 0, stop) + 1)
+        pos = stop + 1
+    return starts
+
+
+# replacements for one cell of a data line; "{t}" is the line's timestamp
+RAW_CELLS = (" 12", "12\t", "+5", "1_0", "_1", "1__0", "1_", "\u0661\u0662",
+             "1.5", "0x10", "", "100000000000000000000", "3000", "-30000",
+             "2048", "-2049")
+TIME_CELLS = ("nan", "inf", "-inf", "Infinity", "NaN", " {t} ", "+{t}",
+              "{t}\r", "{t_arabic}", "9{t}", "1e308", "-1e308", "{t}.5", "")
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+def mutate_line(line, rng):
+    cells = line.split(",")
+    # wrong field counts hide every other error, so they come less often
+    op = int(rng.choice(6, p=(0.06, 0.06, 0.06, 0.12, 0.3, 0.4)))
+    if op == 0:
+        return line + ",7"
+    if op == 1:
+        return ",".join(cells[:-1])
+    if op == 2:
+        return ""
+    if op == 3:
+        return line + "\r"
+    if op == 4:
+        t = cells[0]
+        cells[0] = str(rng.choice(TIME_CELLS)).format(
+            t=t, t_arabic=t.translate(ARABIC_DIGITS))
+    else:
+        # a raw cell, or the one cell of a line an earlier mutation emptied
+        cells[int(rng.integers(min(1, len(cells) - 1), len(cells)))] = \
+            str(rng.choice(RAW_CELLS))
+    return ",".join(cells)
+
+
+def mutated_csv(text, budget, rng):
+    """``text`` with a few lines mutated on, before and after block cuts,
+    or cut short, or followed by blank lines."""
+    lines = text.split("\n")
+    starts = block_starts(text, budget)
+    for _ in range(int(rng.integers(1, 4))):
+        i = min(int(rng.choice(starts)) + int(rng.integers(-1, 2)), len(lines) - 1)
+        lines[i] = mutate_line(lines[i], rng)
+    text = "\n".join(lines)
+    roll = rng.random()
+    if roll < 0.15:
+        # truncated on, just before or just after a cut
+        cut = len("\n".join(lines[:int(rng.choice(starts))]))
+        text = text[:cut + int(rng.integers(-3, 4))]
+    elif roll < 0.25:
+        text += "\n" * int(rng.integers(1, 3))
+    return text
+
+
+def write_random_session(d, n, n_channels, fs, seed=2):
+    """A session of ``n`` random raw values per channel, written to ``d``."""
+    raw = np.random.default_rng(seed).integers(-2048, 2048, size=(n_channels, n))
+    device = (Device.SINGLE_ELECTRODE_512 if fs == 512
+              else Device.MULTI_ELECTRODE_128)
+    session = SubjectSession(subject_id="p1", task=TaskLabel.READ, device=device,
+                             fs_hz=fs, channels=tuple(f"ch{i}" for i in range(n_channels)),
+                             raw=raw)
+    csv, man = d / "s.csv", d / "s.manifest.json"
+    write_session(session, csv, man)
+    return csv, man, session
+
+
+class TestBlockReader:
+    """read_session against the per-line reader it replaced."""
+
+    @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
+    @pytest.mark.parametrize("budget", [16, 300])
+    def test_seeded_mutation_fuzz(self, tmp_path, monkeypatch, n_channels, fs, budget):
+        # at 16 characters every line is a block of its own; at 300 a
+        # block holds a dozen lines
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", budget)
+        csv, man, _ = write_random_session(tmp_path, 150, n_channels, fs)
+        text = csv.read_text()
+        assert_matches_oracle(csv, man, fs)
+        rng = np.random.default_rng(budget + 10 * n_channels + fs)
+        for _ in range(150):
+            csv.write_text(mutated_csv(text, budget, rng), encoding="utf-8")
+            assert_matches_oracle(csv, man, fs)
+
+    def test_fuzz_at_the_default_budget(self, tmp_path):
+        # 12000 lines make four blocks
+        csv, man, _ = write_random_session(tmp_path, 12000, 1, 512)
+        text = csv.read_text()
+        assert len(block_starts(text, protocol.READ_BLOCK_CHARS)) >= 2
+        rng = np.random.default_rng(19)
+        for _ in range(25):
+            csv.write_text(mutated_csv(text, protocol.READ_BLOCK_CHARS, rng),
+                           encoding="utf-8")
+            assert_matches_oracle(csv, man, 512)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "t_s,raw", "t_s,raw\n", "t_s,raw\n\n", "t_s,raw\r\n0.0,1\r\n",
+        "t_s,raw,raw_ch2\n0.0,1,2\n", "t_s,raw\n0.0,1\n\n", "t_s,raw\n0.0,1",
+        "t_s,raw\n0.0,1,\n", "t_s,raw\n-0.5,1\n", "t_s,raw\nnan,1\n",
+        "t_s,raw\n0.0\u00a0,1\n", "t_s,raw\n0.0,\u0661\n0.001953125,+2\n",
+        # a field too many, then one too few: the block holds as many
+        # cells as it should, so only the count per line catches it
+        "t_s,raw\n0.000000000,1\n0.001953125,5,7\n3\n",
+        "t_s,raw,raw_ch2\n0.000000000,1,2\n0.001953125,5\n7,0.00390625,3,4\n",
+    ], ids=repr)
+    def test_small_files(self, tmp_path, text):
+        csv, man, _ = write_random_session(tmp_path, 4, 1, 512)
+        csv.write_text(text, encoding="utf-8")
+        assert_matches_oracle(csv, man, 512)
+
+    def test_first_out_of_range_value_in_file_order(self, tmp_path):
+        csv, man, _ = write_random_session(tmp_path, 4, 2, 128)
+        rows = ["t_s,raw,raw_ch2", "0.000000000,0,5", "0.007812500,5,3000",
+                "0.015625000,-30000,0"]
+        csv.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SessionFormatError) as info:
+            read_session(csv, man)
+        assert str(info.value) == \
+            f"{csv} line 3: raw sample 3000 outside ADC range [-2048, 2047]"
+
+    def test_spacing_error_names_its_line(self, tmp_path):
+        csv, man, _ = write_random_session(tmp_path, 8, 1, 512)
+        lines = csv.read_text().split("\n")
+        lines[5] = f"{4 / 512 + 5e-6:.9f}," + lines[5].split(",")[1]
+        csv.write_text("\n".join(lines))
+        with pytest.raises(SessionFormatError) as info:
+            read_session(csv, man)
+        assert str(info.value) == (f"{csv} line 6: timestamp spacing deviates from "
+                                   "1/512 s by 5.000e-06 s (tolerance 1e-06)")
+
+    @pytest.mark.parametrize("times, line, message", [
+        (("0", "inf", "inf"), 3, "timestamp inf is not finite"),
+        (("inf", "inf", "0.00390625"), 2, "timestamp inf is not finite"),
+        (("0", "nan"), 3, "timestamp nan is not finite"),
+        # the per-line reader accepted a one-line file with an infinite time
+        (("inf",), 2, "timestamp inf is not finite"),
+        # the difference overflows, which numpy used to warn about
+        (("1e308", "-1e308"), 3, "timestamp spacing deviates from 1/512 s by inf s"),
+    ])
+    def test_non_finite_timestamps_name_their_line(self, tmp_path, times, line, message):
+        csv, man, _ = write_random_session(tmp_path, 4, 1, 512)
+        csv.write_text("t_s,raw\n" + "".join(f"{t},0\n" for t in times))
+        with pytest.raises(SessionFormatError) as info:
+            read_session(csv, man)
+        assert str(info.value).startswith(f"{csv} line {line}: {message}")
+
+    def test_lines_longer_than_the_budget_are_blocks_of_their_own(
+            self, tmp_path, monkeypatch):
+        blocks = []
+        convert_block = protocol._convert_block
+
+        def spy(block, *args):
+            blocks.append(block)
+            return convert_block(block, *args)
+        monkeypatch.setattr(protocol, "_convert_block", spy)
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 8)
+        csv, man, session = write_random_session(tmp_path, 40, 2, 512)
+        assert np.array_equal(read_session(csv, man).raw, session.raw)
+        assert blocks == csv.read_text().split("\n")[1:-1]
+
+
+def read_time(read, path):
+    t0 = time.perf_counter()
+    read(*path)
+    return time.perf_counter() - t0
+
+
+class TestSessionCost:
+    @pytest.fixture(scope="class")
+    def long_csv(self, tmp_path_factory):
+        csv, man, _ = write_random_session(tmp_path_factory.mktemp("long"),
+                                           600 * 512, 1, 512, seed=20)
+        return csv, man
+
+    def test_faster_than_per_line_reader(self, long_csv):
+        # the two reads of a pair run back to back in alternating order,
+        # so a drift in machine speed cancels
+        ratios = []
+        for i in range(7):
+            if i % 2:
+                t_block = read_time(read_session, long_csv)
+                t_lines = read_time(per_line_read_session, long_csv)
+            else:
+                t_lines = read_time(per_line_read_session, long_csv)
+                t_block = read_time(read_session, long_csv)
+            ratios.append(t_lines / t_block)
+        assert np.median(ratios) >= 2.0
+
+    def test_peak_memory_is_bounded(self, long_csv):
+        size = long_csv[0].stat().st_size
+        tracemalloc.start()
+        try:
+            session = read_session(*long_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert session.n_samples == 600 * 512
+        assert peak <= 3.5 * size
 
 
 def _vector(values, label=TaskLabel.BASE, names=None):
