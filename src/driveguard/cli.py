@@ -10,8 +10,9 @@ Each subcommand's settings are declared once, in ``SETTINGS``, and
 resolve in one pass before dispatch: explicit flags, then a key=value
 config file (``--config``), then ``DRIVEGUARD_``-prefixed environment
 variables, then built-in defaults. Failures print a machine-readable
-JSON object on stderr and exit nonzero. ``DRIVEGUARD_LOG`` sets the log
-level. Plot-oriented outputs are plain CSV/JSON data files.
+JSON object on stderr and exit nonzero; a closed stdout ends a command
+with status 1 and no message. ``DRIVEGUARD_LOG`` sets the log level on
+every call. Plot-oriented outputs are plain CSV/JSON data files.
 """
 
 from __future__ import annotations
@@ -459,14 +460,29 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get(ENV_PREFIX + "LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # an unknown name, or a logging constant that is no level, means WARNING
+    level = getattr(logging, os.environ.get(ENV_PREFIX + "LOG", "warning").upper(), None)
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _resolve_settings(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone, which is no input error: exit 1
+        # quietly, and in a process send what stdout still buffers to
+        # devnull so that the flush at exit stays silent too
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError, OSError):  # no descriptor in process
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except (DriveGuardError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

@@ -295,7 +295,9 @@ def read_json_record(path, what: str, build, error):
     text = read_text(path, what, error)
     try:
         record = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # ValueError also covers an integer beyond Python's digit limit, and
+    # RecursionError nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise error(f"{what} {path} must hold one JSON object, "

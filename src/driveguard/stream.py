@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,18 @@ class CalibrationError(ValidationError):
 
 # ---------------------------------------------------------------------------
 # profile
+
+
+def _json_number(record: dict, key: str, default=None) -> float:
+    """``record[key]``, or ``default`` when absent, which must be a JSON
+    number (int or float; ``true`` is not one), as a float."""
+    value = record.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"profile {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"profile {key} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -110,13 +122,21 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationProfile":
+        """The profile a JSON object describes: every key must be a field,
+        and every threshold and timing a JSON number."""
+        if unknown := sorted(d.keys() - {f.name for f in fields(cls)}):
+            raise ValidationError(f"profile has unknown fields {unknown}")
         try:
+            bands, di = d["band_thresholds"], d.get("di_threshold")
+            if not isinstance(bands, dict):
+                raise ValidationError(
+                    f"profile band_thresholds must be an object, got {bands!r}")
             return cls(subject_id=d["subject_id"],
-                       band_thresholds=dict(d["band_thresholds"]),
-                       di_threshold=d.get("di_threshold"),
-                       refractory_s=float(d.get("refractory_s", 2.0)),
-                       window_s=float(d.get("window_s", DEFAULT_WINDOW_S)),
-                       hop_s=float(d.get("hop_s", DEFAULT_HOP_S)),
+                       band_thresholds={b: _json_number(bands, b) for b in bands},
+                       di_threshold=None if di is None else _json_number(d, "di_threshold"),
+                       refractory_s=_json_number(d, "refractory_s", 2.0),
+                       window_s=_json_number(d, "window_s", DEFAULT_WINDOW_S),
+                       hop_s=_json_number(d, "hop_s", DEFAULT_HOP_S),
                        combine=d.get("combine", "or"))
         except KeyError as exc:
             raise ValidationError(f"profile missing field {exc}") from None
@@ -438,15 +458,16 @@ def _hop_feature_rows(sessions, profile: CalibrationProfile):
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=bool)
 
 
-def _f1_score(pred, truth) -> float:
-    tp = int(np.sum(pred & truth))
-    fp = int(np.sum(pred & ~truth))
-    fn = int(np.sum(~pred & truth))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+def _f1_score(pred, truth):
+    """F1 of boolean predictions over the last axis; 0 without a true positive."""
+    tp = np.sum(pred & truth, axis=-1)
+    fp = np.sum(pred & ~truth, axis=-1)
+    fn = np.sum(~pred & truth, axis=-1)
+    with np.errstate(invalid="ignore"):  # 0/0 only where tp == 0
+        precision = tp / (tp + fp)
+        recall = tp / (tp + fn)
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return np.where(tp > 0, f1, 0.0)
 
 
 def _candidate_thresholds(values, max_candidates):
@@ -461,6 +482,28 @@ def _candidate_thresholds(values, max_candidates):
     return mids
 
 
+def _search_thresholds(rows, truth, use_di, max_candidates):
+    """``({column: threshold} in pick order, F1)`` of the greedy search
+    that ``calibrate_thresholds`` describes, over hop rows."""
+    cands = [(dim, _candidate_thresholds(rows[:, dim], max_candidates))
+             for dim in range(6 if use_di else 5)]
+    chosen = {}
+    best_pred = np.zeros(truth.size, dtype=bool)
+    best_f1 = 0.0  # predicting nothing
+    while True:
+        steps = []  # (F1, threshold, -column): max() breaks ties as documented
+        for dim, thrs in cands:
+            if dim not in chosen and thrs.size:
+                f1s = _f1_score(best_pred | (rows[:, dim] > thrs[:, None]), truth)
+                i = np.flatnonzero(f1s == f1s.max())[-1]  # the highest threshold
+                steps.append((float(f1s[i]), float(thrs[i]), -dim))
+        if not steps or max(steps)[0] <= best_f1 + 1e-12:
+            return chosen, best_f1
+        best_f1, thr, neg_dim = max(steps)
+        chosen[-neg_dim] = thr
+        best_pred |= rows[:, -neg_dim] > thr
+
+
 def calibrate_thresholds(sessions, subject_id: str | None = None,
                          window_s: float = DEFAULT_WINDOW_S,
                          hop_s: float = DEFAULT_HOP_S,
@@ -473,11 +516,12 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     Every session is replayed into per-hop rows of five band powers plus
     the distraction index; rows inherit the session's task label. A
     greedy forward search then adds one (criterion, threshold) pair at a
-    time, each step scanning midpoint candidates on every unused
-    dimension and keeping the addition that maximizes window-level F1 of
-    the OR-combined predicate; ties break toward the higher threshold
+    time, each step scoring all midpoint candidates of every unused
+    dimension at once and keeping the addition that maximizes window-level
+    F1 of the OR-combined predicate; ties break toward the higher threshold
     (fewer false alerts) and earlier criterion in canonical order. The
-    search stops when no addition improves F1.
+    search stops when no addition improves F1, so when none beats never
+    alerting the profile has no criteria.
 
     Needs at least one Base and one distraction session. A best F1 below
     ``min_f1`` yields ``ok=False`` with the best thresholds found.
@@ -505,42 +549,14 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     rows, truth = _hop_feature_rows(sessions, profile)
     if rows.size == 0:
         raise CalibrationError("sessions yielded no analysis windows")
-
-    dims = list(range(6)) if use_di else list(range(5))
-    chosen = {}
-    best_pred = np.zeros(truth.size, dtype=bool)
-    best_f1 = _f1_score(best_pred, truth)
-    while True:
-        step_best = None
-        for dim in dims:
-            if dim in chosen:
-                continue
-            col = rows[:, dim]
-            for thr in _candidate_thresholds(col, max_candidates):
-                pred = best_pred | (col > thr)
-                f1 = _f1_score(pred, truth)
-                key = (f1, thr)
-                if step_best is None or key > step_best[0]:
-                    step_best = (key, dim, thr, pred)
-        if step_best is None or step_best[0][0] <= best_f1 + 1e-12:
-            break
-        _, dim, thr, pred = step_best
-        chosen[dim] = thr
-        best_pred = pred
-        best_f1 = step_best[0][0]
-
-    band_thresholds = {BAND_NAMES[d]: float(t) for d, t in chosen.items() if d < 5}
-    di_threshold = float(chosen[5]) if 5 in chosen else None
-    if not chosen:
-        # nothing improved on predicting no alerts; pin thresholds above
-        # everything observed so the profile stays silent
-        band_thresholds = {"beta": float(np.max(rows[:, 3]) * 2.0 + 1.0)}
-    profile = replace(profile, band_thresholds=band_thresholds,
-                      di_threshold=di_threshold)
+    chosen, best_f1 = _search_thresholds(rows, truth, use_di, max_candidates)
+    di_threshold = chosen.pop(5, None)
+    profile = replace(profile, di_threshold=di_threshold, band_thresholds={
+        BAND_NAMES[d]: t for d, t in chosen.items()})
     ok = best_f1 >= min_f1
     note = None if ok else (
         f"no threshold combination reached F1 {min_f1:g}; best {best_f1:.4f}")
-    return CalibrationResult(ok=ok, f1=float(best_f1), profile=profile,
+    return CalibrationResult(ok=ok, f1=best_f1, profile=profile,
                              n_windows=int(truth.size),
                              n_positive=int(truth.sum()), note=note)
 
@@ -560,4 +576,4 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
             truths.append(session.task.is_distraction)
     if not preds:
         raise CalibrationError("sessions yielded no analysis windows")
-    return _f1_score(np.array(preds, dtype=bool), np.array(truths, dtype=bool))
+    return float(_f1_score(np.array(preds, dtype=bool), np.array(truths, dtype=bool)))

@@ -24,7 +24,8 @@ import numpy as np
 
 from .dsp import BANDS, band_bins, fold_one_sided
 from .errors import ParameterError, ValidationError
-from .model import ADC_MAX, ADC_MIN, Device, SubjectSession, TaskLabel
+from .model import (ADC_MAX, ADC_MIN, DEFAULT_TRIAL_SECONDS, Device,
+                    SubjectSession, TaskLabel)
 from .protocol import UV_PER_COUNT
 
 DEFAULT_AMPLITUDE_UV = 30.0
@@ -275,14 +276,11 @@ _JITTER_STREAM = 10007
 
 def generate_benchmark_suite(seed: int, n_subjects: int = 5,
                              trials_per_task: int = 25,
-                             trial_seconds: float = 4.0,
-                             epsilon: float = 1.0,
-                             fs_hz: int = 512,
-                             amplitude_uv: float = DEFAULT_AMPLITUDE_UV):
+                             epsilon: float = 1.0):
     """Labeled sessions for all five tasks across synthetic subjects.
 
-    One session per (subject, task), each long enough to split into
-    exactly ``trials_per_task`` trials of ``trial_seconds``. ``epsilon``
+    One 512 Hz session per (subject, task), each long enough to split into
+    exactly ``trials_per_task`` trials of ``DEFAULT_TRIAL_SECONDS``. ``epsilon``
     scales every signature burst gain: 0 removes the bursts entirely so
     all tasks share one distribution (classifiers should hit chance),
     1 is the default well-separated regime. Subjects get small seeded
@@ -298,7 +296,7 @@ def generate_benchmark_suite(seed: int, n_subjects: int = 5,
     sessions = []
     for s in range(n_subjects):
         jitter = np.random.default_rng((seed, s, _JITTER_STREAM))
-        pink = PinkNoiseSpec(amplitude_uv=amplitude_uv * jitter.uniform(0.9, 1.1))
+        pink = PinkNoiseSpec(amplitude_uv=DEFAULT_AMPLITUDE_UV * jitter.uniform(0.9, 1.1))
         subject_id = f"synth-{s + 1:02d}"
         for ti, task in enumerate(TaskLabel):
             bursts = []
@@ -309,8 +307,8 @@ def generate_benchmark_suite(seed: int, n_subjects: int = 5,
                     bursts.append(BurstSpec(band=band, center_hz=center_j,
                                             rate_hz=rate, duration_s=dur,
                                             gain=epsilon * gain_j))
-            spec = GeneratorSpec(seed=(seed, s, ti), task=task, fs_hz=fs_hz,
-                                 duration_s=trials_per_task * trial_seconds,
+            spec = GeneratorSpec(seed=(seed, s, ti), task=task,
+                                 duration_s=trials_per_task * DEFAULT_TRIAL_SECONDS,
                                  baseline=pink, bursts=tuple(bursts),
                                  subject_id=subject_id)
             sessions.append(generate_session(spec))

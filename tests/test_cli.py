@@ -1,5 +1,7 @@
 """End-to-end CLI coverage: every subcommand plus config precedence."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -82,12 +84,13 @@ class TestIngest:
 class TestModuleEntryPoint:
     """``python -m driveguard`` runs the CLI."""
 
-    def run_module(self, *argv):
+    def run_module(self, *argv, stdout=subprocess.PIPE):
         env = dict(os.environ)
         src = str(Path(driveguard.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "driveguard", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
 
     def test_ingest_exits_0(self, tmp_path):
         csv = write_fixture(tmp_path, "a", seed=1, dur=2.0)
@@ -106,6 +109,65 @@ class TestModuleEntryPoint:
         assert json.loads(lines[0]) == {
             "error": "SessionFormatError",
             "message": f"{csv} line 2: invalid literal for int() with base 10: 'x'"}
+
+    @pytest.mark.parametrize("argv", [["stats", "--format", "json"],
+                                      ["stats", "--fixtures", "table5"]],
+                             ids=["large-output", "buffered-output"])
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        # a closed stdout used to be reported as a BrokenPipeError input
+        # error, exit 2; the smaller output is only written at the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.run_module(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
+
+
+class BrokenStdout(io.StringIO):
+    """An in-process stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_in_process_exits_1_quietly(self, capsys):
+        with contextlib.redirect_stdout(BrokenStdout()):
+            rc = main(["stats", "--fixtures", "table5"])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+
+    def test_unwritable_out_still_exits_2(self, tmp_path, capsys):
+        csv = write_fixture(tmp_path, "a", seed=1, dur=4.0)
+        rc, out, err = run(capsys, "spectrogram", csv, "--out", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "IsADirectoryError"
+
+
+class TestLogLevel:
+    def test_log_level_applies_on_every_call(self, tmp_path, capsys, caplog,
+                                             monkeypatch):
+        # logging.basicConfig is a no-op once a handler exists, so only
+        # the first call's DRIVEGUARD_LOG used to count
+        csv = write_fixture(tmp_path, "a", seed=1, dur=4.0)
+
+        def loaded(level):
+            monkeypatch.setenv("DRIVEGUARD_LOG", level)
+            caplog.clear()
+            assert main(["features", csv]) == 0
+            capsys.readouterr()
+            return [r.getMessage() for r in caplog.records
+                    if r.name == "driveguard"]
+
+        assert loaded("warning") == []
+        assert loaded("info") == [f"loaded session {csv}"]
+        assert loaded("warning") == []
+        # logging.BASIC_FORMAT is a string, and used to end in a traceback
+        assert loaded("basic_format") == loaded("no-such-level") == []
 
 
 class TestSynth:
@@ -371,6 +433,25 @@ class TestCalibrateAndStream:
             lines = fh.read().splitlines()
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 18  # header + one row per hop
+
+    def test_nothing_to_separate_gives_profile_without_criteria(self, tmp_path,
+                                                                 capsys):
+        # identical one-window Base and Read recordings: no threshold beats
+        # never alerting, so the profile holds no criteria and stays quiet
+        base = write_fixture(tmp_path, "base", seed=3, dur=4.0)
+        read = write_fixture(tmp_path, "read", seed=3, task=TaskLabel.READ, dur=4.0)
+        assert Path(base).read_text() == Path(read).read_text()
+        profile_path = tmp_path / "profile.json"
+        rc, out, _ = run(capsys, "calibrate", "--base", base, "--distraction",
+                         read, "--out", str(profile_path))
+        assert rc == 0
+        result = json.loads(out)
+        assert (result["ok"], result["f1"]) == (False, 0.0)
+        assert json.loads(profile_path.read_text()) == result["profile"]
+        assert result["profile"]["band_thresholds"] == {}
+        assert result["profile"]["di_threshold"] is None
+        rc, out, _ = run(capsys, "stream", read, "--profile", str(profile_path))
+        assert (rc, out) == (0, "")
 
     def test_stream_packet_input(self, tmp_path, capsys):
         session = generate_session(GeneratorSpec(

@@ -118,6 +118,15 @@ def with_fields(**fields):
     return lambda text: json.dumps({**json.loads(text), **fields})
 
 
+def with_long_int(field):
+    # more digits than Python converts from a string by default
+    def mutate(text):
+        record = json.loads(text)
+        return json.dumps({**record, field: 0}).replace(
+            f'"{field}": 0', f'"{field}": 1' + "0" * 5000)
+    return mutate
+
+
 def wrapped_in_list(text):
     return f"[{text}]"
 
@@ -166,6 +175,17 @@ ESCAPES = [
     # a NaN refractory period used to switch the refractory gate off
     pytest.param("profile", with_fields(refractory_s=math.nan),
                  id="profile-refractory-nan"),
+    # each of these four was ignored or taken as a number, and streamed
+    pytest.param("profile", with_fields(refactory_s=9), id="profile-unknown-key"),
+    pytest.param("profile", with_fields(refractory_s=True), id="profile-refractory-true"),
+    pytest.param("profile", with_fields(band_thresholds={"beta": True}),
+                 id="profile-threshold-true"),
+    pytest.param("profile", with_fields(window_s="4"), id="profile-window-numeric-string"),
+    # used to end in an uncaught OverflowError
+    pytest.param("profile", with_fields(hop_s=10 ** 400), id="profile-hop-beyond-float"),
+    # json.loads raised a ValueError that was not caught
+    pytest.param("profile", with_long_int("hop_s"), id="profile-int-beyond-digit-limit"),
+    pytest.param("manifest", with_long_int("fs_hz"), id="manifest-int-beyond-digit-limit"),
     pytest.param("manifest", with_fields(fs_hz="abc"), id="manifest-fs-string"),
     pytest.param("manifest", with_fields(channels=5), id="manifest-channels-int"),
     # used to be truncated to 512

@@ -1,5 +1,6 @@
 """Streaming detector, batch replay equivalence, and threshold calibration."""
 
+import json
 import math
 import time
 
@@ -20,6 +21,8 @@ from driveguard.stream import (
     SequencingError,
     STREAM_FS_HZ,
     TRACE_HEADER,
+    _candidate_thresholds,
+    _search_thresholds,
     calibrate_thresholds,
     evaluate_profile,
     feed_block,
@@ -95,6 +98,25 @@ class TestProfile:
     def test_missing_field_rejected(self):
         with pytest.raises(ValidationError):
             CalibrationProfile.from_dict({"subject_id": "x"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("refactory_s", 9.0), ("refractory_s", True), ("window_s", "4"),
+        ("hop_s", 10 ** 400), ("di_threshold", False), ("di_threshold", "6"),
+        ("band_thresholds", {"beta": True}), ("band_thresholds", {"beta": "1"}),
+        ("band_thresholds", [["beta", 1.0]])])
+    def test_from_dict_takes_only_fields_and_numbers(self, field, value):
+        # an unknown field, or a value that is no JSON number
+        record = {**profile().to_dict(), field: value}
+        with pytest.raises(ValidationError):
+            CalibrationProfile.from_dict(record)
+
+    def test_from_dict_reads_integers_as_floats(self):
+        p = CalibrationProfile.from_dict({
+            "subject_id": "x", "band_thresholds": {"beta": 5}, "di_threshold": 6,
+            "refractory_s": 3, "window_s": 4, "hop_s": 1})
+        assert p == profile(subject_id="x", band_thresholds={"beta": 5.0},
+                            di_threshold=6.0, refractory_s=3.0)
+        assert json.loads(p.to_json())["band_thresholds"] == {"beta": 5.0}
 
 
 class TestDetectorState:
@@ -496,6 +518,97 @@ class TestAlertEvent:
         d = a.to_dict()
         assert d == {"t": 4.5, "trigger": ["beta", "di"],
                      "observed": {"beta": 3.2, "di": 6.0}, "severity": 6.0}
+
+
+def scalar_f1(pred, truth):
+    """F1 of one prediction, in Python integers and floats."""
+    tp = int(np.sum(pred & truth))
+    fp = int(np.sum(pred & ~truth))
+    fn = int(np.sum(~pred & truth))
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def per_candidate_search(rows, truth, use_di, max_candidates):
+    """The greedy search scoring one candidate at a time: the oracle for
+    ``_search_thresholds``."""
+    dims = list(range(6)) if use_di else list(range(5))
+    chosen = {}
+    best_pred = np.zeros(truth.size, dtype=bool)
+    best_f1 = scalar_f1(best_pred, truth)
+    while True:
+        step_best = None
+        for dim in dims:
+            if dim in chosen:
+                continue
+            col = rows[:, dim]
+            for thr in _candidate_thresholds(col, max_candidates):
+                pred = best_pred | (col > thr)
+                f1 = scalar_f1(pred, truth)
+                key = (f1, thr)
+                if step_best is None or key > step_best[0]:
+                    step_best = (key, dim, thr, pred)
+        if step_best is None or step_best[0][0] <= best_f1 + 1e-12:
+            break
+        _, dim, thr, pred = step_best
+        chosen[dim] = float(thr)
+        best_pred = pred
+        best_f1 = step_best[0][0]
+    return chosen, best_f1
+
+
+def random_hop_table(rng):
+    """Hop rows (five band powers and DI) and labels that stress the
+    search: repeated values, constant columns, NaN DI, skewed labels."""
+    n = int(rng.integers(1, 60))
+    truth = rng.random(n) < rng.choice([0.05, 0.3, 0.5, 0.7, 0.95])
+    rows = np.empty((n, 6))
+    for dim in range(6):
+        kind = rng.choice(["spread", "ties", "constant", "shifted"])
+        if kind == "spread":
+            rows[:, dim] = rng.lognormal(size=n)
+        elif kind == "ties":
+            rows[:, dim] = rng.integers(0, 4, size=n) * 0.5
+        elif kind == "constant":
+            rows[:, dim] = 3.0
+        else:  # lifts a random part of the positives
+            rows[:, dim] = rng.lognormal(size=n) + 3.0 * (truth & (rng.random(n) < 0.5))
+    if rng.random() < 0.3:  # two columns tie on every candidate
+        a, b = rng.choice(6, size=2, replace=False)
+        rows[:, b] = rows[:, a]
+    if rng.random() < 0.5:
+        rows[rng.random(n) < rng.choice([0.2, 1.0]), 5] = np.nan
+    return rows, truth
+
+
+class TestSearch:
+    """The array search picks what the per-candidate loop picks."""
+
+    @pytest.mark.parametrize("max_candidates", [1, 3, 32, 500])
+    def test_matches_per_candidate_loop(self, max_candidates):
+        rng = np.random.default_rng(max_candidates)
+        picks = set()
+        for _ in range(60):
+            rows, truth = random_hop_table(rng)
+            use_di = bool(rng.random() < 0.7)
+            want = per_candidate_search(rows, truth, use_di, max_candidates)
+            got = _search_thresholds(rows, truth, use_di, max_candidates)
+            assert list(got[0].items()) == list(want[0].items())
+            assert got[1] == want[1]
+            assert type(got[1]) is float
+            picks.add(min(len(want[0]), 2))
+        assert picks == {0, 1, 2}  # no pick, one pick and several all occur
+
+    def test_tie_goes_to_higher_threshold_then_earlier_column(self):
+        truth = np.array([False, True, True, False])
+        rows = np.zeros((4, 6))
+        rows[:, 1] = rows[:, 4] = [0.0, 2.0, 2.0, 0.0]  # theta and gamma tie
+        rows[:, 2] = [0.0, 1.0, 1.0, 0.0]  # alpha ties at a lower threshold
+        chosen, f1 = _search_thresholds(rows, truth, True, 32)
+        assert chosen == {1: 1.0} and f1 == 1.0
 
 
 class TestCalibration:
