@@ -203,19 +203,31 @@ def mlp_forward(w1, b1, w2, b2, x):
     return h, o
 
 
+def _rows_times(x, w):
+    """x @ w for each leading index: rows (..., m) times matrices (..., m, n).
+
+    Each product runs as its own vector-matrix call, so a batch element
+    gets the same bits as the unbatched product.
+    """
+    return np.matmul(x[..., None, :], w)[..., 0, :]
+
+
 def mlp_sample_gradients(w1, b1, w2, b2, x, target):
     """Squared-error loss and its exact gradients for one sample.
 
+    Every argument may carry the same leading batch axes, one sample and
+    one set of weights per batch element: x (..., F), w1 (..., F, H).
     Training consumes this; tests difference it numerically.
     """
-    h, o = mlp_forward(w1, b1, w2, b2, x)
+    h = _sigmoid(_rows_times(x, w1) + b1)
+    o = _sigmoid(_rows_times(h, w2) + b2)
     err = o - target
-    loss = 0.5 * float(err @ err)
+    loss = 0.5 * np.add.reduce(err * err, axis=-1)
     delta_o = err * o * (1.0 - o)
-    gw2 = np.outer(h, delta_o)
+    gw2 = h[..., :, None] * delta_o[..., None, :]
     gb2 = delta_o
-    delta_h = (w2 @ delta_o) * h * (1.0 - h)
-    gw1 = np.outer(x, delta_h)
+    delta_h = np.matmul(w2, delta_o[..., None])[..., 0] * h * (1.0 - h)
+    gw1 = x[..., :, None] * delta_h[..., None, :]
     gb1 = delta_h
     return loss, gw1, gb1, gw2, gb2
 
@@ -230,6 +242,16 @@ def init_mlp_weights(n_features, n_hidden, n_classes, seed):
     return w1, b1, w2, b2
 
 
+def _weight_views(theta, shapes):
+    """w1, b1, w2 and b2 as views into parameter rows theta (m, P)."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(theta[:, start:start + size].reshape(len(theta), *shape))
+        start += size
+    return views
+
+
 def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
     """Online backpropagation with momentum, deterministic per seed.
 
@@ -238,63 +260,108 @@ def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
     targets. Samples are visited in input order every epoch, so a run
     is a pure function of (data order, config).
     """
+    return train_mlp_stack([(X, y)], classes, config)[0]
+
+
+def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
+    """One MlpModel per (X, y) training set, all trained in lockstep.
+
+    Each model's weights are bit-for-bit those of `train_mlp` on its set
+    alone. Step i of an epoch takes sample i of every set that still has
+    one; a set whose rows are used up, or whose loss has gone non-finite,
+    is masked: no update and no momentum decay. The DivergenceError
+    raised is that of the lowest-index set that fails, as if the sets
+    were trained one after another.
+    """
     if config is None:
         config = MlpConfig()
-    X, y, classes = _check_training_set(X, y, classes)
+    sets = [_check_training_set(X, y, classes)[:2] for X, y in training_sets]
+    classes = tuple(classes)
+    if not sets:
+        raise ValidationError("no training sets given")
+    f = sets[0][0].shape[1]
+    if any(X.shape[1] != f for X, _ in sets):
+        raise ValidationError("training sets disagree on the number of features")
 
-    n, f = X.shape
+    k = len(sets)
     c = len(classes)
     hidden = config.hidden if config.hidden is not None else max(1, round((f + c) / 2))
+    sizes = np.array([y.size for _, y in sets])
+    n_max = int(sizes.max())
 
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale < 1e-12, 1.0, scale)
-    Xs = (X - mean) / scale
+    # z-scored rows and one-hot targets, one zero-padded (n_max, .) slab per set
+    Xs = np.zeros((k, n_max, f))
+    targets = np.zeros((k, n_max, c))
+    means, scales = [], []
+    for j, (X, y) in enumerate(sets):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+        scale = np.where(scale < 1e-12, 1.0, scale)
+        Xs[j, :y.size] = (X - mean) / scale
+        targets[j, np.arange(y.size), y] = 1.0
+        means.append(mean)
+        scales.append(scale)
 
-    targets = np.zeros((n, c))
-    targets[np.arange(n), y] = 1.0
-
-    # one parameter vector; w1, b1, w2 and b2 are views into it
+    # one parameter row per set; w1, b1, w2 and b2 are views into it
     init = init_mlp_weights(f, hidden, c, config.seed)
-    theta = np.concatenate([a.ravel() for a in init])
-    parts = np.split(theta, np.cumsum([a.size for a in init])[:-1])
-    w1, b1, w2, b2 = (part.reshape(a.shape) for part, a in zip(parts, init))
+    shapes = [a.shape for a in init]
+    theta = np.tile(np.concatenate([a.ravel() for a in init]), (k, 1))
     velocity = np.zeros_like(theta)
+    weights = _weight_views(theta, shapes)
 
     lr = config.learning_rate
     mom = config.momentum
+
+    def step(th, vel, w, i, rows):
+        """One online step on sample i of the sets `rows`; their loss."""
+        loss, gw1, gb1, gw2, gb2 = mlp_sample_gradients(
+            *w, Xs[rows, i], targets[rows, i])
+        m = len(loss)
+        vel *= mom
+        vel -= lr * np.concatenate(
+            (gw1.reshape(m, -1), gb1, gw2.reshape(m, -1), gb2), axis=1)
+        th += vel
+        return loss
+
+    diverged_in = np.zeros(k, dtype=np.intp)   # 1-based epoch, 0 while finite
+    live = np.arange(k)
     # a saturated sigmoid's exp overflows to inf and the unit to its
     # correct limit 0; set once per fit, as the online step is call-bound
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
-            epoch_loss = 0.0
-            for i in range(n):
-                loss, gw1, gb1, gw2, gb2 = mlp_sample_gradients(
-                    w1, b1, w2, b2, Xs[i], targets[i]
-                )
-                epoch_loss += loss
-                velocity *= mom
-                velocity -= lr * np.concatenate((gw1.ravel(), gb1, gw2.ravel(), gb2))
-                theta += velocity
-            if not np.isfinite(epoch_loss):
-                raise DivergenceError(
-                    f"training loss became non-finite in epoch {epoch + 1}; "
-                    "try a smaller learning_rate"
-                )
-    if not np.isfinite(theta).all():
-        raise DivergenceError(
-            "weights became non-finite; try a smaller learning_rate"
-        )
-    return MlpModel(
-        classes=classes,
-        config=config,
-        feature_mean=mean,
-        feature_scale=scale,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-    )
+            epoch_loss = np.zeros(k)
+            # every set steps in place while all are live and have rows
+            in_place = int(sizes.min()) if live.size == k else 0
+            for i in range(n_max):
+                if i < in_place:
+                    epoch_loss += step(theta, velocity, weights, i, slice(None))
+                    continue
+                rows = live[sizes[live] > i]
+                if rows.size == 0:
+                    break
+                th, vel = theta[rows], velocity[rows]
+                epoch_loss[rows] += step(th, vel, _weight_views(th, shapes), i, rows)
+                theta[rows], velocity[rows] = th, vel
+            failed = ~np.isfinite(epoch_loss[live])
+            diverged_in[live[failed]] = epoch + 1
+            live = live[~failed]
+
+    for j in range(k):
+        if diverged_in[j]:
+            raise DivergenceError(
+                f"training loss became non-finite in epoch {diverged_in[j]}; "
+                "try a smaller learning_rate"
+            )
+        if not np.isfinite(theta[j]).all():
+            raise DivergenceError(
+                "weights became non-finite; try a smaller learning_rate"
+            )
+    return [
+        MlpModel(classes=classes, config=config, feature_mean=mean,
+                 feature_scale=scale, w1=w1, b1=b1, w2=w2, b2=b2)
+        for mean, scale, (w1, b1, w2, b2)
+        in zip(means, scales, zip(*weights))
+    ]
 
 
 def predict_mlp(model: MlpModel, x):
@@ -524,16 +591,15 @@ def kfold_evaluate(
 ):
     """Stratified k-fold evaluation; returns (overall report, fold reports).
 
-    The overall confusion aggregates all folds, so each instance
-    contributes exactly one prediction. AUC is computed from the pooled
-    held-out scores: positive-class score for two classes, weighted
-    one-vs-rest above that.
+    The MLP folds train in lockstep, in one `train_mlp_stack` call, before
+    any fold is scored. The overall confusion aggregates all folds, so
+    each instance contributes exactly one prediction. AUC is computed
+    from the pooled held-out scores: positive-class score for two
+    classes, weighted one-vs-rest above that.
     """
     if classifier not in CLASSIFIERS:
         raise ParameterError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
-    classes = tuple(classes)
+    X, y, classes = _check_training_set(X, y, classes)
     plan = make_fold_plan(y, k, seed)
 
     n = y.size
@@ -543,21 +609,24 @@ def kfold_evaluate(
     tested = np.zeros(n, dtype=bool)
     fold_reports = []
 
-    for fold_idx, test_idx in enumerate(plan.folds):
-        test_idx = np.array(test_idx, dtype=np.intp)
+    test_sets = [np.array(test_idx, dtype=np.intp) for test_idx in plan.folds]
+    train_masks = []
+    for test_idx in test_sets:
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
-        X_tr, y_tr = X[train_mask], y[train_mask]
-        X_te, y_te = X[test_idx], y[test_idx]
+        train_masks.append(train_mask)
+    if classifier == "mlp":
+        cfg = mlp_config if mlp_config is not None else MlpConfig()
+        mlp_models = train_mlp_stack([(X[m], y[m]) for m in train_masks], classes, cfg)
 
+    for fold_idx, (test_idx, train_mask) in enumerate(zip(test_sets, train_masks)):
+        X_te, y_te = X[test_idx], y[test_idx]
         if classifier == "gnb":
-            model = train_gnb(X_tr, y_tr, classes)
+            model = train_gnb(X[train_mask], y[train_mask], classes)
             pred, log_post = predict_gnb_many(model, X_te)
             scores = np.exp(log_post)
         else:
-            cfg = mlp_config if mlp_config is not None else MlpConfig()
-            model = train_mlp(X_tr, y_tr, classes, cfg)
-            pred, scores = predict_mlp_many(model, X_te)
+            pred, scores = predict_mlp_many(mlp_models[fold_idx], X_te)
 
         fold_conf = np.zeros((c, c), dtype=np.int64)
         np.add.at(fold_conf, (y_te, pred), 1)

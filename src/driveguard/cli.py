@@ -12,7 +12,8 @@ config file (``--config``), then ``DRIVEGUARD_``-prefixed environment
 variables, then built-in defaults. Failures print a machine-readable
 JSON object on stderr and exit nonzero; a closed stdout ends a command
 with status 1 and no message. ``DRIVEGUARD_LOG`` sets the log level on
-every call. Plot-oriented outputs are plain CSV/JSON data files.
+every call, and a name that is no level exits 2 like any bad setting.
+Plot-oriented outputs are plain CSV/JSON data files.
 """
 
 from __future__ import annotations
@@ -459,13 +460,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _set_log_level():
+    """Set the package log level from ``DRIVEGUARD_LOG``, WARNING when unset."""
+    env = ENV_PREFIX + "LOG"
+    raw = os.environ.get(env, "warning")
+    # the name of a level maps to its number; anything else to a string
+    level = logging.getLevelName(raw.upper())
+    if not isinstance(level, int):
+        raise CliError(f"environment {env}: {raw!r} is not a log level name")
+    log.setLevel(level)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    # an unknown name, or a logging constant that is no level, means WARNING
-    level = getattr(logging, os.environ.get(ENV_PREFIX + "LOG", "warning").upper(), None)
-    log.setLevel(level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     try:
+        _set_log_level()
         args = parser.parse_args(argv)
         _resolve_settings(args)
         status = args.func(args)

@@ -28,6 +28,7 @@ from driveguard.classify import (
     report_from_confusion,
     train_gnb,
     train_mlp,
+    train_mlp_stack,
     vectors_to_dataset,
 )
 from driveguard.model import FeatureVector, TaskLabel
@@ -161,8 +162,24 @@ def test_training_set_checked(train, X, y):
         train(X, y, ("a", "b"))
 
 
+def sample_gradients_1d(w1, b1, w2, b2, x, target):
+    """Reference loss and gradients for one unbatched sample."""
+    h = 1.0 / (1.0 + np.exp(-(x @ w1 + b1)))
+    o = 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
+    err = o - target
+    loss = 0.5 * float(err @ err)
+    delta_o = err * o * (1.0 - o)
+    gw2 = np.outer(h, delta_o)
+    gb2 = delta_o
+    delta_h = (w2 @ delta_o) * h * (1.0 - h)
+    gw1 = np.outer(x, delta_h)
+    gb1 = delta_h
+    return loss, gw1, gb1, gw2, gb2
+
+
 def per_array_momentum_fit(X, y, n_classes, config):
-    """Reference online fit: one momentum update per weight array."""
+    """Reference online fit of one training set: one momentum update per
+    weight array, from the unbatched reference gradients."""
     n, f = X.shape
     hidden = config.hidden if config.hidden is not None else round((f + n_classes) / 2)
     scale = X.std(axis=0)
@@ -172,12 +189,36 @@ def per_array_momentum_fit(X, y, n_classes, config):
     velocities = [np.zeros_like(w) for w in weights]
     for _ in range(config.epochs):
         for i in range(n):
-            grads = mlp_sample_gradients(*weights, Xs[i], targets[i])[1:]
+            grads = sample_gradients_1d(*weights, Xs[i], targets[i])[1:]
             for w, v, g in zip(weights, velocities, grads):
                 v *= config.momentum
                 v -= config.learning_rate * g
                 w += v
     return weights
+
+
+def fold_training_sets(X, y, fold_sizes):
+    """(X, y) without each fold, for consecutive folds of the given sizes."""
+    ends = np.cumsum(fold_sizes)
+    sets = []
+    for start, end in zip(ends - fold_sizes, ends):
+        keep = np.ones(y.size, dtype=bool)
+        keep[start:end] = False
+        sets.append((X[keep], y[keep]))
+    return sets
+
+
+def fold_by_fold_error(X, y, classes, k, seed, config):
+    """The message of the first DivergenceError that training each fold
+    alone raises, in fold order, or None."""
+    for test_idx in make_fold_plan(y, k, seed).folds:
+        keep = np.ones(y.size, dtype=bool)
+        keep[list(test_idx)] = False
+        try:
+            train_mlp(X[keep], y[keep], classes, config)
+        except DivergenceError as exc:
+            return str(exc)
+    return None
 
 
 class TestMlp:
@@ -243,6 +284,61 @@ class TestMlp:
         model = train_mlp(X, y, FIVE_CLASS, config)
         for got, want in zip((model.w1, model.b1, model.w2, model.b2), expected):
             assert np.array_equal(got, want)
+
+    def test_batched_gradients_equal_unbatched(self):
+        rng = np.random.default_rng(8)
+        k, f, h, c = 6, 5, 4, 3
+        w1, b1, w2, b2 = (rng.normal(size=(k, *a.shape))
+                          for a in init_mlp_weights(f, h, c, 0))
+        x = rng.normal(size=(k, f))
+        t = np.eye(c)[rng.integers(0, c, size=k)]
+        batched = mlp_sample_gradients(w1, b1, w2, b2, x, t)
+        for j in range(k):
+            want = sample_gradients_1d(w1[j], b1[j], w2[j], b2[j], x[j], t[j])
+            assert batched[0][j] == pytest.approx(want[0], rel=1e-15)
+            for got, ref in zip(batched[1:], want[1:]):
+                assert np.array_equal(got[j], ref)
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("epochs", [0, 1, 5])
+    def test_stack_matches_per_set_oracle(self, n_classes, momentum, epochs):
+        rng = np.random.default_rng(100 * n_classes + 10 * epochs + int(10 * momentum))
+        spreads = set()
+        for trial in range(4):
+            k = int(rng.integers(2, 11))
+            if trial == 0:   # folds that differ by more than one row
+                fold_sizes = rng.integers(2, 5, size=k)
+                fold_sizes[-1] = fold_sizes.max() + 2
+            else:            # a stratified-like plan: within one row of even
+                n = int(rng.integers(3 * k, 6 * k))
+                fold_sizes = np.full(k, n // k) + (np.arange(k) < n % k)
+            y = rng.integers(0, n_classes, size=int(fold_sizes.sum()))
+            X = rng.normal(size=(y.size, 4)) + y[:, np.newaxis]
+            hidden = 3 if trial == 1 else None
+            config = MlpConfig(hidden=hidden, momentum=momentum, epochs=epochs,
+                               seed=trial)
+            sets = fold_training_sets(X, y, fold_sizes)
+            sizes = [len(s[1]) for s in sets]
+            spreads.add(max(sizes) - min(sizes))
+            classes = FIVE_CLASS if n_classes == 5 else TWO_CLASS
+            models = train_mlp_stack(sets, classes, config)
+            assert len(models) == k
+            for (X_tr, y_tr), model in zip(sets, models):
+                want = per_array_momentum_fit(X_tr, y_tr, n_classes, config)
+                got = (model.w1, model.b1, model.w2, model.b2)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                if hidden is not None:
+                    assert model.layer_sizes[1] == hidden
+        assert max(spreads) > 1 and min(spreads) <= 1
+
+    def test_stack_rejects_mismatched_sets(self):
+        X = np.zeros((4, 2))
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValidationError):
+            train_mlp_stack([], ("a", "b"))
+        with pytest.raises(ValidationError):
+            train_mlp_stack([(X, y), (X[:, :1], y)], ("a", "b"))
 
     def test_non_finite_input_raises_divergence(self):
         X = np.array([[0.0], [1.0], [np.inf], [2.0]])
@@ -480,6 +576,61 @@ class TestKfoldEvaluate:
         overall, folds = kfold_evaluate(X, y, ("a", "b"), k=4, classifier="gnb")
         assert overall.confusion.sum() == 34
         assert sum(f.confusion.sum() for f in folds) == 34
+
+    def test_inf_row_raises_the_first_failing_folds_error(self):
+        # the inf row is held out by fold 0, so fold 0 trains cleanly and
+        # the error is the one training fold 1 alone raises
+        X, y = blobs(n_per=10, spread=2.0, seed=6)
+        X[make_fold_plan(y, 4, 3).folds[0][0], 1] = np.inf
+        config = MlpConfig(epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = fold_by_fold_error(X, y, ("a", "b"), 4, 3, config)
+            with pytest.raises(DivergenceError) as info:
+                kfold_evaluate(X, y, ("a", "b"), k=4, classifier="mlp", seed=3,
+                               mlp_config=config)
+        assert want is not None
+        assert str(info.value) == want
+
+    def test_divergence_names_the_lowest_failing_folds_epoch(self):
+        # at this learning rate folds diverge in different epochs, or end
+        # with non-finite weights; the error is the lowest failing fold's
+        y = np.arange(12) % 2
+        kinds = set()
+        for seed in range(12):
+            X = np.random.default_rng(seed).normal(size=(12, 3))
+            config = MlpConfig(learning_rate=1e308, momentum=0.99, epochs=6,
+                               seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = fold_by_fold_error(X, y, ("a", "b"), 3, 0, config)
+                with pytest.raises(DivergenceError) as info:
+                    kfold_evaluate(X, y, ("a", "b"), k=3, classifier="mlp",
+                                   mlp_config=config)
+            assert str(info.value) == want
+            kinds.add(want.split(";")[0])
+        assert len(kinds) > 2
+
+    def test_saturated_units_warn_nothing(self):
+        # the twin of TestMlp's: folds of 9 and 10 rows, so the masked
+        # steps run too
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(0, 1, (6, 4)), rng.normal(5, 1, (6, 4))])
+        y = np.array([0] * 6 + [1] * 6)
+        config = MlpConfig(learning_rate=1e6, momentum=0.99999, epochs=3)
+        assert {12 - len(f) for f in make_fold_plan(y, 5, 0).folds} == {9, 10}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kfold_evaluate(X, y, ("a", "b"), k=5, classifier="mlp",
+                           mlp_config=config)
+
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_rows_without_label_rejected(self, classifier):
+        # used to end in an IndexError from the first fold's row mask
+        X, y = blobs(n_per=6)
+        with pytest.raises(ValidationError):
+            kfold_evaluate(X[:-1], y, ("a", "b"), k=3, classifier=classifier,
+                           mlp_config=MlpConfig(epochs=1))
 
     def test_unknown_classifier(self):
         assert CLASSIFIERS == ("gnb", "mlp")

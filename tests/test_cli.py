@@ -166,8 +166,6 @@ class TestLogLevel:
         assert loaded("warning") == []
         assert loaded("info") == [f"loaded session {csv}"]
         assert loaded("warning") == []
-        # logging.BASIC_FORMAT is a string, and used to end in a traceback
-        assert loaded("basic_format") == loaded("no-such-level") == []
 
 
 class TestSynth:

@@ -328,6 +328,19 @@ def test_settings_from_config_or_environment_checked(
         assert where in json.loads(err)["message"]
 
 
+# an unknown level name used to mean WARNING, and logging.BASIC_FORMAT, a
+# string, once ended in a traceback
+@pytest.mark.parametrize("level", ["verbose", "inof", "basic_format", "no-such-level"])
+def test_unknown_log_level_exits_2(valid, capsys, monkeypatch, level):
+    d, _ = valid
+    monkeypatch.setenv("DRIVEGUARD_LOG", level)
+    rc = main(["ingest", str(d / "base.csv"), str(d / "base.manifest.json")])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), f"DRIVEGUARD_LOG = {level}")
+    assert json.loads(err)["error"] == "CliError"
+    assert "environment DRIVEGUARD_LOG" in json.loads(err)["message"]
+
+
 def malformed_variant(kind, text, rng):
     """One malformed variant of ``text``, a well-formed ``kind`` file."""
     ops = ["truncate", "non_utf8", "non_finite"]
