@@ -326,8 +326,10 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
     diverged_in = np.zeros(k, dtype=np.intp)   # 1-based epoch, 0 while finite
     live = np.arange(k)
     # a saturated sigmoid's exp overflows to inf and the unit to its
-    # correct limit 0; set once per fit, as the online step is call-bound
-    with np.errstate(over="ignore"):
+    # correct limit 0, and a diverging set's inf weights make inf - inf in
+    # its products: that set is caught by its non-finite loss and weights
+    # below. Set once per fit, as the online step is call-bound
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             epoch_loss = np.zeros(k)
             # every set steps in place while all are live and have rows

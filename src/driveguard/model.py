@@ -9,6 +9,7 @@ window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,24 +81,36 @@ class Device(enum.Enum):
         return _member_by_value(cls, name, "device")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EegSample:
-    """One timestamped ADC reading from a single electrode."""
+    """One timestamped ADC reading from a single electrode.
+
+    A slotted record, not a frozen one: a frozen dataclass's ``__init__``
+    writes each field through ``object.__setattr__``, which would double
+    the cost of the one record built per streamed sample.
+    """
 
     t: float
     raw: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"sample timestamp must be >= 0, got {self.t}")
-        check_adc_range(self.raw, self.raw)
+        # the checks' functions are called only to raise
+        if not 0 <= self.t < math.inf:
+            check_timestamp(self.t)
+        if not ADC_MIN <= self.raw <= ADC_MAX:
+            check_adc_range(self.raw, self.raw)
+
+
+def check_timestamp(t):
+    """Raise ValidationError unless ``t`` is a finite time >= 0 s."""
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"sample timestamp must be finite and >= 0, got {t}")
 
 
 def check_adc_range(lo, hi, error=ValidationError, what="raw sample"):
     """Raise ``error`` unless counts ``lo`` to ``hi`` lie in the ADC range.
 
-    One count is passed as both bounds (an array as its min and max), so
-    EegSample's per-sample check stays one comparison with no numpy call.
+    One count is passed as both bounds (an array as its min and max).
     """
     if not (ADC_MIN <= lo and hi <= ADC_MAX):
         bad = hi if ADC_MIN <= lo else lo

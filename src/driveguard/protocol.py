@@ -86,7 +86,7 @@ def encode_packet(raw: int) -> bytes:
     return RAW_HEADER + bytes((hi, lo, (_RAW_CHECK_SUM - hi - lo) & 0xFF))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawPacket:
     """A checksum-verified payload, with the decoded sample when present."""
 
@@ -128,11 +128,23 @@ def _scan(buf: bytes, pos: int, out: list, one: bool = False):
     overlapping garbage is never lost. With ``one`` it returns after one
     step: one frame emitted, or one candidate rejected or slid past.
     ``buf`` is never sliced except for an emitted payload, so the cost is
-    linear in ``len(buf) - pos``.
+    linear in ``len(buf) - pos``. A canonical raw frame at ``pos`` is taken
+    in one step, by the rule ``packets_to_samples`` applies to its rows;
+    the general step below would accept the same frame.
     """
     n = len(buf)
     corrupt = 0
     while True:
+        if buf.startswith(RAW_HEADER, pos) and pos + RAW_FRAME_LEN <= n:
+            hi, lo, check = buf[pos + 5], buf[pos + 6], buf[pos + 7]
+            if (hi + lo + check) & 0xFF == _RAW_CHECK_SUM:
+                value = (hi << 8) | lo
+                out.append(RawPacket(buf[pos + 3:pos + 7],
+                                     value - 0x10000 if value >= 0x8000 else value))
+                pos += RAW_FRAME_LEN
+                if one:
+                    return pos, corrupt, True
+                continue
         start = buf.find(b"\xaa\xaa", pos)
         if start < 0:
             # a lone trailing 0xAA may be half a sync pair

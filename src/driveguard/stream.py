@@ -24,7 +24,7 @@ from .dsp import band_powers_from_samples
 from .errors import ParameterError, ValidationError
 from .index import UndefinedIndexError, distraction_index
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
-                    SubjectSession, check_adc_range)
+                    SubjectSession, check_adc_range, check_timestamp)
 
 STREAM_FS_HZ = 512
 DEFAULT_WINDOW_S = 4.0
@@ -303,14 +303,15 @@ def process_sample(state: DetectorState, sample: EegSample):
     boundary replaces ``state.last_hop``. This is the route for samples
     that arrive one at a time; ``feed_block`` takes arrays.
     """
-    if sample.t < state._prev_t:
-        raise SequencingError(
-            f"sample at t={sample.t} precedes previous t={state._prev_t}")
-    state._prev_t = sample.t
+    t = sample.t
+    # "not >=" also stops a NaN set on a sample after its checks ran
+    if not t >= state._prev_t:
+        raise SequencingError(f"sample at t={t} precedes previous t={state._prev_t}")
+    state._prev_t = t
     state._buf[state._count % state.win_n] = sample.raw
     state._count += 1
     state._to_hop -= 1
-    return state, None if state._to_hop else _hop(state, sample.t)
+    return state, None if state._to_hop else _hop(state, t)
 
 
 def feed_block(state: DetectorState, raw, t0: float):
@@ -319,10 +320,10 @@ def feed_block(state: DetectorState, raw, t0: float):
     Leaves ``state`` as feeding the same samples one by one through
     ``process_sample`` would, but copies whole slices into the ring and
     runs Python only at hop boundaries. The per-sample checks are made
-    once for the block, before anything changes: ``t0`` must be >= 0 and
-    not precede the previous sample, and the first raw value outside the
-    ADC range, in stream order, is the one reported. An empty block
-    changes nothing. Returns ``(alerts, hops)``, every HopRecord the
+    once for the block, before anything changes: ``t0`` must be finite,
+    >= 0 and not precede the previous sample, and the first raw value
+    outside the ADC range, in stream order, is the one reported. An empty
+    block changes nothing. Returns ``(alerts, hops)``, every HopRecord the
     block completed.
     """
     raw = np.asarray(raw)
@@ -331,8 +332,7 @@ def feed_block(state: DetectorState, raw, t0: float):
     hops = []
     if n == 0:
         return alerts, hops
-    if t0 < 0:
-        raise ValidationError(f"sample timestamp must be >= 0, got {t0}")
+    check_timestamp(t0)
     if t0 < state._prev_t:
         raise SequencingError(f"sample at t={t0} precedes previous t={state._prev_t}")
     bad = np.flatnonzero((raw < ADC_MIN) | (raw > ADC_MAX))

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import warnings
 
 import pytest
 
@@ -290,6 +291,23 @@ def test_numeric_settings_exit_2(valid, capsys, argv):
     out, err = capsys.readouterr()
     assert_contract((rc, out, err), " ".join(argv))
     assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_diverging_mlp_fit_exits_2(valid, capsys):
+    # numpy warned "invalid value encountered in matmul" twice on stderr,
+    # ahead of the JSON error
+    d, texts = valid
+    (d / "numeric.arff").write_text(texts["arff"])
+    argv = ["train-eval", str(d / "numeric.arff"), "--k", "2", "--classifier",
+            "mlp", "--learning-rate", "1e308", "--momentum", "0.99"]
+    # outside the tests, each warning caught here is a line on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert_contract((rc, out, err), " ".join(argv))
+    assert json.loads(err)["error"] == "DivergenceError"
 
 
 # a setting from a config file or the environment gets the flag's checks;

@@ -1,5 +1,7 @@
 """Domain model: labels, devices, sessions, trial splitting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,27 @@ class TestEegSample:
         with pytest.raises(ValidationError):
             EegSample(t=-0.001, raw=0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # NaN used to pass, because nan < 0 is False
+        with pytest.raises(ValidationError,
+                           match=f"sample timestamp must be finite and >= 0, got {t}"):
+            EegSample(t=t, raw=0)
+
     @pytest.mark.parametrize("raw", [ADC_MIN - 1, ADC_MAX + 1])
     def test_out_of_range_raw_rejected(self, raw):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=f"raw sample {raw} outside ADC range"):
             EegSample(t=0.0, raw=raw)
+
+    def test_record_contract(self):
+        # a slotted record with value equality and the dataclass repr
+        s = EegSample(t=0.5, raw=3)
+        assert s == EegSample(t=0.5, raw=3)
+        assert s != EegSample(t=0.5, raw=4) and s != EegSample(t=1.0, raw=3)
+        assert repr(s) == "EegSample(t=0.5, raw=3)"
+        assert EegSample.__slots__ == ("t", "raw")
+        assert not hasattr(s, "__dict__")
 
 
 class TestSubjectSession:

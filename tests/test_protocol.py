@@ -25,6 +25,7 @@ from driveguard.protocol import (
     MAX_PAYLOAD,
     PacketError,
     PacketParser,
+    RawPacket,
     SessionFormatError,
     TIMESTAMP_TOLERANCE_S,
     UV_PER_COUNT,
@@ -85,10 +86,20 @@ class TestFraming:
     def test_single_round_trip(self):
         for value in (-2048, -1, 0, 1, 2047, 321):
             parser = PacketParser()
-            packets = parser.feed(encode_packet(value))
-            assert len(packets) == 1
-            assert packets[0].raw_value == value
+            packet = encode_packet(value)
+            assert parser.feed(packet) == [RawPacket(packet[3:7], value)]
             assert parser.corrupt_frames == 0
+
+
+class TestRawPacket:
+    def test_record_contract(self):
+        # a slotted record with value equality and the dataclass repr
+        p = RawPacket(payload=b"\x80\x02\x00\x05", raw_value=5)
+        assert p == RawPacket(payload=b"\x80\x02\x00\x05", raw_value=5)
+        assert p != RawPacket(payload=b"\x80\x02\x00\x05", raw_value=None)
+        assert repr(p) == "RawPacket(payload=b'\\x80\\x02\\x00\\x05', raw_value=5)"
+        assert RawPacket.__slots__ == ("payload", "raw_value")
+        assert not hasattr(p, "__dict__")
 
 
 class TestParserRobustness:
@@ -237,18 +248,49 @@ def mixed_stream(rng, n_frames=60):
     return b"".join(parts)
 
 
+def acceptance_six_corpus():
+    """100 000 raw frames with one byte flipped in 1000 of them: (values,
+    indices of the corrupted frames, wire bytes)."""
+    rng = np.random.default_rng(2026)
+    n = 100_000
+    values = rng.integers(-2048, 2048, size=n)
+    frames = [bytearray(encode_packet(int(v))) for v in values]
+    corrupted = set(rng.choice(n, size=1000, replace=False).tolist())
+    for i in corrupted:
+        frames[i][int(rng.integers(3, 8))] ^= int(rng.integers(1, 256))
+    return values, corrupted, b"".join(bytes(f) for f in frames)
+
+
+def mutated_streams(seed=15, count=300):
+    """Prefixes of a mixed stream with random byte flips, insertions of
+    garbage or 0xAA runs, and deletions."""
+    rng = np.random.default_rng(seed)
+    base = mixed_stream(rng, n_frames=40) + clean_stream(
+        rng.integers(-2048, 2048, size=300))
+    for _ in range(count):
+        wire = bytearray(base[:int(rng.integers(0, len(base) + 1))])
+        for _ in range(int(rng.integers(0, 20))):
+            if not wire:
+                break
+            i = int(rng.integers(0, len(wire)))
+            op = int(rng.integers(0, 4))
+            if op == 0:
+                wire[i] ^= int(rng.integers(1, 256))
+            elif op == 1:
+                wire[i:i] = bytes(rng.integers(0, 256, size=int(rng.integers(1, 10)),
+                                               dtype=np.uint8))
+            elif op == 2:
+                del wire[i:i + int(rng.integers(1, 10))]
+            else:
+                wire[i:i] = b"\xaa" * int(rng.integers(1, 5))
+        yield bytes(wire)
+
+
 class TestBulkDecode:
     """packets_to_samples against the scalar route on one feed."""
 
     def test_acceptance_six_corpus_in_one_shot(self):
-        rng = np.random.default_rng(2026)
-        n = 100_000
-        values = rng.integers(-2048, 2048, size=n)
-        frames = [bytearray(encode_packet(int(v))) for v in values]
-        corrupted = set(rng.choice(n, size=1000, replace=False).tolist())
-        for i in corrupted:
-            frames[i][int(rng.integers(3, 8))] ^= int(rng.integers(1, 256))
-        wire = b"".join(bytes(f) for f in frames)
+        values, corrupted, wire = acceptance_six_corpus()
         raw, corrupt = packets_to_samples(wire)
         assert (raw.tolist(), corrupt) == scalar_samples(wire)
         assert raw.tolist() == [int(v) for i, v in enumerate(values) if i not in corrupted]
@@ -305,26 +347,117 @@ class TestBulkDecode:
             assert packets_to_samples(wire[:-cut])[0].size == 300 - (cut + 7) // 8
 
     def test_seeded_mutation_fuzz(self):
-        rng = np.random.default_rng(15)
-        base = mixed_stream(rng, n_frames=40) + clean_stream(
-            rng.integers(-2048, 2048, size=300))
-        for _ in range(300):
-            wire = bytearray(base[:int(rng.integers(0, len(base) + 1))])
-            for _ in range(int(rng.integers(0, 20))):
-                if not wire:
-                    break
-                i = int(rng.integers(0, len(wire)))
-                op = int(rng.integers(0, 4))
-                if op == 0:
-                    wire[i] ^= int(rng.integers(1, 256))
-                elif op == 1:
-                    wire[i:i] = bytes(rng.integers(0, 256, size=int(rng.integers(1, 10)),
-                                                   dtype=np.uint8))
-                elif op == 2:
-                    del wire[i:i + int(rng.integers(1, 10))]
-                else:
-                    wire[i:i] = b"\xaa" * int(rng.integers(1, 5))
-            assert_bulk_matches_scalar(bytes(wire))
+        for wire in mutated_streams():
+            assert_bulk_matches_scalar(wire)
+
+
+def reference_raw_value(payload):
+    """The raw value of a verified payload, by walking its code/value rows."""
+    i = 0
+    n = len(payload)
+    while i < n:
+        code = payload[i]
+        if code >= 0x80:
+            if i + 1 >= n:
+                return None
+            vlen = payload[i + 1]
+            if i + 2 + vlen > n:
+                return None
+            if code == 0x80 and vlen == 2:
+                value = (payload[i + 2] << 8) | payload[i + 3]
+                return value - 0x10000 if value >= 0x8000 else value
+            i += 2 + vlen
+        else:
+            i += 2
+    return None
+
+
+def reference_scan(buf):
+    """The general scanner loop with no canonical-frame step, over all of
+    ``buf``: sync search, length check, checksum of the payload, row walk.
+    Returns (packets as (payload, raw value) pairs, corrupt frame count)."""
+    n = len(buf)
+    pos = corrupt = 0
+    packets = []
+    while True:
+        pos = buf.find(b"\xaa\xaa", pos)
+        if pos < 0 or n - pos < 3:
+            return packets, corrupt
+        length = buf[pos + 2]
+        if length == 0xAA:
+            pos += 1
+        elif length > MAX_PAYLOAD:
+            corrupt += 1
+            pos += 1
+        else:
+            end = pos + length + 4
+            if end > n:
+                return packets, corrupt
+            payload = buf[pos + 3:end - 1]
+            if buf[end - 1] == checksum(payload):
+                packets.append((payload, reference_raw_value(payload)))
+                pos = end
+            else:
+                corrupt += 1
+                pos += 1
+
+
+def fed_in_random_reads(wire, seed, max_read=256):
+    """PacketParser.feed over reads of 1 to ``max_read`` bytes: (packets as
+    (payload, raw value) pairs, corrupt frame count)."""
+    rng = np.random.default_rng(seed)
+    parser = PacketParser()
+    packets = []
+    i = 0
+    while i < len(wire):
+        step = int(rng.integers(1, max_read + 1))
+        packets += [(p.payload, p.raw_value) for p in parser.feed(wire[i:i + step])]
+        i += step
+    return packets, parser.corrupt_frames
+
+
+def assert_matches_reference(wire, seed=0):
+    packets, corrupt = reference_scan(wire)
+    assert fed_in_random_reads(wire, seed) == (packets, corrupt)
+    assert fed_in_random_reads(wire, seed, max_read=9) == (packets, corrupt)
+    raw, bulk_corrupt = packets_to_samples(wire)
+    assert (raw.tolist(), bulk_corrupt) == (
+        [v for _, v in packets if v is not None], corrupt)
+
+
+class TestScannerReference:
+    """Both parsing routes against a scanner that has no canonical-frame step."""
+
+    def test_acceptance_six_corpus(self):
+        _, corrupted, wire = acceptance_six_corpus()
+        assert_matches_reference(wire)
+        assert reference_scan(wire)[1] == len(corrupted)
+
+    def test_seeded_mutation_fuzz(self):
+        for seed, wire in enumerate(mutated_streams()):
+            assert_matches_reference(wire, seed)
+
+    @pytest.mark.parametrize("lead", [0, 3, 8 * BULK_MIN_ROWS - 3])
+    @pytest.mark.parametrize("shift", [5, 6, 7])
+    def test_bad_checksum_header_overlapping_a_valid_frame(self, shift, lead):
+        # a raw header whose frame fails its checksum, with a valid frame
+        # starting ``shift`` bytes after it, inside its value and checksum
+        # bytes; it cannot start 1-4 bytes after, where the header's own
+        # length, code and value-length bytes would be its sync bytes
+        valid = encode_packet(-77)
+        bad = bytearray(protocol.RAW_HEADER + bytes(3))
+        bad[shift:] = valid[:8 - shift]
+        if shift == 7:
+            bad[5:7] = b"\x01\x02"
+        assert bad[7] != checksum(bad[3:7])
+        head = clean_stream(range(lead // 8)) + bytes(lead % 8)
+        wire = head + bytes(bad) + valid[8 - shift:] + clean_stream([5, -6])
+        assert_matches_reference(wire)
+        for cut in range(len(head), len(wire) + 1):
+            parser = PacketParser()
+            packets = parser.feed(wire[:cut]) + parser.feed(wire[cut:])
+            assert [p.raw_value for p in packets][lead // 8:] == [-77, 5, -6]
+            assert parser.corrupt_frames == 1
 
 
 def parse_time(wire):

@@ -163,6 +163,20 @@ class TestDetectorState:
         with pytest.raises(SequencingError):
             process_sample(state, EegSample(t=0.05, raw=2))
 
+    def test_nan_cannot_hide_a_step_back_in_time(self):
+        # t = 1.0, nan, 0.5 was accepted: nan became the previous t, and
+        # 0.5 < nan is False. EegSample now rejects nan, but a record is not
+        # frozen, so a nan set after its checks must be stopped here
+        state = DetectorState(profile(), fs_hz=FS)
+        process_sample(state, EegSample(t=1.0, raw=0))
+        sample = EegSample(t=2.0, raw=1)
+        sample.t = math.nan
+        with pytest.raises(SequencingError):
+            process_sample(state, sample)
+        with pytest.raises(SequencingError):
+            process_sample(state, EegSample(t=0.5, raw=2))
+        assert state.samples_seen == 1 and state._prev_t == 1.0
+
 
 def tone(freq, seconds, amp=400.0, fs=FS):
     t = np.arange(int(round(seconds * fs))) / fs
@@ -411,6 +425,19 @@ class TestFeedBlock:
             feed_block(state, [0, 1], -0.5)
         assert str(block.value) == str(per_sample.value)
         assert state.samples_seen == 0
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time(self, t0):
+        with pytest.raises(ValidationError) as per_sample:
+            fed_one_by_one(DetectorState(profile()), [0, 1], t0=t0)
+        state = DetectorState(profile())
+        feed_block(state, [0, 1], 0.0)
+        before = state_of(state)
+        with pytest.raises(ValidationError) as block:
+            feed_block(state, [2, 3], t0)
+        assert str(block.value) == str(per_sample.value) == \
+            f"sample timestamp must be finite and >= 0, got {t0}"
+        assert state_of(state) == before
 
     def test_start_time_before_previous_sample(self):
         per_sample = DetectorState(profile())
