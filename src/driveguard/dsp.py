@@ -1,10 +1,11 @@
 """Spectral and wavelet feature extraction from trial windows.
 
-Band powers come from a single whole-trial periodogram: remove the mean,
-take the one-sided squared FFT magnitude scaled to power density, and
-average the density over each canonical band. The wavelet route maps
-dyadic detail levels onto the same five bands and summarises each with
-the mean absolute coefficient and the mean squared coefficient.
+``periodogram`` is the one spectral kernel: the one-sided squared FFT
+magnitude, scaled to power density, of each window in a stack. Band powers
+average a mean-removed window's density over each canonical band; the
+spectrogram is one call over its Hann-tapered frames. The wavelet route
+maps dyadic detail levels onto the same five bands and summarises each
+with the mean absolute coefficient and the mean squared coefficient.
 """
 
 from __future__ import annotations
@@ -67,42 +68,52 @@ def band_bins(n: int, fs_hz) -> tuple:
 
 
 def fold_one_sided(power, n):
-    """Double, in place, the bins of an n-point rfft power array that have a
-    negative-frequency mirror: all but DC and, for even n, Nyquist."""
-    power[1:(n + 1) // 2] *= 2.0
+    """Double, in place, the bins of n-point rfft power rows (last axis)
+    that have a negative-frequency mirror: all but DC and, for even n,
+    Nyquist."""
+    power[..., 1:(n + 1) // 2] *= 2.0
     return power
 
 
-def periodogram(x, fs_hz):
-    """One-sided power spectral density of a mean-removed signal.
-
-    Returns (freqs, psd) with psd in input-units^2/Hz, folded by
-    ``fold_one_sided``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    x = x - x.mean()
-    spec = np.fft.rfft(x)
-    psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / (fs_hz * n), n)
+def periodogram(frames, fs_hz, taper=None):
+    """(freqs, psd): the one-sided PSD, in input-units^2/Hz, of each row of
+    ``frames`` (a 1-D signal is one row), mean-removed and scaled by fs * n;
+    with ``taper``, multiplied by it and scaled by fs * sum(taper^2) instead."""
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[-1]
+    if taper is None:
+        # np.mean's sum and division, without its Python overhead
+        spec = np.fft.rfft(frames - np.add.reduce(frames, axis=-1, keepdims=True) / n)
+        scale = fs_hz * n
+    else:
+        spec = np.fft.rfft(frames * taper)
+        scale = fs_hz * np.sum(taper ** 2)
+    psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / scale, n)
     return np.fft.rfftfreq(n, 1.0 / fs_hz), psd
 
 
-def band_powers_from_samples(raw_samples, fs_hz) -> BandPowers:
-    """Mean in-band PSD per EEG band for one window of raw ADC samples."""
-    raw_samples = np.asarray(raw_samples)
-    n = raw_samples.size
+def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
+    """Mean in-band PSD per EEG band, in ``BANDS`` order, of each row
+    (window) of raw ADC samples: shape ``(..., 5)`` for ``(..., n)``."""
+    raw_windows = np.asarray(raw_windows)
+    n = raw_windows.shape[-1]
     if n < 2 * fs_hz:
         raise ResolutionError(
             f"window of {n} samples at {fs_hz} Hz is shorter than 2 s; "
             "band edges need at most 0.5 Hz bin spacing"
         )
-    _, psd = periodogram(raw_to_microvolts(raw_samples), fs_hz)
-    values = []
-    for band, bins in zip(BANDS, band_bins(n, fs_hz)):
+    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz)
+    out = np.empty(psd.shape[:-1] + (len(BANDS),))
+    for i, (band, bins) in enumerate(zip(BANDS, band_bins(n, fs_hz))):
         if bins.start == bins.stop:
             raise ResolutionError(f"no FFT bins fall inside band {band.name}")
-        values.append(float(psd[bins].mean()))
-    return BandPowers(*values)
+        out[..., i] = np.add.reduce(psd[..., bins], axis=-1) / (bins.stop - bins.start)
+    return out
+
+
+def band_powers_from_samples(raw_samples, fs_hz) -> BandPowers:
+    """Mean in-band PSD per EEG band for one window of raw ADC samples."""
+    return BandPowers(*band_power_rows(raw_samples, fs_hz).tolist())
 
 
 def band_powers_fft(trial: TrialWindow) -> BandPowers:
@@ -149,17 +160,11 @@ def stft_spectrogram(samples, fs_hz, window_s: float = 1.0, overlap: float = 0.5
     if x.size < w:
         raise ResolutionError(f"signal of {x.size} samples shorter than one {w}-sample window")
     hop = max(1, int(round(w * (1.0 - overlap))))
-    window = np.hanning(w)
-    norm = fs_hz * np.sum(window ** 2)
-    starts = np.arange(0, x.size - w + 1, hop)
-    freqs = np.fft.rfftfreq(w, 1.0 / fs_hz)
-    grid = np.empty((freqs.size, starts.size))
-    for j, s in enumerate(starts):
-        spec = np.fft.rfft(x[s:s + w] * window)
-        psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / norm, w)
-        grid[:, j] = 10.0 * np.log10(np.maximum(psd, _PSD_FLOOR))
-    times = (starts + w / 2.0) / fs_hz
-    return Spectrogram(times_s=times, freqs_hz=freqs, power_db=grid)
+    frames = np.lib.stride_tricks.sliding_window_view(x, w)[::hop]
+    freqs, psd = periodogram(frames, fs_hz, taper=np.hanning(w))
+    times = (np.arange(0, x.size - w + 1, hop) + w / 2.0) / fs_hz
+    return Spectrogram(times_s=times, freqs_hz=freqs,
+                       power_db=10.0 * np.log10(np.maximum(psd, _PSD_FLOOR)).T)
 
 
 def spectrogram_csv(spec: Spectrogram) -> str:

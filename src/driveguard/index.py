@@ -8,7 +8,10 @@ less than they shift absolute powers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .model import DISTRACTION_TASKS, BandPowers, TaskLabel
@@ -34,7 +37,15 @@ def distraction_index(bp: BandPowers) -> float:
         v = getattr(bp, band)
         if not v > 0.0:
             raise UndefinedIndexError(band, v)
-    return bp.theta / bp.alpha + bp.alpha / bp.beta + bp.beta / bp.gamma
+    return float(di_rows([bp.as_tuple()])[0])
+
+
+def di_rows(powers) -> np.ndarray:
+    """The DI of each row of an ``(m, 5)`` band-power array, NaN where
+    ``distraction_index`` raises; a NaN denominator keeps division quiet."""
+    powers = np.asarray(powers)
+    alpha, beta, gamma = np.where(powers[:, 2:] > 0.0, powers[:, 2:], np.nan).T
+    return powers[:, 1] / alpha + alpha / beta + beta / gamma
 
 
 @dataclass(frozen=True)
@@ -83,21 +94,11 @@ def rank_tasks(labeled_band_powers) -> TaskRanking:
         )
 
     means = {t: sums[t] / counts[t] for t in DISTRACTION_TASKS}
-    # descending by mean; equal means keep enum order (enum position is
-    # the stable secondary key)
-    enum_pos = {t: i for i, t in enumerate(TaskLabel)}
-    ordered = sorted(means, key=lambda t: (-means[t], enum_pos[t]))
+    # descending by mean; the sort is stable, so equal means keep enum order
+    ordered = sorted(means, key=lambda t: -means[t])
     entries = tuple((t, means[t]) for t in ordered)
-
-    tied_groups = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and means[ordered[j + 1]] == means[ordered[i]]:
-            j += 1
-        if j > i:
-            tied_groups.append(tuple(ordered[i:j + 1]))
-        i = j + 1
+    groups = (tuple(g) for _, g in itertools.groupby(ordered, key=means.get))
+    tied_groups = [group for group in groups if len(group) > 1]
 
     base_mean = sums[TaskLabel.BASE] / counts[TaskLabel.BASE] if counts[TaskLabel.BASE] else None
     return TaskRanking(entries=entries, tied_groups=tuple(tied_groups), base_mean=base_mean)

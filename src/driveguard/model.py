@@ -97,8 +97,12 @@ class EegSample:
         # the checks' functions are called only to raise
         if not 0 <= self.t < math.inf:
             check_timestamp(self.t)
-        if not ADC_MIN <= self.raw <= ADC_MAX:
-            check_adc_range(self.raw, self.raw)
+        try:
+            if not ADC_MIN <= self.raw <= ADC_MAX:
+                check_adc_range(self.raw, self.raw)
+        except TypeError:  # a value that does not compare with numbers
+            raise ValidationError(
+                f"raw sample must be a number, got {self.raw!r}") from None
 
 
 def check_timestamp(t):
@@ -312,17 +316,8 @@ class BandPowers:
     def __post_init__(self):
         for name in ("delta", "theta", "alpha", "beta", "gamma"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not math.isfinite(v) or v < 0:
                 raise ValidationError(f"band power {name}={v} must be finite and >= 0")
-
-    def as_dict(self):
-        return {
-            "delta": self.delta,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
 
     def as_tuple(self):
         return (self.delta, self.theta, self.alpha, self.beta, self.gamma)

@@ -1,15 +1,16 @@
 """Real-time distraction detector over a single-electrode raw stream.
 
 A sliding window of the most recent samples is re-scored once per hop
-(1 Hz by default): band powers, the distraction index, and a threshold
-check against a per-subject calibration profile. Crossings raise
-structured alert events, rate-limited by a refractory period.
+(1 Hz by default) into a row of band powers and distraction index, and
+``judge_hop`` checks the row against a per-subject calibration profile.
+Crossings raise structured alert events, rate-limited by a refractory period.
 
 The detector keeps only the current window and its latest hop, so
 arbitrarily long streams run in constant space. ``replay_session`` cuts
 the same windows directly from a stored session array and must produce
 identical alerts and hop trace; tests rely on the two routes cutting
-windows independently. Both score a window with ``_hop_record``.
+windows independently. Both score windows with ``score_windows`` and judge
+rows with ``judge_hop``, which calibration and ``evaluate_profile`` share.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dsp import band_powers_from_samples
+# perfbench/tracing.py rebinds stream.band_powers_from_samples and
+# stream.distraction_index, so keep both imported
+from .dsp import band_power_rows, band_powers_from_samples  # noqa: F401
 from .errors import ParameterError, ValidationError
-from .index import UndefinedIndexError, distraction_index
+from .index import di_rows, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
                     SubjectSession, check_adc_range, check_timestamp)
 
@@ -106,14 +109,6 @@ class CalibrationProfile:
                 f"whole sample counts at {fs_hz} Hz")
         return int(round(win_n)), int(round(hop_n))
 
-    @property
-    def criteria(self) -> tuple:
-        """Names of the configured criteria, band order then 'di'."""
-        names = [b for b in BAND_NAMES if b in self.band_thresholds]
-        if self.di_threshold is not None:
-            names.append(DI_KEY)
-        return tuple(names)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -190,54 +185,43 @@ class HopRecord:
 TRACE_HEADER = "t_s,delta,theta,alpha,beta,gamma,di"
 
 
-def _hop_record(t: float, window, fs_hz: int) -> HopRecord:
-    """The one step from a window of raw samples ending at ``t`` to its band
-    powers and DI, shared by the streaming and the stored-array routes."""
-    powers = band_powers_from_samples(window, fs_hz)
-    try:
-        di = distraction_index(powers)
-    except UndefinedIndexError:
-        di = None
-    return HopRecord(t=t, powers=powers, di=di)
+def score_windows(windows, fs_hz: int) -> np.ndarray:
+    """The hop row of each window of an ``(m, n)`` stack of raw samples:
+    its five band powers, then its DI, NaN where the DI is undefined."""
+    powers = band_power_rows(windows, fs_hz)
+    return np.column_stack((powers, di_rows(powers)))
 
 
-CRITERION_ORDER = (*BAND_NAMES, DI_KEY)
+def _row_di(row):
+    return None if math.isnan(row[5]) else row[5]
 
 
-def _evaluate_window(hop: HopRecord, profile: CalibrationProfile):
-    """Returns (crossed criteria names, observed values for all criteria)."""
-    pd = hop.powers.as_dict()
-    crossed = []
-    observed = {}
-    for band, thr in profile.band_thresholds.items():
-        observed[band] = pd[band]
-        if pd[band] > thr:
-            crossed.append(band)
+def judge_hop(row, profile: CalibrationProfile):
+    """``(trigger, observed, alert)`` for one hop row of six floats: the
+    criteria that crossed, bands in band order then 'di'; each criterion's
+    value, in the profile's order (DI None where undefined); and whether
+    the profile's combination alerts."""
+    thresholds = profile.band_thresholds
+    trigger = [band for band, value in zip(BAND_NAMES, row)
+               if band in thresholds and value > thresholds[band]]
+    observed = {band: row[BAND_NAMES.index(band)] for band in thresholds}
     if profile.di_threshold is not None:
-        observed[DI_KEY] = hop.di
-        if hop.di is not None and hop.di > profile.di_threshold:
-            crossed.append(DI_KEY)
-    crossed.sort(key=CRITERION_ORDER.index)
-    return tuple(crossed), observed
+        observed[DI_KEY] = _row_di(row)
+        if row[5] > profile.di_threshold:  # False for NaN
+            trigger.append(DI_KEY)
+    alert = 0 < len(trigger) == len(observed) if profile.combine == "and" else bool(trigger)
+    return tuple(trigger), observed, alert
 
 
-def _should_alert(crossed, profile: CalibrationProfile) -> bool:
-    if profile.combine == "or":
-        return len(crossed) > 0
-    return 0 < len(crossed) == len(profile.criteria)
-
-
-def _hop_alert(hop: HopRecord, last_alert_t: float | None,
+def _hop_alert(t: float, row, last_alert_t: float | None,
                profile: CalibrationProfile):
-    """The alert raised by ``hop``, or None when no criterion combination
-    crossed or the refractory period since ``last_alert_t`` has not yet
-    elapsed."""
-    crossed, observed = _evaluate_window(hop, profile)
-    if not _should_alert(crossed, profile):
+    """The alert that hop row ``row`` at ``t`` raises, or None: no alert, or
+    within the refractory period since ``last_alert_t``."""
+    trigger, observed, alert = judge_hop(row, profile)
+    if not alert or (last_alert_t is not None
+                     and t - last_alert_t < profile.refractory_s - 1e-9):
         return None
-    if last_alert_t is not None and hop.t - last_alert_t < profile.refractory_s - 1e-9:
-        return None
-    return AlertEvent(t=hop.t, trigger=crossed, observed=observed, severity=hop.di)
+    return AlertEvent(t=t, trigger=trigger, observed=observed, severity=_row_di(row))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +271,9 @@ def _hop(state: DetectorState, t: float):
     routes reach: replaces ``state.last_hop``, restarts the countdown and
     returns the alert, if any."""
     state._to_hop = state.hop_n
-    hop = state.last_hop = _hop_record(t, state.window_samples(), state.fs_hz)
-    alert = _hop_alert(hop, state.last_alert_t, state.profile)
+    row = score_windows(state.window_samples()[None], state.fs_hz)[0].tolist()
+    state.last_hop = HopRecord(t, BandPowers(*row[:5]), _row_di(row))
+    alert = _hop_alert(t, row, state.last_alert_t, state.profile)
     if alert is not None:
         state.last_alert_t = t
     return alert
@@ -387,14 +372,18 @@ def stream_channel(session: SubjectSession) -> np.ndarray:
     return session.raw[0]
 
 
-def _hop_trace(session: SubjectSession, profile: CalibrationProfile):
-    """A HopRecord for every window of a stored session, cut directly from
+def _stored_rows(session: SubjectSession, profile: CalibrationProfile):
+    """The ``(hops, 6)`` rows of a stored session's windows, cut directly from
     the session array rather than by delegating to the streaming path."""
     data = stream_channel(session)
-    fs = session.fs_hz
-    win_n, hop_n = profile.sample_counts(fs)
-    return [_hop_record((end - 1) / fs, data[end - win_n:end], fs)
-            for end in range(win_n, data.size + 1, hop_n)]
+    win_n, hop_n = profile.sample_counts(session.fs_hz)
+    if data.size < win_n:
+        return np.empty((0, 6))
+    windows = np.lib.stride_tricks.sliding_window_view(data, win_n)[::hop_n]
+    # 32 windows per call bound each temporary array to about 0.5 MB at the
+    # default 4 s window, whatever the recording's length
+    return np.concatenate([score_windows(windows[i:i + 32], session.fs_hz)
+                           for i in range(0, len(windows), 32)])
 
 
 def replay_session(session: SubjectSession, profile: CalibrationProfile):
@@ -404,10 +393,14 @@ def replay_session(session: SubjectSession, profile: CalibrationProfile):
     the samples through ``process_sample`` yields, plus a HopRecord for
     every evaluated window.
     """
-    trace = _hop_trace(session, profile)
+    rows = _stored_rows(session, profile)
+    win_n, hop_n = profile.sample_counts(session.fs_hz)
     alerts = []
-    for rec in trace:
-        alert = _hop_alert(rec, alerts[-1].t if alerts else None, profile)
+    trace = []
+    for end, row in zip(range(win_n, session.n_samples + 1, hop_n), rows.tolist()):
+        t = (end - 1) / session.fs_hz
+        trace.append(HopRecord(t, BandPowers(*row[:5]), _row_di(row)))
+        alert = _hop_alert(t, row, alerts[-1].t if alerts else None, profile)
         if alert is not None:
             alerts.append(alert)
     return alerts, trace
@@ -446,28 +439,32 @@ class CalibrationResult:
 
 
 def _hop_feature_rows(sessions, profile: CalibrationProfile):
-    """Per-hop (delta..gamma, di) rows plus distraction labels, on the
-    profile's window and hop."""
-    rows = []
-    labels = []
+    """The stored hop rows of every session on the profile's window and
+    hop, plus each row's distraction label; CalibrationError without a row."""
+    rows = [np.empty((0, 6))]
+    labels = [np.empty(0, dtype=bool)]
     for session in sessions:
-        for rec in _hop_trace(session, profile):
-            di = math.nan if rec.di is None else rec.di
-            rows.append((*rec.powers.as_tuple(), di))
-            labels.append(session.task.is_distraction)
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=bool)
+        rows.append(_stored_rows(session, profile))
+        labels.append(np.full(len(rows[-1]), session.task.is_distraction))
+    if not sum(map(len, rows)):
+        raise CalibrationError("sessions yielded no analysis windows")
+    return np.concatenate(rows), np.concatenate(labels)
 
 
-def _f1_score(pred, truth):
-    """F1 of boolean predictions over the last axis; 0 without a true positive."""
-    tp = np.sum(pred & truth, axis=-1)
-    fp = np.sum(pred & ~truth, axis=-1)
-    fn = np.sum(~pred & truth, axis=-1)
+def _f1(tp, fp, fn):
+    """F1 from integer true-positive, false-positive and false-negative
+    counts; 0 without a true positive."""
     with np.errstate(invalid="ignore"):  # 0/0 only where tp == 0
         precision = tp / (tp + fp)
         recall = tp / (tp + fn)
         f1 = 2.0 * precision * recall / (precision + recall)
     return np.where(tp > 0, f1, 0.0)
+
+
+def _count_above(values, thresholds):
+    """How many of ``values`` exceed each threshold; NaN never does."""
+    values = np.sort(values[~np.isnan(values)])
+    return values.size - np.searchsorted(values, thresholds, side="right")
 
 
 def _candidate_thresholds(values, max_candidates):
@@ -484,17 +481,22 @@ def _candidate_thresholds(values, max_candidates):
 
 def _search_thresholds(rows, truth, use_di, max_candidates):
     """``({column: threshold} in pick order, F1)`` of the greedy search
-    that ``calibrate_thresholds`` describes, over hop rows."""
+    that ``calibrate_thresholds`` describes, over hop rows, in linear memory."""
     cands = [(dim, _candidate_thresholds(rows[:, dim], max_candidates))
              for dim in range(6 if use_di else 5)]
     chosen = {}
     best_pred = np.zeros(truth.size, dtype=bool)
     best_f1 = 0.0  # predicting nothing
     while True:
+        tp0 = np.count_nonzero(best_pred & truth)
+        fp0 = np.count_nonzero(best_pred & ~truth)
+        fn0 = np.count_nonzero(~best_pred & truth)
         steps = []  # (F1, threshold, -column): max() breaks ties as documented
         for dim, thrs in cands:
             if dim not in chosen and thrs.size:
-                f1s = _f1_score(best_pred | (rows[:, dim] > thrs[:, None]), truth)
+                gained = _count_above(rows[~best_pred & truth, dim], thrs)
+                fp = fp0 + _count_above(rows[~best_pred & ~truth, dim], thrs)
+                f1s = _f1(tp0 + gained, fp, fn0 - gained)
                 i = np.flatnonzero(f1s == f1s.max())[-1]  # the highest threshold
                 steps.append((float(f1s[i]), float(thrs[i]), -dim))
         if not steps or max(steps)[0] <= best_f1 + 1e-12:
@@ -547,8 +549,6 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
                                  refractory_s=refractory_s,
                                  window_s=window_s, hop_s=hop_s)
     rows, truth = _hop_feature_rows(sessions, profile)
-    if rows.size == 0:
-        raise CalibrationError("sessions yielded no analysis windows")
     chosen, best_f1 = _search_thresholds(rows, truth, use_di, max_candidates)
     di_threshold = chosen.pop(5, None)
     profile = replace(profile, di_threshold=di_threshold, band_thresholds={
@@ -567,13 +567,6 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     Refractory suppression is ignored here: each hop window counts
     independently as alert-vs-quiet against its session's label.
     """
-    preds = []
-    truths = []
-    for session in sessions:
-        for rec in _hop_trace(session, profile):
-            crossed, _ = _evaluate_window(rec, profile)
-            preds.append(_should_alert(crossed, profile))
-            truths.append(session.task.is_distraction)
-    if not preds:
-        raise CalibrationError("sessions yielded no analysis windows")
-    return float(_f1_score(np.array(preds, dtype=bool), np.array(truths, dtype=bool)))
+    rows, truth = _hop_feature_rows(sessions, profile)
+    pred = np.array([judge_hop(row, profile)[2] for row in rows.tolist()], dtype=bool)
+    return float(_f1(np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & truth)))

@@ -502,7 +502,7 @@ class TestCalibrateAndStream:
         def no_replay(*args, **kwargs):
             raise AssertionError("stream --trace ran a replay pass")
         monkeypatch.setattr(driveguard.cli, "replay_session", no_replay)
-        monkeypatch.setattr(driveguard.stream, "_hop_trace", no_replay)
+        monkeypatch.setattr(driveguard.stream, "_stored_rows", no_replay)
         csv = write_fixture(tmp_path, "one", seed=5)
         profile_path = tmp_path / "p.json"
         profile_path.write_text(CalibrationProfile(

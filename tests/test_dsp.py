@@ -11,6 +11,7 @@ from driveguard.dsp import (
     ResolutionError,
     SPECTROGRAM_DB_FLOOR,
     band_bins,
+    band_power_rows,
     band_powers_fft,
     band_powers_from_samples,
     build_feature_vector,
@@ -22,7 +23,7 @@ from driveguard.dsp import (
     wavelet_band_features,
 )
 from driveguard.model import BAND_NAMES, Device, SubjectSession, TaskLabel, TrialWindow
-from driveguard.protocol import UV_PER_COUNT
+from driveguard.protocol import UV_PER_COUNT, raw_to_microvolts
 
 FS = 512
 N = 2048
@@ -146,7 +147,69 @@ class TestBandPowers:
         assert dominant(bp) == "alpha"
 
 
+def per_window_band_powers(raw, fs):
+    """One window's band powers through a 1-D periodogram: the oracle for
+    the stacked ``band_power_rows``."""
+    x = raw_to_microvolts(raw)
+    x = x - x.mean()
+    spec = np.fft.rfft(x)
+    psd = (spec.real ** 2 + spec.imag ** 2) / (fs * x.size)
+    psd[1:(x.size + 1) // 2] *= 2.0
+    return [float(psd[bins].mean()) for bins in band_bins(x.size, fs)]
+
+
+class TestBandPowerRows:
+    """A stack of windows scores as each window alone."""
+
+    @pytest.mark.parametrize("n, fs", [(2048, 512), (1025, 512), (3001, 512),
+                                       (256, 128)])
+    def test_equal_to_per_window_oracle(self, n, fs):
+        rng = np.random.default_rng(n)
+        raw = rng.integers(-2048, 2048, size=(9, n)).astype(np.int32)
+        raw[3] = 0  # silence: every band power is 0
+        raw[5] = 77  # a flat signal too
+        rows = band_power_rows(raw, fs)
+        assert rows.shape == (9, 5)
+        assert np.array_equal(rows, [per_window_band_powers(r, fs) for r in raw])
+        assert not rows[3].any() and not rows[5].any()
+        assert band_powers_from_samples(raw[0], fs).as_tuple() == tuple(rows[0])
+
+
+def per_frame_stft(samples, fs_hz, window_s=1.0, overlap=0.5):
+    """The frame-by-frame STFT loop: the oracle for ``stft_spectrogram``'s
+    stacked frames. Returns (times, freqs, power_db)."""
+    x = raw_to_microvolts(samples)
+    w = int(round(window_s * fs_hz))
+    hop = max(1, int(round(w * (1.0 - overlap))))
+    window = np.hanning(w)
+    norm = fs_hz * np.sum(window ** 2)
+    starts = np.arange(0, x.size - w + 1, hop)
+    freqs = np.fft.rfftfreq(w, 1.0 / fs_hz)
+    grid = np.empty((freqs.size, starts.size))
+    for j, s in enumerate(starts):
+        spec = np.fft.rfft(x[s:s + w] * window)
+        psd = (spec.real ** 2 + spec.imag ** 2) / norm
+        psd[1:(w + 1) // 2] *= 2.0
+        grid[:, j] = 10.0 * np.log10(np.maximum(psd, 10.0 ** (SPECTROGRAM_DB_FLOOR / 10.0)))
+    return (starts + w / 2.0) / fs_hz, freqs, grid
+
+
 class TestSpectrogram:
+    @pytest.mark.parametrize("fs, n, window_s, overlap", [
+        (512, 5000, 1.0, 0.5), (512, 4097, 359 / 512, 0.3), (128, 1300, 1.0, 0.5),
+        (128, 999, 97 / 128, 0.0), (512, 2048, 4.0, 0.9)])  # odd frames too
+    def test_equal_to_per_frame_loop(self, fs, n, window_s, overlap):
+        rng = np.random.default_rng(n)
+        x = rng.integers(-2048, 2048, size=n).astype(np.int32)
+        x[: n // 4] = 0  # silent frames hit the floor
+        spec = stft_spectrogram(x, fs, window_s, overlap)
+        times, freqs, grid = per_frame_stft(x, fs, window_s, overlap)
+        assert np.array_equal(spec.times_s, times)
+        assert np.array_equal(spec.freqs_hz, freqs)
+        assert np.array_equal(spec.power_db, grid)
+        assert spectrogram_csv(spec) == spectrogram_csv(
+            type(spec)(times_s=times, freqs_hz=freqs, power_db=grid))
+
     def test_frame_layout(self):
         spec = stft_spectrogram(np.zeros(N, dtype=np.int32), FS)
         assert spec.freqs_hz.size == 257

@@ -1,6 +1,7 @@
 """Domain model: labels, devices, sessions, trial splitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,13 @@ class TestEegSample:
     def test_out_of_range_raw_rejected(self, raw):
         with pytest.raises(ValidationError,
                            match=f"raw sample {raw} outside ADC range"):
+            EegSample(t=0.0, raw=raw)
+
+    @pytest.mark.parametrize("raw", [None, "12", b"\x01"])
+    def test_non_number_raw_rejected(self, raw):
+        # PacketParser.feed can emit a packet whose raw_value is None
+        with pytest.raises(ValidationError,
+                           match=f"raw sample must be a number, got {re.escape(repr(raw))}"):
             EegSample(t=0.0, raw=raw)
 
     def test_record_contract(self):
@@ -223,7 +231,7 @@ class TestBandPowers:
     def test_accessors(self):
         bp = BandPowers(1.0, 2.0, 3.0, 4.0, 5.0)
         assert bp.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0)
-        assert bp.as_dict()["beta"] == 4.0
+        assert bp.beta == 4.0
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_rejects_invalid_values(self, bad):

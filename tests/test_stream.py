@@ -3,13 +3,14 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from driveguard.dsp import band_powers_from_samples
 from driveguard.errors import ParameterError, ValidationError
-from driveguard.index import distraction_index
+from driveguard.index import UndefinedIndexError, distraction_index
 from driveguard.model import Device, EegSample, SubjectSession, TaskLabel
 from driveguard.stream import (
     AlertEvent,
@@ -23,9 +24,11 @@ from driveguard.stream import (
     TRACE_HEADER,
     _candidate_thresholds,
     _search_thresholds,
+    _stored_rows,
     calibrate_thresholds,
     evaluate_profile,
     feed_block,
+    judge_hop,
     process_sample,
     replay_session,
     stream_samples,
@@ -84,10 +87,14 @@ class TestProfile:
         assert p.band_thresholds["beta"] == math.inf
 
     def test_criteria_order(self):
+        # a row crossing everything: triggers in band order then di,
+        # observed values in the profile's order then di
         p = profile(band_thresholds={"gamma": 1.0, "theta": 2.0},
                     di_threshold=3.0)
-        assert p.criteria == ("theta", "gamma", "di")
-        assert profile(band_thresholds={}).criteria == ()
+        trigger, observed, _ = judge_hop([9.0] * 6, p)
+        assert trigger == ("theta", "gamma", "di")
+        assert list(observed) == ["gamma", "theta", "di"]
+        assert judge_hop([9.0] * 6, profile(band_thresholds={}))[:2] == ((), {})
 
     def test_json_round_trip(self):
         p = profile(band_thresholds={"alpha": 2.5, "beta": 1.25},
@@ -538,6 +545,86 @@ class TestReplay:
             assert streamed_trace == replayed_trace
 
 
+def per_window_hop_trace(session, p):
+    """A HopRecord per window of a stored session, each window scored on
+    its own: the oracle for the stacked rows of ``_stored_rows``."""
+    data = session.raw[0]
+    win_n, hop_n = p.sample_counts(session.fs_hz)
+    trace = []
+    for end in range(win_n, data.size + 1, hop_n):
+        powers = band_powers_from_samples(data[end - win_n:end], session.fs_hz)
+        try:
+            di = distraction_index(powers)
+        except UndefinedIndexError:
+            di = None
+        trace.append(HopRecord(t=(end - 1) / session.fs_hz, powers=powers, di=di))
+    return trace
+
+
+def trace_rows(trace):
+    """The hop rows a trace holds: five band powers, then DI or NaN."""
+    return [[*h.powers.as_tuple(), math.nan if h.di is None else h.di] for h in trace]
+
+
+class TestStoredRows:
+    """The stacked rows of a stored recording equal scoring each window alone."""
+
+    @pytest.mark.parametrize("seed", [11, 37, 5])
+    def test_equal_to_per_window_route(self, seed):
+        session = synth_session(seed, task=TaskLabel.TEXT, bursts=STRONG_BETA,
+                                dur=100.0)
+        # 129 hops: more than one stacked call
+        p = profile(hop_s=0.75)
+        want = per_window_hop_trace(session, p)
+        rows = _stored_rows(session, p)
+        assert rows.shape == (len(want), 6)
+        assert np.array_equal(rows, trace_rows(want), equal_nan=True)
+        assert replay_session(session, p)[1] == want
+
+    def test_zero_windows_and_odd_length(self):
+        rng = np.random.default_rng(8)
+        data = rng.integers(-200, 200, size=16 * FS, dtype=np.int32)
+        data[:6 * FS] = 0  # the first windows are all zero
+        session = raw_session(data)
+        p = profile(window_s=1025 / FS, hop_s=0.5)  # an odd window length
+        want = per_window_hop_trace(session, p)
+        assert want[0].di is None and want[0].powers.as_tuple() == (0.0,) * 5
+        assert want[-1].di is not None
+        rows = _stored_rows(session, p)
+        assert math.isnan(rows[0, 5])
+        assert np.array_equal(rows, trace_rows(want), equal_nan=True)
+        assert replay_session(session, p)[1] == want
+        assert stream_session(session, p)[1] == want
+
+
+class TestJudgeHop:
+    ROW = [0.5, 2.0, 1.0, 3.0, 0.25, 7.5]  # delta..gamma, then DI
+
+    def test_values_and_crossings(self):
+        p = profile(band_thresholds={"gamma": 0.1, "delta": 9.0, "theta": 1.0},
+                    di_threshold=5.0)
+        trigger, observed, alert = judge_hop(self.ROW, p)
+        assert trigger == ("theta", "gamma", "di")
+        assert list(observed.items()) == [
+            ("gamma", 0.25), ("delta", 0.5), ("theta", 2.0), ("di", 7.5)]
+        assert alert
+
+    def test_undefined_di_never_crosses(self):
+        row = [*self.ROW[:5], math.nan]
+        trigger, observed, alert = judge_hop(row, profile(
+            band_thresholds={}, di_threshold=1.0))
+        assert (trigger, observed, alert) == ((), {"di": None}, False)
+
+    @pytest.mark.parametrize("thresholds, di, want", [
+        ({"theta": 1.0, "beta": 1.0}, 5.0, True),
+        ({"theta": 1.0, "beta": 9.0}, 5.0, False),
+        ({}, None, False),
+    ])
+    def test_and_needs_every_criterion(self, thresholds, di, want):
+        p = profile(band_thresholds=thresholds, di_threshold=di, combine="and")
+        assert judge_hop(self.ROW, p)[2] is want
+
+
 class TestAlertEvent:
     def test_round_trip_dict(self):
         a = AlertEvent(t=4.5, trigger=("beta", "di"),
@@ -637,6 +724,19 @@ class TestSearch:
         chosen, f1 = _search_thresholds(rows, truth, True, 32)
         assert chosen == {1: 1.0} and f1 == 1.0
 
+    def test_memory_linear_without_candidate_cap(self):
+        rng = np.random.default_rng(3000)
+        truth = rng.random(3000) < 0.5
+        rows = rng.lognormal(size=(3000, 6)) + 0.3 * truth[:, None]
+        tracemalloc.start()
+        try:
+            chosen, _ = _search_thresholds(rows, truth, True, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chosen
+        assert peak < 3_000_000
+
 
 class TestCalibration:
     def test_separable_subject_reaches_perfect_f1(self):
@@ -665,8 +765,7 @@ class TestCalibration:
         assert "best" in result.note
 
     def test_greedy_at_least_as_good_as_single_dim_sweep(self):
-        from driveguard.stream import (_candidate_thresholds, _f1_score,
-                                       _hop_feature_rows)
+        from driveguard.stream import _hop_feature_rows
         train = [synth_session(1, TaskLabel.BASE),
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
         rows, truth = _hop_feature_rows(train, profile(window_s=4.0, hop_s=1.0))
@@ -674,7 +773,7 @@ class TestCalibration:
         for dim in range(6):
             col = rows[:, dim]
             for thr in _candidate_thresholds(col, 200):
-                best_single = max(best_single, _f1_score(col > thr, truth))
+                best_single = max(best_single, scalar_f1(col > thr, truth))
         result = calibrate_thresholds(train, max_candidates=200)
         assert result.f1 >= best_single - 1e-12
 
