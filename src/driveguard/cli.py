@@ -353,7 +353,13 @@ def _cmd_calibrate(args):
 
 
 def _read_packets(path: str):
-    raw, corrupt = packets_to_samples(read_bytes(path, "packet stream", CliError))
+    data = read_bytes(path, "packet stream", CliError)
+    raw, corrupt = packets_to_samples(data)
+    # a session CSV without the .csv suffix, or any other text, decodes to
+    # nothing; an empty stream is just empty
+    if data and not raw.size:
+        raise CliError(f"packet stream {path} holds no raw sample in its "
+                       f"{len(data)} bytes (a session CSV must end in .csv)")
     log.info("decoded %d samples (%d corrupt frames)", raw.size, corrupt)
     return raw
 

@@ -14,6 +14,7 @@ the noise by rescanning from the byte after a failed sync.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -286,15 +287,20 @@ def read_bytes(path, what: str, error):
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_text(path, what: str, error):
-    """The text of input file ``path``, exactly as stored (no newline
-    translation). ``error`` is raised, naming ``what``, when the file
-    cannot be opened or is not UTF-8."""
-    data = read_bytes(path, what, error)
+def _decode_text(data: bytes, path, what: str, error):
+    """The UTF-8 text of the bytes ``data`` read from input file ``path``;
+    ``error``, naming ``what``, when they are not UTF-8."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def read_text(path, what: str, error):
+    """The text of input file ``path``, exactly as stored (no newline
+    translation). ``error`` is raised, naming ``what``, when the file
+    cannot be opened or is not UTF-8."""
+    return _decode_text(read_bytes(path, what, error), path, what, error)
 
 
 def read_json_record(path, what: str, build, error):
@@ -345,53 +351,40 @@ def read_manifest(path) -> dict:
 # cells are alive at once
 READ_BLOCK_CHARS = 1 << 16
 
+# the bytes of a plain sample line besides its line break: digits, point,
+# comma and minus
+_PLAIN_BYTES = b"0123456789.,-"
+# Python's int refuses a cell of more digits than
+# sys.get_int_max_str_digits(), at least 640, and loadtxt does not; a cell
+# that long which fits an int64 holds this run of leading zeros
+_LONG_ZERO_RUN = b"0" * 600
+
 
 def read_session(csv_path, manifest_path) -> SubjectSession:
     """Load and validate a session from its CSV and JSON manifest.
 
-    The samples are converted a block of lines at a time, with one numpy
-    conversion per column, which accepts and rejects exactly what Python's
-    ``float`` and ``int`` do. Only a block that fails is read line by line,
-    to name its first bad line.
+    The file's bytes are read once. A plain file, the expected header and
+    then non-blank lines made only of digits, points, commas and minus
+    signs, is parsed by ``np.loadtxt`` (``_loadtxt_samples``). Any other
+    file, and a plain one that ``loadtxt`` rejects, is decoded and read by
+    the block reader (``_read_blocks``), which gives every error message:
+    its lines are converted a block at a time, with one numpy conversion
+    per column, which accepts and rejects exactly what Python's ``float``
+    and ``int`` do. Both routes accept the same files and the same values.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
-    text = read_text(csv_path, "session csv", SessionFormatError)
-    if not text:
-        raise SessionFormatError(f"{csv_path} is empty")
-
-    expected = ",".join(_expected_header(len(channels)))
-    # the samples start after the header's line break (past the end if none)
-    pos = text.find("\n") + 1 or len(text) + 1
-    if text[:pos - 1] != expected:
-        raise SessionFormatError(
-            f"{csv_path} header {text[:pos - 1]!r} does not match expected "
-            f"{expected!r} for {len(channels)} channel(s)"
-        )
-    # the sample lines run from pos to end; a final line break ends the last
-    end = len(text) - text.endswith("\n")
-    if pos > end:
-        raise SessionFormatError(f"{csv_path} has a header but no samples")
-
-    n = text.count("\n", pos, end) + 1
-    t = np.empty(n)
-    raw = np.empty((len(channels), n), dtype=np.int64)
-    row = 0
-    while row < n:
-        stop = end
-        if end - pos > READ_BLOCK_CHARS:
-            stop = text.rfind("\n", pos, pos + READ_BLOCK_CHARS)
-            if stop < 0:  # a line longer than the budget is a block of its own
-                stop = text.find("\n", pos, end)
-            if stop < 0:
-                stop = end
-        block = text[pos:stop]
-        m = _convert_block(block, t, raw, row)
-        if not m:
-            m = _convert_lines(csv_path, block, t, raw, row)
-        row += m
-        pos = stop + 1
-    del text  # freed before the checks below allocate
+    header = ",".join(_expected_header(len(channels)))
+    data = read_bytes(csv_path, "session csv", SessionFormatError)
+    samples = _loadtxt_samples(data, header, len(channels))
+    if samples is None:
+        text = _decode_text(data, csv_path, "session csv", SessionFormatError)
+        del data
+        t, raw = _read_blocks(csv_path, text, header, len(channels))
+        del text  # freed before the checks below allocate
+    else:
+        del data  # freed before the checks below allocate
+        t, raw = samples["t"], samples["raw"].T
 
     if not t[0] >= 0:
         raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
@@ -419,7 +412,81 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         check_adc_range(first, first, SessionFormatError,
                         f"{csv_path} line {i + 2}: raw sample")
 
-    return SubjectSession(**manifest, raw=raw.astype(np.int32))
+    return SubjectSession(**manifest, raw=raw.astype(np.int32, order="C"))
+
+
+def _loadtxt_samples(data: bytes, header: str, n_channels: int):
+    """The samples of a plain session CSV, read by ``np.loadtxt``, as a
+    record array with fields ``t`` and ``raw`` (one column per channel);
+    None when ``data`` is not plain or ``loadtxt`` rejects or skips a line.
+
+    On plain lines ``loadtxt`` takes exactly the cells that Python's
+    ``float`` and ``int`` take, with the same values. Elsewhere the two
+    part: ``loadtxt`` skips blank lines, rejects ``1_0``, Arabic-Indic
+    digits and integers beyond int64, and takes ``1\\x1c``, which ``int``
+    rejects. So only plain files take this route.
+    """
+    head = header.encode() + b"\n"
+    start = len(head)
+    if not data.startswith(head) or data[start:start + 1] in (b"", b"\n"):
+        return None
+    # translate deletes the plain bytes in C, without copying a slice of
+    # data; a plain file leaves the header's letters, then line breaks only
+    rest = data.translate(None, _PLAIN_BYTES)
+    head_rest = head.translate(None, _PLAIN_BYTES)
+    breaks = len(rest) - len(head_rest)
+    if rest.count(b"\n", len(head_rest)) != breaks or _LONG_ZERO_RUN in data:
+        return None
+    # a final line break ends the last line
+    n = breaks + (not data.endswith(b"\n"))
+    dtype = np.dtype([("t", "f8"), ("raw", "i8", (n_channels,))])
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="") as lines:
+            samples = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                 skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    # fewer rows than lines: loadtxt skipped a blank line
+    return samples if samples.size == n else None
+
+
+def _read_blocks(csv_path, text: str, header: str, n_channels: int):
+    """``(t, raw)`` of a session CSV's ``text`` with ``header`` expected,
+    converted in blocks of whole lines; SessionFormatError names the first
+    bad line."""
+    if not text:
+        raise SessionFormatError(f"{csv_path} is empty")
+    # the samples start after the header's line break (past the end if none)
+    pos = text.find("\n") + 1 or len(text) + 1
+    if text[:pos - 1] != header:
+        raise SessionFormatError(
+            f"{csv_path} header {text[:pos - 1]!r} does not match expected "
+            f"{header!r} for {n_channels} channel(s)"
+        )
+    # the sample lines run from pos to end; a final line break ends the last
+    end = len(text) - text.endswith("\n")
+    if pos > end:
+        raise SessionFormatError(f"{csv_path} has a header but no samples")
+
+    n = text.count("\n", pos, end) + 1
+    t = np.empty(n)
+    raw = np.empty((n_channels, n), dtype=np.int64)
+    row = 0
+    while row < n:
+        stop = end
+        if end - pos > READ_BLOCK_CHARS:
+            stop = text.rfind("\n", pos, pos + READ_BLOCK_CHARS)
+            if stop < 0:  # a line longer than the budget is a block of its own
+                stop = text.find("\n", pos, end)
+            if stop < 0:
+                stop = end
+        block = text[pos:stop]
+        m = _convert_block(block, t, raw, row)
+        if not m:
+            m = _convert_lines(csv_path, block, t, raw, row)
+        row += m
+        pos = stop + 1
+    return t, raw
 
 
 def _convert_block(block, t, raw, row):

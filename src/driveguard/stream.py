@@ -185,11 +185,20 @@ class HopRecord:
 TRACE_HEADER = "t_s,delta,theta,alpha,beta,gamma,di"
 
 
+# windows scored per numpy call: each temporary array stays near 0.5 MB at
+# the default 4 s window, whatever the stack's length
+SCORE_STACK = 32
+
+
 def score_windows(windows, fs_hz: int) -> np.ndarray:
     """The hop row of each window of an ``(m, n)`` stack of raw samples:
     its five band powers, then its DI, NaN where the DI is undefined."""
-    powers = band_power_rows(windows, fs_hz)
-    return np.column_stack((powers, di_rows(powers)))
+    rows = np.empty((len(windows), 6))
+    for i in range(0, len(windows), SCORE_STACK):
+        powers = band_power_rows(windows[i:i + SCORE_STACK], fs_hz)
+        rows[i:i + SCORE_STACK, :5] = powers
+        rows[i:i + SCORE_STACK, 5] = di_rows(powers)
+    return rows
 
 
 def _row_di(row):
@@ -266,17 +275,23 @@ class DetectorState:
         return np.concatenate([self._buf[cut:], self._buf[:cut]])
 
 
-def _hop(state: DetectorState, t: float):
-    """Score the window ending at ``t``, the hop boundary both feeding
-    routes reach: replaces ``state.last_hop``, restarts the countdown and
-    returns the alert, if any."""
-    state._to_hop = state.hop_n
-    row = score_windows(state.window_samples()[None], state.fs_hz)[0].tolist()
+def _judge(state: DetectorState, t: float, row):
+    """Take hop row ``row`` of the window ending at ``t``, the hop boundary
+    both feeding routes reach: replaces ``state.last_hop`` and returns the
+    alert, if any."""
     state.last_hop = HopRecord(t, BandPowers(*row[:5]), _row_di(row))
     alert = _hop_alert(t, row, state.last_alert_t, state.profile)
     if alert is not None:
         state.last_alert_t = t
     return alert
+
+
+def _hop(state: DetectorState, t: float):
+    """Score and judge the ring's window, which ends at ``t``, and restart
+    the countdown."""
+    state._to_hop = state.hop_n
+    return _judge(state, t, score_windows(state.window_samples()[None],
+                                          state.fs_hz)[0].tolist())
 
 
 def process_sample(state: DetectorState, sample: EegSample):
@@ -303,13 +318,15 @@ def feed_block(state: DetectorState, raw, t0: float):
     """Advance the detector by an array of raw samples, sample j at t0 + j / fs.
 
     Leaves ``state`` as feeding the same samples one by one through
-    ``process_sample`` would, but copies whole slices into the ring and
-    runs Python only at hop boundaries. The per-sample checks are made
-    once for the block, before anything changes: ``t0`` must be finite,
-    >= 0 and not precede the previous sample, and the first raw value
-    outside the ADC range, in stream order, is the one reported. An empty
-    block changes nothing. Returns ``(alerts, hops)``, every HopRecord the
-    block completed.
+    ``process_sample`` would. The windows of every hop the block completes
+    are cut from the ring's samples in arrival order followed by the block,
+    scored as one strided stack by ``score_windows`` and judged in order;
+    only the block's last ``win_n`` samples are written into the ring. The
+    per-sample checks are made once for the block, before anything
+    changes: ``t0`` must be finite, >= 0 and not precede the previous
+    sample, and the first raw value outside the ADC range, in stream order,
+    is the one reported. An empty block changes nothing. Returns
+    ``(alerts, hops)``, every HopRecord the block completed.
     """
     raw = np.asarray(raw)
     n = raw.size
@@ -324,24 +341,34 @@ def feed_block(state: DetectorState, raw, t0: float):
     if bad.size:
         first = int(raw[bad[0]])
         check_adc_range(first, first)
-    buf, win_n, fs = state._buf, state.win_n, state.fs_hz
-    j = 0
-    while j < n:
-        take = min(state._to_hop, n - j)
-        # only the last win_n samples of a slice survive in the ring
-        tail = raw[j + max(0, take - win_n):j + take]
-        pos = (state._count + take - tail.size) % win_n
-        head = min(tail.size, win_n - pos)
-        buf[pos:pos + head] = tail[:head]
-        buf[:tail.size - head] = tail[head:]
-        state._count += take
-        state._to_hop -= take
-        j += take
-        if not state._to_hop:
-            alert = _hop(state, t0 + (j - 1) / fs)
+    buf, win_n, hop_n, fs = state._buf, state.win_n, state.hop_n, state.fs_hz
+    count = state._count
+    # the block offsets just past each hop the block completes
+    ends = range(state._to_hop, n + 1, hop_n)
+    if ends:
+        held = buf[:count] if count < win_n else state.window_samples()
+        # cast as the ring casts
+        samples = np.empty(held.size + ends[-1], dtype=buf.dtype)
+        samples[:held.size] = held
+        samples[held.size:] = raw[:ends[-1]]
+        first_start = held.size + ends[0] - win_n
+        windows = np.lib.stride_tricks.sliding_window_view(
+            samples[first_start:], win_n)[::hop_n]
+        for end, row in zip(ends, score_windows(windows, fs).tolist()):
+            alert = _judge(state, t0 + (end - 1) / fs, row)
             hops.append(state.last_hop)
             if alert is not None:
                 alerts.append(alert)
+        state._to_hop = ends[-1] + hop_n - n
+    else:
+        state._to_hop -= n
+    # only the block's last win_n samples survive in the ring
+    tail = raw[max(0, n - win_n):]
+    pos = (count + n - tail.size) % win_n
+    head = min(tail.size, win_n - pos)
+    buf[pos:pos + head] = tail[:head]
+    buf[:tail.size - head] = tail[head:]
+    state._count += n
     state._prev_t = t0 + (n - 1) / fs
     return alerts, hops
 
@@ -379,11 +406,8 @@ def _stored_rows(session: SubjectSession, profile: CalibrationProfile):
     win_n, hop_n = profile.sample_counts(session.fs_hz)
     if data.size < win_n:
         return np.empty((0, 6))
-    windows = np.lib.stride_tricks.sliding_window_view(data, win_n)[::hop_n]
-    # 32 windows per call bound each temporary array to about 0.5 MB at the
-    # default 4 s window, whatever the recording's length
-    return np.concatenate([score_windows(windows[i:i + 32], session.fs_hz)
-                           for i in range(0, len(windows), 32)])
+    return score_windows(np.lib.stride_tricks.sliding_window_view(data, win_n)[::hop_n],
+                         session.fs_hz)
 
 
 def replay_session(session: SubjectSession, profile: CalibrationProfile):

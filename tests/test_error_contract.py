@@ -261,6 +261,29 @@ def test_oversized_raw_cell_exits_2(valid, capsys, argv):
     assert "huge.csv line 2:" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("name", ["upper.CSV", "notes.txt", "noise.bin"])
+def test_stream_input_without_raw_samples_exits_2(valid, capsys, name):
+    # stream read a session CSV named other than *.csv as packets, found no
+    # sample and exited 0 with no output
+    d, texts = valid
+    path = d / name
+    path.write_bytes(texts["csv"].encode() if name != "noise.bin" else bytes(range(256)))
+    (d / "profile.json").write_text(texts["profile"])
+    rc = main(["stream", str(path), "--profile", str(d / "profile.json")])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), name)
+    assert json.loads(err)["error"] == "CliError"
+    assert f"packet stream {path} holds no raw sample" in json.loads(err)["message"]
+
+
+def test_stream_empty_packet_file_exits_0(valid, capsys):
+    d, texts = valid
+    (d / "empty.bin").write_bytes(b"")
+    (d / "profile.json").write_text(texts["profile"])
+    rc = main(["stream", str(d / "empty.bin"), "--profile", str(d / "profile.json")])
+    assert (rc, *capsys.readouterr()) == (0, "", "")
+
+
 # numeric settings that once ended in a traceback, exit 0 with a
 # meaningless result, or a diverging fit; "{d}" is the input directory
 NUMERIC_ESCAPES = [

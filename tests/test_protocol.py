@@ -835,8 +835,20 @@ def write_random_session(d, n, n_channels, fs, seed=2):
     return csv, man, session
 
 
+# cells too long to show in a test id
+LONG_ZEROS = "0" * 5000
+
+
+def decline_loadtxt(monkeypatch):
+    """Make read_session's np.loadtxt route decline every file, so the
+    block reader reads them all."""
+    monkeypatch.setattr(protocol, "_loadtxt_samples", lambda *args: None)
+
+
 class TestBlockReader:
-    """read_session against the per-line reader it replaced."""
+    """read_session against the per-line reader it replaced, as it runs:
+    plain files through np.loadtxt, every other one through the block
+    reader. ``TestBlockRoute`` repeats each check on the block reader alone."""
 
     @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
     @pytest.mark.parametrize("budget", [16, 300])
@@ -872,6 +884,20 @@ class TestBlockReader:
         # cells as it should, so only the count per line catches it
         "t_s,raw\n0.000000000,1\n0.001953125,5,7\n3\n",
         "t_s,raw,raw_ch2\n0.000000000,1,2\n0.001953125,5\n7,0.00390625,3,4\n",
+        # np.loadtxt takes a cell ending in \x1c-\x1f, which int rejects
+        "t_s,raw\n0.0,1\x1c\n", "t_s,raw\n0.0\x1f,1\n",
+        # np.loadtxt skips blank lines, which are errors
+        "t_s,raw\n0.000000000,1\n\n0.001953125,2\n",
+        "t_s,raw\n0.000000000,1\n0.001953125,2\n\n\n", "t_s,raw\n\n\n",
+        "t_s,raw\n0.000000000,1\r\n0.001953125,2\r\n",
+        "t_s,raw\n0.000000000,+5\n", "t_s,raw\n0.000000000,1_0\n",
+        "t_s,raw\n0.000000000,99999999999999999999\n",
+        "t_s,raw\n0.000000000,-9223372036854775809\n",
+        "t_s,raw\n0,1\n1.953125e-3,2\n", "t_s,raw\n1e-3,1\n",
+        "t_s,raw\n0.000000000,1\n0.001953125,2",
+        # more digits than int takes: loadtxt reads the first as 1
+        pytest.param(f"t_s,raw\n0.000000000,{LONG_ZEROS}1\n", id="long-raw-cell"),
+        pytest.param(f"t_s,raw\n{LONG_ZEROS}.0,1\n", id="long-timestamp-cell"),
     ], ids=repr)
     def test_small_files(self, tmp_path, text):
         csv, man, _ = write_random_session(tmp_path, 4, 1, 512)
@@ -916,6 +942,8 @@ class TestBlockReader:
 
     def test_lines_longer_than_the_budget_are_blocks_of_their_own(
             self, tmp_path, monkeypatch):
+        # plain files take the loadtxt route, so decline it
+        decline_loadtxt(monkeypatch)
         blocks = []
         convert_block = protocol._convert_block
 
@@ -927,6 +955,29 @@ class TestBlockReader:
         csv, man, session = write_random_session(tmp_path, 40, 2, 512)
         assert np.array_equal(read_session(csv, man).raw, session.raw)
         assert blocks == csv.read_text().split("\n")[1:-1]
+
+
+class TestBlockRoute(TestBlockReader):
+    """Every TestBlockReader check with the np.loadtxt route declining."""
+
+    @pytest.fixture(autouse=True)
+    def block_reader_only(self, monkeypatch):
+        decline_loadtxt(monkeypatch)
+
+
+def test_written_sessions_take_the_loadtxt_route(tmp_path, monkeypatch):
+    results = []
+    loadtxt_samples = protocol._loadtxt_samples
+
+    def spy(*args):
+        results.append(loadtxt_samples(*args))
+        return results[-1]
+    monkeypatch.setattr(protocol, "_loadtxt_samples", spy)
+    for n_channels, fs in [(1, 512), (2, 512), (1, 128), (3, 128)]:
+        csv, man, session = write_random_session(tmp_path, 700, n_channels, fs)
+        got = read_session(csv, man)
+        assert results[-1] is not None, (n_channels, fs)
+        assert got.raw.flags.c_contiguous and np.array_equal(got.raw, session.raw)
 
 
 def read_time(read, path):
@@ -965,7 +1016,7 @@ class TestSessionCost:
         finally:
             tracemalloc.stop()
         assert session.n_samples == 600 * 512
-        assert peak <= 3.5 * size
+        assert peak <= 2.5 * size
 
 
 def _vector(values, label=TaskLabel.BASE, names=None):

@@ -20,6 +20,7 @@ from driveguard.stream import (
     DetectorState,
     HopRecord,
     SequencingError,
+    SCORE_STACK,
     STREAM_FS_HZ,
     TRACE_HEADER,
     _candidate_thresholds,
@@ -401,6 +402,41 @@ class TestFeedBlock:
             block = DetectorState(p)
             assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
             assert state_of(block) == state_of(one)
+
+    def test_block_of_several_score_stacks(self):
+        # 37 hops in one block: two score stacks, and every hop crosses
+        raw = np.random.default_rng(23).integers(-300, 300, size=40 * FS)
+        p = profile(band_thresholds={"beta": 1e-9}, refractory_s=3.0)
+        one = DetectorState(p)
+        alerts, hops = fed_one_by_one(one, raw)
+        assert len(hops) == 37 > SCORE_STACK
+        alert_times = {a.t for a in alerts}
+        # the alert at hop 30 suppresses hop 32, across the stacks' boundary
+        assert [i for i, h in enumerate(hops) if h.t in alert_times] == \
+            list(range(0, 37, 3))
+        for sizes in ([raw.size], [1000, raw.size - 1000], [5000, raw.size - 5000]):
+            block = DetectorState(p)
+            assert fed_in_blocks(block, raw, sizes) == (alerts, hops), sizes
+            assert state_of(block) == state_of(one)
+
+    @pytest.mark.parametrize("sizes", [[700, 3000], [2047, 2], [1, 2600, 512, 513]])
+    def test_block_starting_before_the_window_fills(self, a5_oracle, sizes):
+        raw, alerts, hops, final = a5_oracle[2]
+        sizes = sizes + [raw.size - sum(sizes)]
+        state = DetectorState(A5_PROFILE)
+        assert fed_in_blocks(state, raw, sizes) == (alerts, hops)
+        assert state_of(state) == final
+
+    @pytest.mark.parametrize("size", [1, 100, 1000, 3 * FS - 1])
+    def test_hop_longer_than_window_in_blocks_shorter_than_a_hop(self, a5_oracle, size):
+        p = profile(window_s=2.0, hop_s=3.0, refractory_s=3.0)
+        raw = np.concatenate([a5_oracle[5][0], a5_oracle[6][0]])
+        one = DetectorState(p)
+        expected = fed_one_by_one(one, raw)
+        assert len(expected[1]) == 5
+        block = DetectorState(p)
+        assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
+        assert state_of(block) == state_of(one)
 
     def test_empty_block_changes_nothing(self, a5_oracle):
         raw = a5_oracle[0][0]
