@@ -27,6 +27,7 @@ from .model import (
     split_into_trials,
     summary_text,
     trial_count,
+    trial_stack,
 )
 from .protocol import (
     PacketError,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .model import TaskLabel
+from .model import TaskLabel, shared_schema
 from .ranking import midranks
 
 TWO_CLASS = ("Base", "Distracted")
@@ -42,10 +42,7 @@ def vectors_to_dataset(vectors, problem: str = "five"):
     vectors = list(vectors)
     if not vectors:
         raise ValidationError("no feature vectors given")
-    schema = vectors[0].schema
-    for v in vectors[1:]:
-        if v.schema != schema:
-            raise ValidationError("feature vectors disagree on schema")
+    shared_schema(vectors)
     X = np.array([v.values for v in vectors], dtype=np.float64)
     if problem == "five":
         classes = FIVE_CLASS

@@ -22,24 +22,27 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 from .classify import MlpConfig, kfold_evaluate, vectors_to_dataset
 from .dsp import (
     FEATURE_MODES,
-    band_powers_fft,
     feature_vectors_from_sessions,
     spectrogram_csv,
     spectrogram_triples_csv,
     stft_spectrogram,
+    trial_feature_rows,
 )
 from .errors import DriveGuardError
-from .index import CoverageError, distraction_index, rank_tasks
+from .index import CoverageError, di_rows, distraction_index, rank_tasks
 # perfbench/tracing.py rebinds cli.EegSample, cli.process_sample,
 # cli.replay_session and cli.stream_session, so keep all four imported
-from .model import EegSample, TaskLabel, split_into_trials  # noqa: F401
+from .model import BandPowers, EegSample, TaskLabel, shared_schema, trial_stack  # noqa: F401
 from .protocol import (
     packets_to_samples,
     read_arff,
@@ -201,7 +204,7 @@ def _cmd_features(args):
     sessions = _load_sessions(args.sessions)
     vectors = feature_vectors_from_sessions(sessions, mode=args.mode,
                                             trial_seconds=args.trial_seconds)
-    out = {"vectors": len(vectors), "features": len(vectors[0].schema),
+    out = {"vectors": len(vectors), "features": len(shared_schema(vectors)),
            "mode": args.mode, "trial_seconds": args.trial_seconds,
            "arff": args.arff}
     if args.arff:
@@ -240,11 +243,18 @@ def _cmd_index(args):
     rows = []
     labeled = []
     for session in sessions:
-        for w in split_into_trials(session, args.trial_seconds):
-            bp = band_powers_fft(w)
+        stack = trial_stack(session, args.trial_seconds)
+        # one row of five band powers per trial and channel, trial-major
+        powers = np.concatenate(list(trial_feature_rows(stack, session.fs_hz, "fft")))
+        powers = powers.reshape(-1, 5)
+        for j, (row, di) in enumerate(zip(powers.tolist(), di_rows(powers).tolist())):
+            bp = BandPowers(*row)
+            if math.isnan(di):
+                distraction_index(bp)  # raises its UndefinedIndexError
+            trial, channel = divmod(j, len(session.channels))
             labeled.append((session.task, bp))
-            rows.append((session.subject_id, session.task.value, w.channel,
-                         w.trial_index, distraction_index(bp)))
+            rows.append((session.subject_id, session.task.value,
+                         session.channels[channel], trial, di))
     csv_lines = ["subject_id,task,channel,trial,di"]
     csv_lines += [f"{s},{t},{c},{i},{di:.9g}" for s, t, c, i, di in rows]
     csv_text = "\n".join(csv_lines) + "\n"

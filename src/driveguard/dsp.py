@@ -6,6 +6,9 @@ average a mean-removed window's density over each canonical band; the
 spectrogram is one call over its Hann-tapered frames. The wavelet route
 maps dyadic detail levels onto the same five bands and summarises each
 with the mean absolute coefficient and the mean squared coefficient.
+Feature vectors score a session's trials as stacks of rows, at most
+SCORE_STACK windows per numpy call; the one-trial functions are one-row
+calls of the same scorers.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .model import BAND_NAMES, BandPowers, FeatureVector, TrialWindow
+from .model import BAND_NAMES, BandPowers, FeatureVector, TrialWindow, trial_stack
 from .protocol import raw_to_microvolts
-from .wavelet import dwt_db8, max_decomposition_level
+# perfbench/tracing.py rebinds dsp.dwt_db8, so keep it imported
+from .wavelet import dwt_db8, dwt_db8_rows, max_decomposition_level  # noqa: F401
 
 SPECTROGRAM_DB_FLOOR = -120.0
 _PSD_FLOOR = 10.0 ** (SPECTROGRAM_DB_FLOOR / 10.0)
@@ -199,40 +203,45 @@ def _gamma_level(fs_hz):
     return level
 
 
-def wavelet_band_features(trial: TrialWindow):
-    """Per-band (mean |coeff|, mean coeff^2) pairs from a db8 decomposition.
+WAVELET_STATS = ("mabs", "pow")
+
+
+def wavelet_band_rows(raw_windows, fs_hz) -> np.ndarray:
+    """Per band, in ``BANDS`` order, the mean |coeff| then the mean coeff^2
+    of each row's db8 decomposition, in microvolt units: shape ``(..., 10)``
+    for ``(..., n)`` raw ADC samples.
 
     Detail levels are matched to bands by their dyadic frequency ranges.
     The decomposition goes one level below theta where the trial is long
     enough, and the delta band pools every detail level below theta with
     the final approximation, so it covers [0, 4) Hz at either depth.
-    Returns a dict {band: (mean_abs, mean_power)} in microvolt units.
     """
-    fs = trial.fs_hz
-    gamma_level = _gamma_level(fs)
+    raw_windows = np.asarray(raw_windows)
+    gamma_level = _gamma_level(fs_hz)
     theta_level = gamma_level + 3
-    n = trial.samples.size
+    n = raw_windows.shape[-1]
     allowed = max_decomposition_level(n)
     if allowed < theta_level:
         raise ResolutionError(
             f"trial of {n} samples allows {allowed} decomposition levels "
-            f"but the band ladder at fs={fs} needs {theta_level}"
+            f"but the band ladder at fs={fs_hz} needs {theta_level}"
         )
-    x = raw_to_microvolts(trial.samples)
-    decomp = dwt_db8(x, min(theta_level + 1, allowed))
-    per_level = list(decomp.details)
-    band_coeffs = {
-        "gamma": [per_level[gamma_level - 1]],
-        "beta": [per_level[gamma_level]],
-        "alpha": [per_level[gamma_level + 1]],
-        "theta": [per_level[theta_level - 1]],
-        "delta": per_level[theta_level:] + [decomp.approx],
-    }
-    out = {}
-    for band in BAND_NAMES:
-        coeffs = np.concatenate(band_coeffs[band])
-        out[band] = (float(np.mean(np.abs(coeffs))), float(np.mean(coeffs ** 2)))
+    approx, details = dwt_db8_rows(raw_to_microvolts(raw_windows),
+                                   min(theta_level + 1, allowed))
+    # details[gamma_level - 1] is gamma; each next level is the next band down
+    bands = [np.concatenate(details[theta_level:] + (approx,), axis=-1),
+             *details[gamma_level - 1:theta_level][::-1]]
+    out = np.empty(raw_windows.shape[:-1] + (len(bands) * len(WAVELET_STATS),))
+    for i, coeffs in enumerate(bands):
+        out[..., 2 * i] = np.mean(np.abs(coeffs), axis=-1)
+        out[..., 2 * i + 1] = np.mean(coeffs ** 2, axis=-1)
     return out
+
+
+def wavelet_band_features(trial: TrialWindow):
+    """{band: (mean |coeff|, mean coeff^2)}: one trial's ``wavelet_band_rows``."""
+    row = wavelet_band_rows(trial.samples[None], trial.fs_hz)[0].tolist()
+    return {band: (row[2 * i], row[2 * i + 1]) for i, band in enumerate(BAND_NAMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +249,41 @@ def wavelet_band_features(trial: TrialWindow):
 
 FEATURE_MODES = ("fft", "dwt", "combined")
 
+# windows scored per numpy call: each temporary array stays near 0.5 MB at
+# a 4 s window at 512 Hz, whatever the stack's length
+SCORE_STACK = 32
 
-def _fft_block(trial):
-    bp = band_powers_fft(trial)
-    names = [f"{trial.channel}_fft_{band}" for band in BAND_NAMES]
-    return names, list(bp.as_tuple())
+# each mode's column blocks within a channel: (scorer, column names)
+_FFT_BLOCK = (band_power_rows, tuple(f"fft_{band}" for band in BAND_NAMES))
+_DWT_BLOCK = (wavelet_band_rows, tuple(f"dwt_{band}_{stat}" for band in BAND_NAMES
+                                       for stat in WAVELET_STATS))
+_MODE_BLOCKS = {"fft": (_FFT_BLOCK,), "dwt": (_DWT_BLOCK,),
+                "combined": (_FFT_BLOCK, _DWT_BLOCK)}
 
 
-def _dwt_block(trial):
-    feats = wavelet_band_features(trial)
-    names = []
-    values = []
-    for band in BAND_NAMES:
-        mean_abs, mean_pow = feats[band]
-        names += [f"{trial.channel}_dwt_{band}_mabs", f"{trial.channel}_dwt_{band}_pow"]
-        values += [mean_abs, mean_pow]
-    return names, values
+def _check_mode(mode):
+    if mode not in FEATURE_MODES:
+        raise ParameterError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
+
+
+def feature_schema(channels, mode: str) -> tuple:
+    """Feature names of one trial: channel blocks in ``channels`` order, FFT
+    columns before wavelet columns within a channel."""
+    _check_mode(mode)
+    return tuple(f"{channel}_{name}" for channel in channels
+                 for _, names in _MODE_BLOCKS[mode] for name in names)
+
+
+def trial_feature_rows(stack, fs_hz, mode: str):
+    """Yield the ``feature_schema`` rows of a ``(channels, trials, n)`` stack
+    of raw samples, one row per trial, in runs of at most SCORE_STACK
+    trials; each scorer call takes one channel's windows of a run."""
+    _check_mode(mode)
+    blocks = _MODE_BLOCKS[mode]
+    for i in range(0, stack.shape[1], SCORE_STACK):
+        yield np.concatenate([score(windows, fs_hz)
+                              for windows in stack[:, i:i + SCORE_STACK]
+                              for score, _ in blocks], axis=1)
 
 
 def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
@@ -264,9 +292,9 @@ def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
     `trials` is a single TrialWindow or a list holding the same trial
     index across a session's channels; channel blocks appear in the
     given order, FFT features before wavelet features within a channel.
+    Each channel's block is the row of its one-trial stack.
     """
-    if mode not in FEATURE_MODES:
-        raise ParameterError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
+    _check_mode(mode)
     trials = [trials] if isinstance(trials, TrialWindow) else list(trials)
     if not trials:
         raise ValidationError("no trial windows given")
@@ -285,26 +313,25 @@ def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
             raise ValidationError(f"duplicate channel {tr.channel!r} in trial set")
         seen.add(tr.channel)
 
-    blocks = {"fft": (_fft_block,), "dwt": (_dwt_block,),
-              "combined": (_fft_block, _dwt_block)}[mode]
     names = []
     values = []
     for tr in trials:
-        for block in blocks:
-            n, v = block(tr)
-            names += n
-            values += v
+        names += feature_schema((tr.channel,), mode)
+        values += next(trial_feature_rows(tr.samples[None, None], tr.fs_hz, mode))[0].tolist()
     return FeatureVector(values=tuple(values), schema=tuple(names), label=first.task)
 
 
 def feature_vectors_from_sessions(sessions, mode="fft", trial_seconds=4.0):
-    """All per-trial feature vectors of several sessions, in session order."""
-    from .model import split_into_trials
+    """All per-trial feature vectors of several sessions, in session order.
 
+    Each session's trials are scored from its ``trial_stack``, and its
+    schema is built once.
+    """
     vectors = []
     for session in sessions:
-        windows = split_into_trials(session, trial_seconds)
-        per_trial = len(session.channels)
-        for i in range(0, len(windows), per_trial):
-            vectors.append(build_feature_vector(windows[i:i + per_trial], mode))
+        stack = trial_stack(session, trial_seconds)
+        schema = feature_schema(session.channels, mode)
+        for rows in trial_feature_rows(stack, session.fs_hz, mode):
+            vectors += [FeatureVector(values=row, schema=schema, label=session.task)
+                        for row in rows.tolist()]
     return vectors

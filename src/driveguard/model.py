@@ -233,13 +233,11 @@ def _trial_sample_count(trial_seconds, fs_hz):
     return int(round(trial_seconds * fs_hz))
 
 
-def split_into_trials(session: SubjectSession, trial_seconds: float = DEFAULT_TRIAL_SECONDS):
-    """Cut a session into consecutive non-overlapping trial windows.
-
-    Returns the windows trial-major: all channels of trial 0, then all
-    channels of trial 1, and so on, channels in session order. A session
-    shorter than one trial raises TrialSplitError rather than returning
-    an empty list, since that always indicates a misconfigured recording.
+def trial_stack(session: SubjectSession, trial_seconds: float = DEFAULT_TRIAL_SECONDS):
+    """A session's whole trials as one read-only ``(channels, trials, n)``
+    view of ``session.raw``, channels in session order; a trailing partial
+    trial is left out. A session shorter than one trial raises
+    TrialSplitError, since that always indicates a misconfigured recording.
     """
     n_per = _trial_sample_count(trial_seconds, session.fs_hz)
     n_trials = session.n_samples // n_per
@@ -249,22 +247,30 @@ def split_into_trials(session: SubjectSession, trial_seconds: float = DEFAULT_TR
             f"({session.duration_s:.2f} s) but one {trial_seconds} s trial "
             f"needs {n_per}"
         )
-    windows = []
-    for i in range(n_trials):
-        lo = i * n_per
-        for ch_idx, channel in enumerate(session.channels):
-            windows.append(
-                TrialWindow(
-                    subject_id=session.subject_id,
-                    task=session.task,
-                    channel=channel,
-                    fs_hz=session.fs_hz,
-                    duration_s=trial_seconds,
-                    trial_index=i,
-                    samples=session.raw[ch_idx, lo:lo + n_per],
-                )
-            )
-    return windows
+    return session.raw[:, :n_trials * n_per].reshape(len(session.channels), n_trials, n_per)
+
+
+def split_into_trials(session: SubjectSession, trial_seconds: float = DEFAULT_TRIAL_SECONDS):
+    """Cut a session into consecutive non-overlapping trial windows.
+
+    Returns the windows of ``trial_stack`` trial-major: all channels of
+    trial 0, then all channels of trial 1, and so on, channels in session
+    order.
+    """
+    stack = trial_stack(session, trial_seconds)
+    return [
+        TrialWindow(
+            subject_id=session.subject_id,
+            task=session.task,
+            channel=channel,
+            fs_hz=session.fs_hz,
+            duration_s=trial_seconds,
+            trial_index=i,
+            samples=stack[ch_idx, i],
+        )
+        for i in range(stack.shape[1])
+        for ch_idx, channel in enumerate(session.channels)
+    ]
 
 
 def trial_count(session: SubjectSession, trial_seconds: float = DEFAULT_TRIAL_SECONDS) -> int:
@@ -345,3 +351,16 @@ class FeatureVector:
         object.__setattr__(self, "schema", schema)
         if not isinstance(self.label, TaskLabel):
             raise ValidationError(f"label must be a TaskLabel, got {self.label!r}")
+
+
+def shared_schema(vectors) -> tuple:
+    """The schema every FeatureVector of the non-empty sequence ``vectors``
+    has; ValidationError when two disagree."""
+    first = vectors[0].schema
+    for v in vectors[1:]:
+        if v.schema != first:
+            raise ValidationError(
+                "feature vectors disagree on schema: "
+                f"{first[:3]}... vs {v.schema[:3]}..."
+            )
+    return first

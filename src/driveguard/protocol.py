@@ -29,6 +29,7 @@ from .model import (
     SubjectSession,
     TaskLabel,
     check_adc_range,
+    shared_schema,
 )
 
 SYNC = 0xAA
@@ -575,13 +576,7 @@ def write_arff(vectors, relation: str, schema=None) -> str:
     """
     vectors = list(vectors)
     if vectors:
-        first = vectors[0].schema
-        for v in vectors[1:]:
-            if v.schema != first:
-                raise ValidationError(
-                    "feature vectors disagree on schema: "
-                    f"{first[:3]}... vs {v.schema[:3]}..."
-                )
+        first = shared_schema(vectors)
         if schema is not None and tuple(schema) != first:
             raise ValidationError("explicit schema does not match vector schema")
         schema = first

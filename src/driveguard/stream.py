@@ -23,7 +23,7 @@ import numpy as np
 
 # perfbench/tracing.py rebinds stream.band_powers_from_samples and
 # stream.distraction_index, so keep both imported
-from .dsp import band_power_rows, band_powers_from_samples  # noqa: F401
+from .dsp import SCORE_STACK, band_power_rows, band_powers_from_samples  # noqa: F401
 from .errors import ParameterError, ValidationError
 from .index import di_rows, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
@@ -183,11 +183,6 @@ class HopRecord:
 
 
 TRACE_HEADER = "t_s,delta,theta,alpha,beta,gamma,di"
-
-
-# windows scored per numpy call: each temporary array stays near 0.5 MB at
-# the default 4 s window, whatever the stack's length
-SCORE_STACK = 32
 
 
 def score_windows(windows, fs_hz: int) -> np.ndarray:

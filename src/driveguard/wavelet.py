@@ -70,14 +70,22 @@ def _check_mode(mode):
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _dwt_single_symmetric(x):
-    n = x.size
-    ext = np.pad(x, (FILTER_LEN - 1, FILTER_LEN - 1), mode="symmetric")
-    lo = np.convolve(ext, DB8_DEC_LO)
-    hi = np.convolve(ext, DB8_DEC_HI)
-    # fully-overlapped region, odd phase
-    sl = slice(FILTER_LEN, FILTER_LEN + n + FILTER_LEN - 2, 2)
-    return lo[sl], hi[sl]
+# the reversed analysis filters, low then high, as the columns of one matrix
+_DEC_PAIR_REVERSED = np.stack([DB8_DEC_LO[::-1], DB8_DEC_HI[::-1]], axis=1)
+
+
+def _dwt_step_symmetric(x):
+    """One symmetric level along the last axis of a stack of signals.
+
+    Only the kept outputs are computed: the odd-phase, stride-2 points of
+    the fully overlapped convolution with each analysis filter, for both
+    filters in one product of the padded signal's filter-length windows.
+    """
+    pad = [(0, 0)] * (x.ndim - 1) + [(FILTER_LEN - 1, FILTER_LEN - 1)]
+    ext = np.pad(x, pad, mode="symmetric")
+    windows = np.lib.stride_tricks.sliding_window_view(ext, FILTER_LEN, axis=-1)
+    out = windows[..., 1::2, :] @ _DEC_PAIR_REVERSED
+    return out[..., 0], out[..., 1]
 
 
 def _idwt_single_symmetric(approx, detail, out_len):
@@ -164,6 +172,25 @@ class WaveletDecomposition:
         return 0.0, fs / 2 ** (self.level + 1)
 
 
+def _check_levels(n: int, max_level: int):
+    if n < MIN_SIGNAL_LEN:
+        raise ValidationError(f"signal length {n} below minimum {MIN_SIGNAL_LEN}")
+    allowed = max_decomposition_level(n)
+    if not (1 <= max_level <= allowed):
+        raise ParameterError(
+            f"max_level {max_level} outside 1..{allowed} for length {n}"
+        )
+
+
+def _decompose(x, max_level: int, step):
+    approx = x
+    details = []
+    for _ in range(max_level):
+        approx, detail = step(approx)
+        details.append(detail)
+    return approx, tuple(details)
+
+
 def dwt_db8(
     signal, max_level: int, mode: str = "symmetric", fs_hz: float | None = None
 ) -> WaveletDecomposition:
@@ -172,30 +199,26 @@ def dwt_db8(
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError(f"signal must be 1-D, got shape {x.shape}")
-    if x.size < MIN_SIGNAL_LEN:
-        raise ValidationError(
-            f"signal length {x.size} below minimum {MIN_SIGNAL_LEN}"
-        )
-    allowed = max_decomposition_level(x.size)
-    if not (1 <= max_level <= allowed):
-        raise ParameterError(
-            f"max_level {max_level} outside 1..{allowed} for length {x.size}"
-        )
-    single = _dwt_single_symmetric if mode == "symmetric" else _dwt_single_periodic
-    details = []
-    lengths = []
-    approx = x
-    for _ in range(max_level):
-        lengths.append(approx.size)
-        approx, detail = single(approx)
-        details.append(detail)
+    _check_levels(x.size, max_level)
+    step = _dwt_step_symmetric if mode == "symmetric" else _dwt_single_periodic
+    approx, details = _decompose(x, max_level, step)
     return WaveletDecomposition(
         approx=approx,
-        details=tuple(details),
+        details=details,
         mode=mode,
-        _lengths=tuple(lengths),
+        # the input length of each level
+        _lengths=(x.size,) + tuple(d.size for d in details[:-1]),
         fs_hz=fs_hz,
     )
+
+
+def dwt_db8_rows(signals, max_level: int):
+    """``(approx, details)`` of the symmetric-mode ``dwt_db8`` of each row of
+    a ``(..., n)`` stack, along its last axis: ``details[0]`` holds level 1
+    of every row and ``approx`` the level-``max_level`` approximations."""
+    x = np.asarray(signals, dtype=np.float64)
+    _check_levels(x.shape[-1], max_level)
+    return _decompose(x, max_level, _dwt_step_symmetric)
 
 
 def idwt_db8(decomp: WaveletDecomposition) -> np.ndarray:

@@ -21,7 +21,10 @@ from driveguard.protocol import (checksum, read_arff, session_to_packets,
 from driveguard.stream import TRACE_HEADER, CalibrationProfile
 from driveguard.synth import (BurstSpec, GeneratorSpec, PinkNoiseSpec,
                               generate_benchmark_suite, generate_session)
-from driveguard.model import TaskLabel
+from driveguard.dsp import band_powers_fft
+from driveguard.index import UndefinedIndexError, distraction_index
+from driveguard.model import (EPOC_CHANNELS, Device, SubjectSession, TaskLabel,
+                              split_into_trials)
 
 STRONG_BETA = (BurstSpec(band="beta", center_hz=22.0, rate_hz=3.0, gain=3.0),)
 
@@ -330,6 +333,40 @@ class TestIndex:
             lines = fh.read().splitlines()
         assert lines[0] == "subject_id,task,channel,trial,di"
         assert len(lines) == 16
+
+    @staticmethod
+    def write_multi(tmp_path, name, raw):
+        session = SubjectSession(subject_id="m1", task=TaskLabel.CALL,
+                                 device=Device.MULTI_ELECTRODE_128, fs_hz=128,
+                                 channels=EPOC_CHANNELS, raw=raw)
+        csv = str(tmp_path / f"{name}.csv")
+        write_session(session, csv, str(tmp_path / f"{name}.manifest.json"))
+        return session, csv
+
+    def test_rows_equal_per_window_route(self, tmp_path, capsys):
+        # 34 trials of 14 channels cross a SCORE_STACK boundary
+        raw = np.random.default_rng(4).integers(-900, 900, size=(14, 34 * 512 + 100))
+        session, csv = self.write_multi(tmp_path, "multi", raw)
+        di_csv = str(tmp_path / "di.csv")
+        rc, out, _ = run(capsys, "index", csv, "--csv", di_csv)
+        assert rc == 0
+        assert json.loads(out)["trials"] == 34 * 14
+        want = ["subject_id,task,channel,trial,di"] + [
+            f"m1,Call,{w.channel},{w.trial_index},"
+            f"{distraction_index(band_powers_fft(w)):.9g}"
+            for w in split_into_trials(session, 4.0)]
+        assert Path(di_csv).read_text(encoding="utf-8").splitlines() == want
+
+    def test_undefined_index_exits_2(self, tmp_path, capsys):
+        raw = np.random.default_rng(5).integers(-900, 900, size=(14, 3 * 512))
+        raw[6, 512:] = 0  # O1 is silent from trial 1 on
+        session, csv = self.write_multi(tmp_path, "silent", raw)
+        rc, out, err = run(capsys, "index", csv)
+        assert (rc, out) == (2, "")
+        with pytest.raises(UndefinedIndexError) as want:
+            distraction_index(band_powers_fft(split_into_trials(session, 4.0)[14 + 6]))
+        assert json.loads(err) == {"error": "UndefinedIndexError",
+                                   "message": str(want.value)}
 
     def test_missing_tasks_reported(self, tmp_path, capsys):
         csv = write_fixture(tmp_path, "solo", seed=2)

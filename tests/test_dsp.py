@@ -1,14 +1,17 @@
 """Periodogram, band powers, spectrogram, and feature assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from driveguard.errors import ParameterError, ValidationError
+from driveguard.errors import DriveGuardError, ParameterError, ValidationError
 from driveguard.dsp import (
     BANDS,
     FEATURE_MODES,
     MIN_STFT_WINDOW_SAMPLES,
     ResolutionError,
+    SCORE_STACK,
     SPECTROGRAM_DB_FLOOR,
     band_bins,
     band_power_rows,
@@ -21,9 +24,14 @@ from driveguard.dsp import (
     spectrogram_triples_csv,
     stft_spectrogram,
     wavelet_band_features,
+    wavelet_band_rows,
 )
-from driveguard.model import BAND_NAMES, Device, SubjectSession, TaskLabel, TrialWindow
+from driveguard.model import (BAND_NAMES, EPOC_CHANNELS, Device, FeatureVector,
+                              SubjectSession, TaskLabel, TrialWindow,
+                              split_into_trials, trial_stack)
 from driveguard.protocol import UV_PER_COUNT, raw_to_microvolts
+from driveguard.wavelet import (DB8_DEC_HI, DB8_DEC_LO, FILTER_LEN, dwt_db8,
+                                max_decomposition_level)
 
 FS = 512
 N = 2048
@@ -362,3 +370,191 @@ class TestFeatureAssembly:
         assert all(v.label is TaskLabel.TEXT for v in vecs)
         assert vecs[0].schema[:5] == tuple(f"c0_fft_{b}" for b in BAND_NAMES)
         assert vecs[0].schema[5:] == tuple(f"c1_fft_{b}" for b in BAND_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# the per-trial route: the oracle for the stacked feature route
+
+
+def convolve_dwt_step(x):
+    """One symmetric db8 level of a 1-D signal through two full
+    ``np.convolve`` passes, keeping the odd-phase stride-2 outputs."""
+    n = x.size
+    ext = np.pad(x, (FILTER_LEN - 1, FILTER_LEN - 1), mode="symmetric")
+    lo = np.convolve(ext, DB8_DEC_LO)
+    hi = np.convolve(ext, DB8_DEC_HI)
+    sl = slice(FILTER_LEN, FILTER_LEN + n + FILTER_LEN - 2, 2)
+    return lo[sl], hi[sl]
+
+
+def convolve_dwt(x, levels):
+    approx, details = x, []
+    for _ in range(levels):
+        approx, detail = convolve_dwt_step(approx)
+        details.append(detail)
+    return approx, details
+
+
+def per_trial_wavelet_features(trial):
+    """One trial's {band: (mean |coeff|, mean coeff^2)} through the
+    ``np.convolve`` DWT, with the feature route's checks and messages."""
+    fs = trial.fs_hz
+    gamma_level = int(round(np.log2(fs))) - 6
+    if 2 ** (gamma_level + 6) != fs or gamma_level < 1:
+        raise ParameterError(
+            f"no dyadic level covers the gamma band at fs={fs} Hz; "
+            "supported rates are powers of two >= 128")
+    theta_level = gamma_level + 3
+    n = trial.samples.size
+    allowed = max_decomposition_level(n)
+    if allowed < theta_level:
+        raise ResolutionError(
+            f"trial of {n} samples allows {allowed} decomposition levels "
+            f"but the band ladder at fs={fs} needs {theta_level}")
+    approx, per_level = convolve_dwt(raw_to_microvolts(trial.samples),
+                                     min(theta_level + 1, allowed))
+    band_coeffs = {
+        "gamma": [per_level[gamma_level - 1]],
+        "beta": [per_level[gamma_level]],
+        "alpha": [per_level[gamma_level + 1]],
+        "theta": [per_level[theta_level - 1]],
+        "delta": per_level[theta_level:] + [approx],
+    }
+    out = {}
+    for band in BAND_NAMES:
+        coeffs = np.concatenate(band_coeffs[band])
+        out[band] = (float(np.mean(np.abs(coeffs))), float(np.mean(coeffs ** 2)))
+    return out
+
+
+def per_trial_vector(trials, mode):
+    """One trial's feature vector, window by window: ``band_powers_fft`` and
+    the ``np.convolve`` DWT of each channel in turn."""
+    if mode not in FEATURE_MODES:
+        raise ParameterError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
+    names, values = [], []
+    for tr in trials:
+        if mode in ("fft", "combined"):
+            names += [f"{tr.channel}_fft_{b}" for b in BAND_NAMES]
+            values += band_powers_fft(tr).as_tuple()
+        if mode in ("dwt", "combined"):
+            feats = per_trial_wavelet_features(tr)
+            for band in BAND_NAMES:
+                names += [f"{tr.channel}_dwt_{band}_mabs", f"{tr.channel}_dwt_{band}_pow"]
+                values += feats[band]
+    return FeatureVector(values=values, schema=names, label=trials[0].task)
+
+
+def per_trial_feature_vectors(sessions, mode="fft", trial_seconds=4.0):
+    """Every session's feature vectors one trial at a time, from
+    ``split_into_trials``."""
+    vectors = []
+    for session in sessions:
+        windows = split_into_trials(session, trial_seconds)
+        per_trial = len(session.channels)
+        for i in range(0, len(windows), per_trial):
+            vectors.append(per_trial_vector(windows[i:i + per_trial], mode))
+    return vectors
+
+
+def random_session(channels, fs, n, task=TaskLabel.TEXT, seed=0):
+    device = Device.SINGLE_ELECTRODE_512 if fs == 512 else Device.MULTI_ELECTRODE_128
+    names = tuple(EPOC_CHANNELS[:channels]) if channels > 1 else ("FP1",)
+    raw = np.random.default_rng(seed).integers(-2048, 2048, size=(channels, n),
+                                               dtype=np.int32)
+    raw[-1, : n // 3] = 0  # silent trials score 0 in every column
+    return SubjectSession(subject_id=f"s{seed}", task=task, device=device,
+                          fs_hz=fs, channels=names, raw=raw)
+
+
+def assert_same_vectors(got, want):
+    assert [(v.schema, v.label) for v in got] == [(v.schema, v.label) for v in want]
+    for g, w in zip(got, want):
+        fft = np.array(["_fft_" in name for name in g.schema])
+        values, expected = np.array(g.values), np.array(w.values)
+        assert np.array_equal(values[fft], expected[fft])
+        np.testing.assert_allclose(values[~fft], expected[~fft], rtol=1e-12, atol=0)
+
+
+class TestStackedFeatures:
+    """The stacked feature route equals the per-trial route."""
+
+    @pytest.mark.parametrize("trial_seconds", [3.0, 3.3, 4.0, 5.0])
+    @pytest.mark.parametrize("channels, fs", [(1, 512), (14, 128)])
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_equal_to_per_trial_oracle(self, mode, channels, fs, trial_seconds):
+        n_per = int(round(trial_seconds * fs))
+        # 34 trials cross a SCORE_STACK boundary; half a trial trails
+        long = random_session(channels, fs, 34 * n_per + n_per // 2, seed=1)
+        short = random_session(channels, fs, 2 * n_per, task=TaskLabel.BASE, seed=2)
+        got = feature_vectors_from_sessions([long, short], mode, trial_seconds)
+        want = per_trial_feature_vectors([long, short], mode, trial_seconds)
+        assert len(got) == 36 > SCORE_STACK
+        assert_same_vectors(got, want)
+        # the last channel's block of the first trial is silent
+        assert not any(got[0].values[-(len(got[0].values) // channels):])
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda route: route([random_session(1, 512, 3 * 512 - 1)],
+                                         "fft", 3.0), id="session-too-short"),
+        pytest.param(lambda route: route([random_session(1, 512, 4096)],
+                                         "fft", 2.9), id="trial-seconds"),
+        pytest.param(lambda route: route([random_session(1, 512, 4096)],
+                                         "psd", 4.0), id="mode"),
+    ])
+    def test_session_errors_match_oracle(self, call):
+        with pytest.raises(DriveGuardError) as want:
+            call(per_trial_feature_vectors)
+        with pytest.raises(type(want.value)) as got:
+            call(feature_vectors_from_sessions)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n, fs, mode", [
+        (512, 512, "dwt"), (512, 512, "combined"), (400, 100, "dwt"),
+        (1000, 512, "fft"), (2048, 512, "psd")])
+    def test_trial_errors_match_oracle(self, n, fs, mode):
+        trial = make_trial(np.zeros(n), fs=fs)
+        with pytest.raises(DriveGuardError) as want:
+            per_trial_vector([trial], mode)
+        with pytest.raises(type(want.value)) as got:
+            build_feature_vector(trial, mode)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_one_trial_calls_equal_stack_rows(self):
+        session = random_session(3, 128, 250 * 512, seed=5)
+        vectors = feature_vectors_from_sessions([session], "combined")
+        windows = split_into_trials(session, 4.0)
+        for i in (0, 31, 32, 249):
+            trials = windows[3 * i:3 * i + 3]
+            assert build_feature_vector(trials, "combined") == vectors[i]
+        stack = trial_stack(session)[1]
+        for m in (32, 250):
+            rows = wavelet_band_rows(stack[:m], 128)
+            for i in (0, m - 1):
+                feats = wavelet_band_features(windows[3 * i + 1])
+                assert [v for band in BAND_NAMES for v in feats[band]] == rows[i].tolist()
+
+    @pytest.mark.parametrize("n, levels", [(30, 1), (31, 1), (512, 5), (1536, 6),
+                                           (2048, 7), (3001, 7)])
+    def test_dwt_db8_equal_to_convolve_step(self, n, levels):
+        x = np.random.default_rng(n).normal(scale=40.0, size=n)
+        decomp = dwt_db8(x, levels)
+        approx, details = convolve_dwt(x, levels)
+        for got, want in zip((decomp.approx, *decomp.details), (approx, *details)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_memory_bounded_by_the_stack(self):
+        # 150 trials x 14 channels; scoring each channel's trials in one
+        # call would hold roughly 1 to 1.5 MB above the vectors returned
+        session = random_session(14, 128, 600 * 128, seed=6)
+        for mode in FEATURE_MODES:
+            tracemalloc.start()
+            try:
+                vectors = feature_vectors_from_sessions([session], mode)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(vectors) == 150
+            assert peak - held < 640 * 1024, mode

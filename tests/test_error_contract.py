@@ -15,10 +15,12 @@ import os
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from driveguard.cli import main
-from driveguard.model import FeatureVector, TaskLabel
+from driveguard.model import (EPOC_CHANNELS, Device, FeatureVector, SubjectSession,
+                              TaskLabel)
 from driveguard.protocol import write_arff, write_session
 from driveguard.synth import GeneratorSpec, generate_session
 
@@ -282,6 +284,28 @@ def test_stream_empty_packet_file_exits_0(valid, capsys):
     (d / "profile.json").write_text(texts["profile"])
     rc = main(["stream", str(d / "empty.bin"), "--profile", str(d / "profile.json")])
     assert (rc, *capsys.readouterr()) == (0, "", "")
+
+
+@pytest.mark.parametrize("command", [
+    ["features"], ["features", "--arff", "{d}/mixed.arff"], ["train-eval", "--k", "2"],
+], ids=["features", "features-arff", "train-eval"])
+def test_mixed_feature_schemas_exit_2(valid, capsys, command):
+    # features without --arff used to exit 0, reporting the first vector's
+    # feature count for a 1-channel 512 Hz and a 14-channel 128 Hz session
+    d, _ = valid
+    multi = SubjectSession(subject_id="s1", task=TaskLabel.TEXT,
+                           device=Device.MULTI_ELECTRODE_128, fs_hz=128,
+                           channels=EPOC_CHANNELS,
+                           raw=np.zeros((14, 4 * 128), dtype=np.int32))
+    write_session(multi, d / "multi.csv", d / "multi.manifest.json")
+    rc = main([command[0], str(d / "base.csv"), str(d / "multi.csv"),
+               *(arg.format(d=d) for arg in command[1:])])
+    out, err = capsys.readouterr()
+    assert_contract((rc, out, err), command)
+    error = json.loads(err)
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith("feature vectors disagree on schema")
+    assert not (d / "mixed.arff").exists()
 
 
 # numeric settings that once ended in a traceback, exit 0 with a

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driveguard.dsp import band_powers_from_samples
+from driveguard.dsp import SCORE_STACK, band_powers_from_samples
 from driveguard.errors import ParameterError, ValidationError
 from driveguard.index import UndefinedIndexError, distraction_index
 from driveguard.model import Device, EegSample, SubjectSession, TaskLabel
@@ -20,7 +20,6 @@ from driveguard.stream import (
     DetectorState,
     HopRecord,
     SequencingError,
-    SCORE_STACK,
     STREAM_FS_HZ,
     TRACE_HEADER,
     _candidate_thresholds,
