@@ -166,13 +166,55 @@ def _resolve_settings(args):
         setattr(args, s.key, value)
 
 
+def _read_or_error(path):
+    """The session stored at ``path`` and its ``.manifest.json``, or the
+    package error that reading them raised."""
+    # a worker hands its error back as a result: raising it would also
+    # drop the sessions read before it in the worker's run of paths
+    try:
+        if not path.endswith(".csv"):
+            raise CliError(f"session path must end in .csv, got {path!r}")
+        return read_session(path, path[:-4] + ".manifest.json")
+    except (DriveGuardError, OSError) as exc:
+        return exc
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_sessions(paths):
+    """The sessions stored at ``paths``, in order; the first path that
+    fails, in order, raises its error.
+
+    With two or more paths and usable CPUs, the paths are read in forked
+    worker processes, one contiguous run of paths per worker, and the pool
+    is joined before this returns or raises. Threads would not overlap the
+    reads, since ``np.loadtxt`` holds the GIL, and a forked worker starts
+    in milliseconds where a fresh interpreter must import the package.
+    """
+    workers = min(len(paths), _usable_cpus())
+    if workers >= 2:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return _collect_sessions(paths, pool.map(
+                    _read_or_error, paths, chunksize=-(-len(paths) // workers)))
+    return _collect_sessions(paths, map(_read_or_error, paths))
+
+
+def _collect_sessions(paths, results):
     sessions = []
-    for p in paths:
-        if not p.endswith(".csv"):
-            raise CliError(f"session path must end in .csv, got {p!r}")
-        sessions.append(read_session(p, p[:-4] + ".manifest.json"))
-        log.info("loaded session %s", p)
+    for path, result in zip(paths, results):
+        if isinstance(result, Exception):
+            raise result
+        log.info("loaded session %s", path)
+        sessions.append(result)
     return sessions
 
 
@@ -349,7 +391,8 @@ def _cmd_synth(args):
 
 
 def _cmd_calibrate(args):
-    sessions = _load_sessions(args.base) + _load_sessions(args.distraction)
+    # one call, so the two groups share a pool; base sessions come first
+    sessions = _load_sessions(args.base + args.distraction)
     result = calibrate_thresholds(sessions, subject_id=args.subject,
                                   window_s=args.window, hop_s=args.hop,
                                   refractory_s=args.refractory,

@@ -173,6 +173,12 @@ class SubjectSession:
         check_adc_range(raw.min(), raw.max(), what="raw samples")
         _freeze_array(self, "raw", raw)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled session is
+        # validated and its raw array read-only again
+        return (SubjectSession, (self.subject_id, self.task, self.device,
+                                 self.fs_hz, self.channels, self.raw))
+
     @property
     def n_samples(self) -> int:
         return self.raw.shape[1]
@@ -218,6 +224,12 @@ class TrialWindow:
         if samples.size:
             check_adc_range(samples.min(), samples.max(), what="trial samples")
         _freeze_array(self, "samples", samples)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, like SubjectSession
+        return (TrialWindow, (self.subject_id, self.task, self.channel,
+                              self.fs_hz, self.duration_s, self.trial_index,
+                              self.samples))
 
 
 class TrialSplitError(ValidationError):

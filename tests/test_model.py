@@ -1,6 +1,7 @@
 """Domain model: labels, devices, sessions, trial splitting."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -144,6 +145,21 @@ class TestSubjectSession:
         with pytest.raises(ValueError):
             sess.raw[0, 0] = 1
 
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_frozen(self, protocol):
+        sess = make_session(n_channels=2, task=TaskLabel.CALL, subject="s4")
+        back = pickle.loads(pickle.dumps(sess, protocol))
+        assert back.raw.dtype == np.int32 and not back.raw.flags.writeable
+        assert np.array_equal(back.raw, sess.raw)
+        assert (back.subject_id, back.task, back.device, back.fs_hz, back.channels) == \
+            (sess.subject_id, sess.task, sess.device, sess.fs_hz, sess.channels)
+
+    def test_unpickling_validates(self):
+        sess = make_session()
+        object.__setattr__(sess, "raw", np.full((1, 4), ADC_MAX + 1))
+        with pytest.raises(ValidationError, match="outside ADC range"):
+            pickle.loads(pickle.dumps(sess))
+
     def test_times_spacing(self):
         sess = make_session(n_samples=1024)
         t = sess.times()
@@ -193,6 +209,16 @@ class TestTrialSplitting:
         w = split_into_trials(make_session(), 4.0)[0]
         with pytest.raises(ValueError):
             w.samples[0] = 1
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_frozen(self, protocol):
+        w = split_into_trials(make_session(n_samples=4096), 4.0)[1]
+        back = pickle.loads(pickle.dumps(w, protocol))
+        assert back.samples.dtype == np.int32 and not back.samples.flags.writeable
+        assert np.array_equal(back.samples, w.samples)
+        assert (back.subject_id, back.task, back.channel, back.fs_hz,
+                back.duration_s, back.trial_index) == \
+            (w.subject_id, w.task, w.channel, w.fs_hz, w.duration_s, w.trial_index)
 
     def test_window_length_validated(self):
         with pytest.raises(ValidationError):
