@@ -23,10 +23,7 @@ from .model import (
     TaskLabel,
     TrialSplitError,
     TrialWindow,
-    dataset_summary,
     split_into_trials,
-    summary_text,
-    trial_count,
     trial_stack,
 )
 from .protocol import (
@@ -40,7 +37,6 @@ from .protocol import (
     encode_packet,
     packets_to_samples,
     raw_to_microvolts,
-    raw_to_voltage,
     read_arff,
     read_manifest,
     read_session,

@@ -192,9 +192,8 @@ def _load_sessions(paths):
 
     With two or more paths and usable CPUs, the paths are read in forked
     worker processes, one contiguous run of paths per worker, and the pool
-    is joined before this returns or raises. Threads would not overlap the
-    reads, since ``np.loadtxt`` holds the GIL, and a forked worker starts
-    in milliseconds where a fresh interpreter must import the package.
+    is joined before this returns or raises. A forked worker starts in
+    milliseconds, where a fresh interpreter must import the package.
     """
     workers = min(len(paths), _usable_cpus())
     if workers >= 2:

@@ -285,42 +285,6 @@ def split_into_trials(session: SubjectSession, trial_seconds: float = DEFAULT_TR
     ]
 
 
-def trial_count(session: SubjectSession, trial_seconds: float = DEFAULT_TRIAL_SECONDS) -> int:
-    """Number of whole trials a session yields; 0 if shorter than one trial."""
-    n_per = _trial_sample_count(trial_seconds, session.fs_hz)
-    return session.n_samples // n_per
-
-
-def dataset_summary(sessions, trial_seconds: float = DEFAULT_TRIAL_SECONDS):
-    """Tabulate trial counts per subject and task.
-
-    Returns {subject_id: {TaskLabel: trial_count}}. Unlike
-    split_into_trials, a too-short session is reported as contributing
-    zero trials instead of raising, so the summary can describe any
-    dataset it is handed.
-    """
-    table: dict = {}
-    for session in sessions:
-        per_subject = table.setdefault(session.subject_id, {})
-        count = trial_count(session, trial_seconds)
-        per_subject[session.task] = per_subject.get(session.task, 0) + count
-    return table
-
-
-def summary_text(table) -> str:
-    """Render a dataset_summary table as aligned text, one subject per row."""
-    tasks = list(TaskLabel)
-    header = ["subject"] + [t.value for t in tasks] + ["total"]
-    rows = [header]
-    for subject in sorted(table):
-        counts = [table[subject].get(t, 0) for t in tasks]
-        rows.append([subject] + [str(c) for c in counts] + [str(sum(counts))])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class BandPowers:
     """Mean spectral power per canonical EEG band, in uV^2/Hz."""

@@ -14,7 +14,6 @@ the noise by rescanning from the byte after a failed sync.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -55,12 +54,6 @@ class PacketError(ValidationError):
 
 class SessionFormatError(ValidationError):
     """A session CSV or manifest violates the documented layout."""
-
-
-def raw_to_voltage(raw: int) -> float:
-    """Electrode voltage in volts for one signed ADC count."""
-    check_adc_range(raw, raw, PacketError, "raw value")
-    return raw * VOLTS_PER_COUNT
 
 
 def raw_to_microvolts(raw) -> np.ndarray:
@@ -352,32 +345,43 @@ def read_manifest(path) -> dict:
 # cells are alive at once
 READ_BLOCK_CHARS = 1 << 16
 
-# the bytes of a plain sample line besides its line break: digits, point,
-# comma and minus
-_PLAIN_BYTES = b"0123456789.,-"
-# Python's int refuses a cell of more digits than
-# sys.get_int_max_str_digits(), at least 640, and loadtxt does not; a cell
-# that long which fits an int64 holds this run of leading zeros
-_LONG_ZERO_RUN = b"0" * 600
+# a fixed-point field is read as little-endian 8-byte words ending at its
+# last byte, so its first character is a word's least significant byte
+_ASCII_ZEROS = 0x3030303030303030
+# added to a byte of a word XORed with _ASCII_ZEROS, sets its high bit
+# unless the byte was a digit
+_DIGIT_GUARD = 0x7676767676767676
+_HIGH_BITS = 0x8080808080808080
+# masks keeping the last k of 16 bytes held as two words, indexed by k:
+# bytes 0-7 in _LAST_HI, bytes 8-15 in _LAST_LO
+_LAST_HI, _LAST_LO = np.array(
+    [[((1 << 8 * j) - 1) << (64 - 8 * j) for j in (max(k - 8, 0), min(k, 8))]
+     for k in range(17)], dtype=np.uint64).T.copy()
+# the fixed-point route's limits: digits of a timestamp, so that its
+# integer value is exact in a float, and digits of a raw cell, which fold
+# from one word
+_MAX_TIME_DIGITS = 15
+_MAX_RAW_DIGITS = 8
+_POWERS_OF_TEN = 10.0 ** np.arange(_MAX_TIME_DIGITS)
 
 
 def read_session(csv_path, manifest_path) -> SubjectSession:
     """Load and validate a session from its CSV and JSON manifest.
 
     The file's bytes are read once. A plain file, the expected header and
-    then non-blank lines made only of digits, points, commas and minus
-    signs, is parsed by ``np.loadtxt`` (``_loadtxt_samples``). Any other
-    file, and a plain one that ``loadtxt`` rejects, is decoded and read by
-    the block reader (``_read_blocks``), which gives every error message:
-    its lines are converted a block at a time, with one numpy conversion
-    per column, which accepts and rejects exactly what Python's ``float``
-    and ``int`` do. Both routes accept the same files and the same values.
+    then lines of a fixed-point timestamp and integer raw cells, each
+    ending in a line break, is parsed by ``_fixed_point_samples``. Any
+    other file is decoded and read by the block reader (``_read_blocks``),
+    which gives every error message: its lines are converted a block at a
+    time, with one numpy conversion per column, which accepts and rejects
+    exactly what Python's ``float`` and ``int`` do. Both routes give the
+    same values wherever both accept.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
     header = ",".join(_expected_header(len(channels)))
     data = read_bytes(csv_path, "session csv", SessionFormatError)
-    samples = _loadtxt_samples(data, header, len(channels))
+    samples = _fixed_point_samples(data, header, len(channels))
     if samples is None:
         text = _decode_text(data, csv_path, "session csv", SessionFormatError)
         del data
@@ -385,7 +389,7 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         del text  # freed before the checks below allocate
     else:
         del data  # freed before the checks below allocate
-        t, raw = samples["t"], samples["raw"].T
+        t, raw = samples
 
     if not t[0] >= 0:
         raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
@@ -405,7 +409,8 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
             f"(tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
         )
     # the first value outside the ADC range in file order (lines, then
-    # channels), found before the int64 -> int32 cast below, which would wrap
+    # channels), found before the cast to int32 below, which would wrap the
+    # block reader's int64 values
     bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
     if bad.size:
         i, c = divmod(int(bad[0]), len(channels))
@@ -413,42 +418,110 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         check_adc_range(first, first, SessionFormatError,
                         f"{csv_path} line {i + 2}: raw sample")
 
-    return SubjectSession(**manifest, raw=raw.astype(np.int32, order="C"))
+    return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
 
 
-def _loadtxt_samples(data: bytes, header: str, n_channels: int):
-    """The samples of a plain session CSV, read by ``np.loadtxt``, as a
-    record array with fields ``t`` and ``raw`` (one column per channel);
-    None when ``data`` is not plain or ``loadtxt`` rejects or skips a line.
+def _fixed_point_samples(data: bytes, header: str, n_channels: int):
+    """``(t, raw)`` of a plain session CSV's bytes ``data``, with ``raw`` as
+    int32; None when ``data`` is not plain.
 
-    On plain lines ``loadtxt`` takes exactly the cells that Python's
-    ``float`` and ``int`` take, with the same values. Elsewhere the two
-    part: ``loadtxt`` skips blank lines, rejects ``1_0``, Arabic-Indic
-    digits and integers beyond int64, and takes ``1\\x1c``, which ``int``
-    rejects. So only plain files take this route.
+    A plain file is ``header`` and then lines that each end in a line
+    break and hold a timestamp of 2 to 15 digits with one point between
+    them, then ``n_channels`` raw cells of an optional minus and 1 to 8
+    digits. On such a line Python's ``float`` and ``int`` take every cell,
+    and the values below are theirs. Lines are read in blocks of at most
+    READ_BLOCK_CHARS bytes, so beside the file and the two results only
+    one block's arrays are alive at once.
     """
     head = header.encode() + b"\n"
-    start = len(head)
-    if not data.startswith(head) or data[start:start + 1] in (b"", b"\n"):
+    if not data.startswith(head) or not data.endswith(b"\n") or len(data) == len(head):
         return None
-    # translate deletes the plain bytes in C, without copying a slice of
-    # data; a plain file leaves the header's letters, then line breaks only
-    rest = data.translate(None, _PLAIN_BYTES)
-    head_rest = head.translate(None, _PLAIN_BYTES)
-    breaks = len(rest) - len(head_rest)
-    if rest.count(b"\n", len(head_rest)) != breaks or _LONG_ZERO_RUN in data:
-        return None
-    # a final line break ends the last line
-    n = breaks + (not data.endswith(b"\n"))
-    dtype = np.dtype([("t", "f8"), ("raw", "i8", (n_channels,))])
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="") as lines:
-            samples = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                 skiprows=1, ndmin=1)
-    except ValueError:
-        return None
-    # fewer rows than lines: loadtxt skipped a blank line
-    return samples if samples.size == n else None
+    # the blocks, each ending at the last line break within the budget (a
+    # longer line is a block of its own), and their line counts: numpy
+    # counts a block's line breaks faster than bytes.count does
+    blocks, n = [], 0
+    pos = len(head)
+    while pos < len(data):
+        stop = (data.rfind(b"\n", pos, pos + READ_BLOCK_CHARS) + 1
+                or data.find(b"\n", pos) + 1)
+        blocks.append((pos, stop))
+        n += np.count_nonzero(np.frombuffer(data, np.uint8, stop - pos, pos) == 10)
+        pos = stop
+    # words[i] is bytes i to i + 7 of data, read in place
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    t = np.empty(n)
+    raw = np.empty((n_channels, n), dtype=np.int32)
+    row = 0
+    for pos, stop in blocks:
+        m = _fixed_point_block(data, words, pos, stop, t, raw, row)
+        if not m:
+            return None
+        row += m
+    return t, raw
+
+
+def _fixed_point_block(data, words, pos, stop, t, raw, row):
+    """Store the lines of ``data[pos:stop]``, which ends in a line break, as
+    samples ``row`` onwards of ``t`` and ``raw``, and return their count;
+    0 if a line is not plain."""
+    ncol = len(raw) + 1
+    block = np.frombuffer(data, np.uint8, stop - pos, pos)
+    # each line's point, commas and line break, in that order; any other
+    # byte below "-" stands where one of them should, and fails the pattern
+    marks = np.flatnonzero((block < 45) | (block == 46))
+    m = marks.size // (ncol + 1)
+    if marks.size != m * (ncol + 1):
+        return 0
+    marks = marks.reshape(m, ncol + 1)
+    if (block[marks] != np.array([46] + [44] * (ncol - 1) + [10], np.uint8)).any():
+        return 0
+    points, ends = marks[:, 0], marks[:, 1:]
+    starts = np.empty(m, dtype=np.intp)
+    starts[0] = 0
+    starts[1:] = ends[:-1, -1] + 1
+    # digits before and after each point, and in each raw cell after its
+    # optional minus
+    before = points - starts
+    after = ends[:, 0] - points - 1
+    time_digits = before + after
+    neg = block[ends[:, :-1] + 1] == 45
+    raw_digits = ends[:, 1:] - ends[:, :-1] - 1 - neg
+    if before.min() < 1 or after.min() < 1 or time_digits.max() > _MAX_TIME_DIGITS or \
+            raw_digits.min() < 1 or raw_digits.max() > _MAX_RAW_DIGITS:
+        return 0
+
+    # per line, the words of the timestamp's last 16 bytes, then of each
+    # raw cell's last 8 bytes. Only the file's first line can reach back
+    # past byte 0; the bytes it would read there precede its timestamp, as
+    # the header's 8 or more bytes do, and are masked off, so its index is
+    # clamped to 0.
+    index = marks + (pos - 8)
+    np.subtract(index[:, 1], 8, out=index[:, 0])
+    np.maximum(index[0], 0, out=index[0])
+    cells = words[index]
+    cells ^= _ASCII_ZEROS
+    # the digits after the point stay where they are; those before it are
+    # taken from the words one byte further back, which closes the point's
+    # gap. Bytes before each field are masked to zeros.
+    hi, lo = cells[:, 0], cells[:, 1]
+    keep_hi, keep_lo = _LAST_HI[after], _LAST_LO[after]
+    lo_n = (lo & keep_lo) | (((lo << 8) | (hi >> 56)) & (_LAST_LO[time_digits] ^ keep_lo))
+    cells[:, 0] = (hi & keep_hi) | ((hi << 8) & (_LAST_HI[time_digits] ^ keep_hi))
+    cells[:, 1] = lo_n
+    cells[:, 2:] &= _LAST_LO[raw_digits]
+    if ((cells | (cells + _DIGIT_GUARD)) & _HIGH_BITS).any():
+        return 0
+    # fold 8 digits into their value: pairs, then fours, then eights
+    cells = (cells * 10 + (cells >> 8)) & 0x00FF00FF00FF00FF
+    cells = (cells * 100 + (cells >> 16)) & 0x0000FFFF0000FFFF
+    cells = (cells * 10000 + (cells >> 32)) & 0xFFFFFFFF
+    # at most 15 digits are exact in a float, and so is 10**after; the
+    # quotient is rounded once, as float() rounds the cell
+    t[row:row + m] = (cells[:, 0] * 100000000 + cells[:, 1]) / _POWERS_OF_TEN[after]
+    values = cells[:, 2:].astype(np.int32)
+    values *= 1 - 2 * neg
+    raw[:, row:row + m] = values.T
+    return m
 
 
 def _read_blocks(csv_path, text: str, header: str, n_channels: int):
@@ -459,6 +532,9 @@ def _read_blocks(csv_path, text: str, header: str, n_channels: int):
         raise SessionFormatError(f"{csv_path} is empty")
     # the samples start after the header's line break (past the end if none)
     pos = text.find("\n") + 1 or len(text) + 1
+    if text[:pos - 1] == header + "\r":
+        raise SessionFormatError(
+            f"{csv_path} has CRLF line endings; session CSVs take LF line endings only")
     if text[:pos - 1] != header:
         raise SessionFormatError(
             f"{csv_path} header {text[:pos - 1]!r} does not match expected "

@@ -263,6 +263,17 @@ def test_oversized_raw_cell_exits_2(valid, capsys, argv):
     assert "huge.csv line 2:" in json.loads(err)["message"]
 
 
+def test_crlf_session_csv_names_its_line_endings(valid, capsys):
+    # the message used to be a header mismatch against 't_s,raw\r'
+    d, texts = valid
+    result = run_with(capsys, d, "csv", texts["csv"].replace("\n", "\r\n"))
+    assert_contract(result, "csv with CRLF line endings")
+    error = json.loads(result[2])
+    assert error == {"error": "SessionFormatError",
+                     "message": f"{d / 'input.csv'} has CRLF line endings; "
+                                "session CSVs take LF line endings only"}
+
+
 @pytest.mark.parametrize("name", ["upper.CSV", "notes.txt", "noise.bin"])
 def test_stream_input_without_raw_samples_exits_2(valid, capsys, name):
     # stream read a session CSV named other than *.csv as packets, found no

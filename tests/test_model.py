@@ -20,10 +20,7 @@ from driveguard.model import (
     TaskLabel,
     TrialSplitError,
     TrialWindow,
-    dataset_summary,
     split_into_trials,
-    summary_text,
-    trial_count,
 )
 
 
@@ -179,7 +176,6 @@ class TestTrialSplitting:
         sess = make_session(n_samples=5 * 2048 + 100)
         windows = split_into_trials(sess, 4.0)
         assert len(windows) == 5
-        assert trial_count(sess, 4.0) == 5
 
     def test_trial_major_channel_order(self):
         sess = make_session(n_samples=4096, n_channels=2)
@@ -225,32 +221,6 @@ class TestTrialSplitting:
             TrialWindow(subject_id="s", task=TaskLabel.BASE, channel="C0",
                         fs_hz=512, duration_s=4.0, trial_index=0,
                         samples=np.zeros(100, dtype=np.int32))
-
-
-class TestDatasetSummary:
-    def test_counts_per_subject_and_task(self):
-        sessions = [
-            make_session(n_samples=4096, subject="a", task=TaskLabel.BASE),
-            make_session(n_samples=4096, subject="a", task=TaskLabel.BASE),
-            make_session(n_samples=2048, subject="a", task=TaskLabel.READ),
-            make_session(n_samples=6144, subject="b", task=TaskLabel.CALL),
-        ]
-        table = dataset_summary(sessions, 4.0)
-        assert table["a"][TaskLabel.BASE] == 4
-        assert table["a"][TaskLabel.READ] == 1
-        assert table["b"][TaskLabel.CALL] == 3
-
-    def test_too_short_counts_zero_instead_of_raising(self):
-        table = dataset_summary([make_session(n_samples=100)], 4.0)
-        assert table["s1"][TaskLabel.BASE] == 0
-
-    def test_summary_text_layout(self):
-        table = dataset_summary([make_session(n_samples=4096)], 4.0)
-        text = summary_text(table)
-        lines = text.splitlines()
-        assert lines[0].split() == [
-            "subject", "Base", "Read", "Text", "Call", "Snapshot", "total"]
-        assert lines[1].split() == ["s1", "2", "0", "0", "0", "0", "2"]
 
 
 class TestBandPowers:

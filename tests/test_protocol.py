@@ -35,7 +35,6 @@ from driveguard.protocol import (
     encode_packet,
     packets_to_samples,
     raw_to_microvolts,
-    raw_to_voltage,
     read_manifest,
     read_session,
     read_text,
@@ -50,15 +49,6 @@ class TestAdcConversion:
     def test_scale_constants(self):
         assert VOLTS_PER_COUNT == pytest.approx(1.8 / 4096 / 2000, abs=0)
         assert UV_PER_COUNT == pytest.approx(0.2197265625, abs=0)
-
-    def test_voltage_values(self):
-        assert raw_to_voltage(0) == 0.0
-        assert raw_to_voltage(1) == pytest.approx(2.197265625e-7, rel=1e-12)
-        assert raw_to_voltage(-2048) == pytest.approx(-2048 * VOLTS_PER_COUNT)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(PacketError):
-            raw_to_voltage(2048)
 
     def test_vectorised_microvolts(self):
         out = raw_to_microvolts([0, 1, -1, 100])
@@ -649,10 +639,12 @@ class TestSessionFiles:
 def per_line_read_session(csv_path, manifest_path):
     """The per-line CSV reader that read_session replaced, kept as its oracle.
 
-    It differs from read_session in three messages: a timestamp spacing
-    error and an out-of-range raw value name no line here, and a non-finite
-    timestamp is a spacing error "by nan s" (or "by inf s"). It also accepts
-    a one-line file whose timestamp is infinite.
+    It differs from read_session in four messages: a timestamp spacing
+    error and an out-of-range raw value name no line here, a non-finite
+    timestamp is a spacing error "by nan s" (or "by inf s"), and a header
+    ending in a carriage return is a header mismatch, where read_session
+    names the CRLF line endings. It also accepts a one-line file whose
+    timestamp is infinite.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
@@ -731,6 +723,9 @@ def read_outcome(read, csv, man):
         return exc
 
 
+CRLF_MESSAGE = "{csv} has CRLF line endings; session CSVs take LF line endings only"
+
+
 def assert_matches_oracle(csv, man, fs):
     # the oracle's np.diff warns on inf - inf, which tier-1 makes an error
     with np.errstate(all="ignore"):
@@ -743,6 +738,11 @@ def assert_matches_oracle(csv, man, fs):
         assert got.raw.dtype == np.int32 and np.array_equal(got.raw, want.raw)
         return
     assert isinstance(got, SessionFormatError), got
+    header = re.match(re.escape(f"{csv} header ")
+                      + r"'(.*)\\r' does not match expected '(.*)'", str(want))
+    if header and header[1] == header[2]:
+        assert str(got) == CRLF_MESSAGE.format(csv=csv)
+        return
     if str(want).startswith(f"{csv}: timestamp spacing "):
         kind = r"timestamp (spacing deviates|\S+ is not finite)"
     elif str(want).startswith(f"{csv}: raw samples "):
@@ -839,16 +839,17 @@ def write_random_session(d, n, n_channels, fs, seed=2):
 LONG_ZEROS = "0" * 5000
 
 
-def decline_loadtxt(monkeypatch):
-    """Make read_session's np.loadtxt route decline every file, so the
+def decline_fixed_point(monkeypatch):
+    """Make read_session's fixed-point route decline every file, so the
     block reader reads them all."""
-    monkeypatch.setattr(protocol, "_loadtxt_samples", lambda *args: None)
+    monkeypatch.setattr(protocol, "_fixed_point_samples", lambda *args: None)
 
 
 class TestBlockReader:
     """read_session against the per-line reader it replaced, as it runs:
-    plain files through np.loadtxt, every other one through the block
-    reader. ``TestBlockRoute`` repeats each check on the block reader alone."""
+    plain files through the fixed-point route, every other one through the
+    block reader. ``TestBlockRoute`` repeats each check on the block reader
+    alone."""
 
     @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
     @pytest.mark.parametrize("budget", [16, 300])
@@ -942,8 +943,8 @@ class TestBlockReader:
 
     def test_lines_longer_than_the_budget_are_blocks_of_their_own(
             self, tmp_path, monkeypatch):
-        # plain files take the loadtxt route, so decline it
-        decline_loadtxt(monkeypatch)
+        # plain files take the fixed-point route, so decline it
+        decline_fixed_point(monkeypatch)
         blocks = []
         convert_block = protocol._convert_block
 
@@ -958,26 +959,178 @@ class TestBlockReader:
 
 
 class TestBlockRoute(TestBlockReader):
-    """Every TestBlockReader check with the np.loadtxt route declining."""
+    """Every TestBlockReader check with the fixed-point route declining."""
 
     @pytest.fixture(autouse=True)
     def block_reader_only(self, monkeypatch):
-        decline_loadtxt(monkeypatch)
+        decline_fixed_point(monkeypatch)
 
 
-def test_written_sessions_take_the_loadtxt_route(tmp_path, monkeypatch):
+# timestamp forms a session CSV may hold: write_session's, a shorter
+# fixed-point form, and Python's shortest repr
+TIME_FORMATS = {"%.9f": "%.9f".__mod__, "%.6f": "%.6f".__mod__, "str": str}
+
+
+def write_timed_session(d, n, n_channels, fs, time_format):
+    """A random session of ``n`` samples written to ``d`` with timestamps
+    in ``time_format``, one of TIME_FORMATS."""
+    csv, man, session = write_random_session(d, n, n_channels, fs)
+    lines = csv.read_text().split("\n")
+    times = map(TIME_FORMATS[time_format], (np.arange(n) / fs).tolist())
+    lines[1:-1] = [t + line[line.index(","):] for t, line in zip(times, lines[1:-1])]
+    csv.write_text("\n".join(lines))
+    return csv, man, session
+
+
+def spy_fixed_point(monkeypatch):
+    """The results of read_session's fixed-point route, appended as it runs."""
     results = []
-    loadtxt_samples = protocol._loadtxt_samples
+    fixed_point_samples = protocol._fixed_point_samples
 
     def spy(*args):
-        results.append(loadtxt_samples(*args))
+        results.append(fixed_point_samples(*args))
         return results[-1]
-    monkeypatch.setattr(protocol, "_loadtxt_samples", spy)
-    for n_channels, fs in [(1, 512), (2, 512), (1, 128), (3, 128)]:
-        csv, man, session = write_random_session(tmp_path, 700, n_channels, fs)
-        got = read_session(csv, man)
-        assert results[-1] is not None, (n_channels, fs)
-        assert got.raw.flags.c_contiguous and np.array_equal(got.raw, session.raw)
+    monkeypatch.setattr(protocol, "_fixed_point_samples", spy)
+    return results
+
+
+def test_written_sessions_take_the_fixed_point_route(tmp_path, monkeypatch):
+    results = spy_fixed_point(monkeypatch)
+    for n_channels in (1, 2, 3):
+        for fs in (512, 128):
+            for time_format in TIME_FORMATS:
+                csv, man, session = write_timed_session(tmp_path, 700, n_channels, fs,
+                                                        time_format)
+                got = read_session(csv, man)
+                assert results[-1] is not None, (n_channels, fs, time_format)
+                assert got.raw.flags.c_contiguous and np.array_equal(got.raw, session.raw)
+
+
+def replace_time(line, time):
+    return time + line[line.index(","):]
+
+
+def replace_raw(line, raw):
+    return line[:line.rindex(",") + 1] + raw
+
+
+def move_point(time, shift):
+    digits = time.replace(".", "")
+    at = time.index(".") + shift
+    return digits[:at] + "." + digits[at:]
+
+
+def pad_time(time, digits):
+    """``time`` with trailing zeros to ``digits`` digits."""
+    return time + "0" * (digits + 1 - len(time))
+
+
+def pad_raw(raw, digits):
+    """``raw`` with leading zeros to ``digits`` digits."""
+    sign = "-" if raw.startswith("-") else ""
+    return sign + raw.lstrip("-").rjust(digits, "0")
+
+
+# edits of one sample line, each on the line as written
+LINE_MUTATIONS = {
+    "point-moved-left": lambda line, t, r: replace_time(line, move_point(t, -1)),
+    "point-moved-right": lambda line, t, r: replace_time(line, move_point(t, 1)),
+    "point-dropped": lambda line, t, r: replace_time(line, t.replace(".", "")),
+    "point-doubled": lambda line, t, r: replace_time(line, t.replace(".", "..")),
+    "point-in-raw": lambda line, t, r: replace_raw(line, r[:1] + "." + r[1:]),
+    "no-integer-digit": lambda line, t, r: replace_time(line, t[t.index("."):]),
+    "no-fraction-digit": lambda line, t, r: replace_time(line, t[:t.index(".") + 1]),
+    "fraction-dropped": lambda line, t, r: replace_time(line, t[:t.index(".")]),
+    "15-time-digits": lambda line, t, r: replace_time(line, pad_time(t, 15)),
+    "16-time-digits": lambda line, t, r: replace_time(line, pad_time(t, 16)),
+    "15-time-digits-leading": lambda line, t, r: replace_time(
+        line, "0" * (16 - len(t)) + t),
+    "16-time-digits-leading": lambda line, t, r: replace_time(
+        line, "0" * (17 - len(t)) + t),
+    "8-raw-digits": lambda line, t, r: replace_raw(line, pad_raw(r, 8)),
+    "9-raw-digits": lambda line, t, r: replace_raw(line, pad_raw(r, 9)),
+    "8-raw-digits-beyond-adc": lambda line, t, r: replace_raw(line, "12345678"),
+    "9-raw-digits-beyond-adc": lambda line, t, r: replace_raw(line, "-123456789"),
+    "minus-zero": lambda line, t, r: replace_raw(line, "-0"),
+    "leading-zeros": lambda line, t, r: replace_raw(line, "007"),
+    "time-leading-zero": lambda line, t, r: replace_time(line, "0" + t),
+    "half-with-leading-zeros": lambda line, t, r: replace_time(line, "00.5"),
+    "negative-time": lambda line, t, r: replace_time(line, "-" + t),
+    "minus-inside-time": lambda line, t, r: replace_time(line, t.replace(".", ".-")),
+    "minus-inside-raw": lambda line, t, r: replace_raw(line, r[:1] + "-" + r[1:]),
+    "minus-after-raw": lambda line, t, r: replace_raw(line, r + "-"),
+    "lone-minus": lambda line, t, r: replace_raw(line, "-"),
+    "double-minus": lambda line, t, r: replace_raw(line, "--" + r.lstrip("-")),
+    "plus-raw": lambda line, t, r: replace_raw(line, "+" + r.lstrip("-")),
+    "plus-time": lambda line, t, r: replace_time(line, "+" + t),
+    "space-before-raw": lambda line, t, r: replace_raw(line, " " + r),
+    "space-after-time": lambda line, t, r: replace_time(line, t + " "),
+    "high-byte-in-raw": lambda line, t, r: replace_raw(line, r[:1] + "\u00e9" + r[1:]),
+    "arabic-digit-raw": lambda line, t, r: replace_raw(line, "\u0661\u0662"),
+    "high-byte-in-time": lambda line, t, r: replace_time(line, t[:-1] + "\u0665"),
+    "slash-in-time": lambda line, t, r: replace_time(line, t[:-1] + "/"),
+    "colon-in-raw": lambda line, t, r: replace_raw(line, r + ":"),
+    "empty-raw": lambda line, t, r: replace_raw(line, ""),
+    "extra-field": lambda line, t, r: line + ",5",
+    "blank-line": lambda line, t, r: "",
+    "crlf": lambda line, t, r: line + "\r",
+}
+
+
+class TestFixedPointRoute:
+    """read_session against the per-line reader on edits of one line at
+    and next to the fixed-point route's block cuts, for every time form:
+    equal sessions where the oracle accepts, the same message where it
+    rejects."""
+
+    @pytest.mark.parametrize("time_format", list(TIME_FORMATS))
+    @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (3, 512),
+                                                (1, 128), (2, 128), (3, 128)])
+    def test_line_mutations_at_block_cuts(self, tmp_path, monkeypatch, n_channels, fs,
+                                          time_format):
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 200)
+        csv, man, _ = write_timed_session(tmp_path, 60, n_channels, fs, time_format)
+        text = csv.read_text()
+        lines = text.split("\n")
+        starts = block_starts(text, 200)
+        assert len(starts) >= 3
+        rng = np.random.default_rng(n_channels + fs)
+        for mutate in LINE_MUTATIONS.values():
+            # the first and last lines, the lines around two cuts, and a
+            # random line next to a cut in a file whose last line break is
+            # dropped
+            at_random = min(int(rng.choice(starts)) + int(rng.integers(-1, 2)),
+                            len(lines) - 2)
+            for at, end in [(1, "\n"), (starts[0] - 1, "\n"), (starts[0], "\n"),
+                            (starts[1] + 1, "\n"), (len(lines) - 2, "\n"),
+                            (at_random, "")]:
+                line = lines[at]
+                mutated = lines[:-1]
+                mutated[at] = mutate(line, line.split(",")[0], line.split(",")[-1])
+                csv.write_text("\n".join(mutated) + end, encoding="utf-8")
+                assert_matches_oracle(csv, man, fs)
+
+    @pytest.mark.parametrize("time_format", list(TIME_FORMATS))
+    def test_values_equal_float_and_int(self, tmp_path, monkeypatch, time_format):
+        # every timestamp of a 20 minute recording and every raw value, then
+        # the widest cells the route takes, off the time grid
+        results = spy_fixed_point(monkeypatch)
+        n = 20 * 60 * 128
+        csv, man, _ = write_timed_session(tmp_path, n, 1, 128, time_format)
+        lines = csv.read_text().split("\n")[1:-1]
+        lines[:4096] = [replace_raw(line, str(v))
+                        for line, v in zip(lines, range(-2048, 2048))]
+        lines += [f"{t},{r}" for t, r in zip(
+            ["00.5", "0.00000000000001", "99999999999999.9", "9.99999999999999",
+             "123456789.012345", "0000000.00000005", "1.0", "5.00000000000000"],
+            ["-0", "007", "00000012", "-99999999", "99999999", "-00000000", "0", "-1"])]
+        csv.write_text("t_s,raw\n" + "\n".join(lines) + "\n")
+        with pytest.raises(SessionFormatError):
+            read_session(csv, man)
+        t, raw = results[-1]
+        cells = [line.split(",") for line in lines]
+        assert t.tolist() == [float(c[0]) for c in cells]
+        assert raw[0].tolist() == [int(c[1]) for c in cells]
 
 
 def read_time(read, path):
