@@ -340,9 +340,9 @@ def read_manifest(path) -> dict:
     return read_json_record(path, "manifest", _manifest_fields, SessionFormatError)
 
 
-# characters of CSV text converted at a time: a block ends at the last line
-# break within this budget, so it holds whole lines, and only one block's
-# cells are alive at once
+# bytes of CSV converted at a time: a block ends at the last line break
+# within this budget, so it holds whole lines, and only one block's cells
+# are alive at once
 READ_BLOCK_CHARS = 1 << 16
 
 # a fixed-point field is read as little-endian 8-byte words ending at its
@@ -368,28 +368,65 @@ _POWERS_OF_TEN = 10.0 ** np.arange(_MAX_TIME_DIGITS)
 def read_session(csv_path, manifest_path) -> SubjectSession:
     """Load and validate a session from its CSV and JSON manifest.
 
-    The file's bytes are read once. A plain file, the expected header and
-    then lines of a fixed-point timestamp and integer raw cells, each
-    ending in a line break, is parsed by ``_fixed_point_samples``. Any
-    other file is decoded and read by the block reader (``_read_blocks``),
-    which gives every error message: its lines are converted a block at a
-    time, with one numpy conversion per column, which accepts and rejects
-    exactly what Python's ``float`` and ``int`` do. Both routes give the
-    same values wherever both accept.
+    The file's bytes are read once and checked up front: UTF-8 text, not
+    empty, the expected header ending in an LF line break, then at least
+    one sample line. The sample lines are cut into blocks of whole lines
+    within READ_BLOCK_CHARS bytes (a longer line is a block of its own),
+    and one loop converts the blocks in file order. A block of plain
+    lines is read by ``_fixed_point_block``; any other block, such as a
+    last line without a line break, is read line by line by
+    ``_convert_lines``, which gives every error message. Both give the
+    values of Python's ``float`` and ``int``.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
     header = ",".join(_expected_header(len(channels)))
     data = read_bytes(csv_path, "session csv", SessionFormatError)
-    samples = _fixed_point_samples(data, header, len(channels))
-    if samples is None:
-        text = _decode_text(data, csv_path, "session csv", SessionFormatError)
-        del data
-        t, raw = _read_blocks(csv_path, text, header, len(channels))
-        del text  # freed before the checks below allocate
-    else:
-        del data  # freed before the checks below allocate
-        t, raw = samples
+    if not data.isascii():
+        _decode_text(data, csv_path, "session csv", SessionFormatError)
+    if not data:
+        raise SessionFormatError(f"{csv_path} is empty")
+    # the samples start after the header's line break (past the end if none)
+    pos = data.find(b"\n") + 1 or len(data) + 1
+    head = data[:pos - 1].decode()
+    if head == header + "\r":
+        raise SessionFormatError(
+            f"{csv_path} has CRLF line endings; session CSVs take LF line endings only")
+    if head != header:
+        raise SessionFormatError(
+            f"{csv_path} header {head!r} does not match expected "
+            f"{header!r} for {len(channels)} channel(s)"
+        )
+    if pos >= len(data):
+        raise SessionFormatError(f"{csv_path} has a header but no samples")
+
+    # the blocks, each ending at the last line break within the budget (a
+    # longer line, and a last line without a line break, is a block of its
+    # own), and their line count: numpy counts a block's line breaks faster
+    # than bytes.count does
+    blocks, n = [], not data.endswith(b"\n")
+    while pos < len(data):
+        stop = (data.rfind(b"\n", pos, pos + READ_BLOCK_CHARS) + 1
+                or data.find(b"\n", pos) + 1 or len(data))
+        blocks.append((pos, stop))
+        n += np.count_nonzero(np.frombuffer(data, np.uint8, stop - pos, pos) == 10)
+        pos = stop
+    # words[i] is bytes i to i + 7 of data, read in place
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    t = np.empty(n)
+    raw = np.empty((len(channels), n), dtype=np.int32)
+    row = 0
+    for pos, stop in blocks:
+        m = data.endswith(b"\n", pos, stop) and _fixed_point_block(
+            data, words, pos, stop, t, raw, row)
+        if not m:
+            # a cell read line by line may lie beyond int32, and the range
+            # check below must report its value
+            raw = raw.astype(np.int64, copy=False)
+            block = data[pos:stop].decode().removesuffix("\n")
+            m = _convert_lines(csv_path, block, t, raw, row)
+        row += m
+    del data, words  # freed before the checks below allocate
 
     if not t[0] >= 0:
         raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
@@ -409,8 +446,8 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
             f"(tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
         )
     # the first value outside the ADC range in file order (lines, then
-    # channels), found before the cast to int32 below, which would wrap the
-    # block reader's int64 values
+    # channels), found before the cast to int32 below, which would wrap
+    # int64 values read line by line
     bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
     if bad.size:
         i, c = divmod(int(bad[0]), len(channels))
@@ -421,49 +458,16 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
 
 
-def _fixed_point_samples(data: bytes, header: str, n_channels: int):
-    """``(t, raw)`` of a plain session CSV's bytes ``data``, with ``raw`` as
-    int32; None when ``data`` is not plain.
-
-    A plain file is ``header`` and then lines that each end in a line
-    break and hold a timestamp of 2 to 15 digits with one point between
-    them, then ``n_channels`` raw cells of an optional minus and 1 to 8
-    digits. On such a line Python's ``float`` and ``int`` take every cell,
-    and the values below are theirs. Lines are read in blocks of at most
-    READ_BLOCK_CHARS bytes, so beside the file and the two results only
-    one block's arrays are alive at once.
-    """
-    head = header.encode() + b"\n"
-    if not data.startswith(head) or not data.endswith(b"\n") or len(data) == len(head):
-        return None
-    # the blocks, each ending at the last line break within the budget (a
-    # longer line is a block of its own), and their line counts: numpy
-    # counts a block's line breaks faster than bytes.count does
-    blocks, n = [], 0
-    pos = len(head)
-    while pos < len(data):
-        stop = (data.rfind(b"\n", pos, pos + READ_BLOCK_CHARS) + 1
-                or data.find(b"\n", pos) + 1)
-        blocks.append((pos, stop))
-        n += np.count_nonzero(np.frombuffer(data, np.uint8, stop - pos, pos) == 10)
-        pos = stop
-    # words[i] is bytes i to i + 7 of data, read in place
-    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    t = np.empty(n)
-    raw = np.empty((n_channels, n), dtype=np.int32)
-    row = 0
-    for pos, stop in blocks:
-        m = _fixed_point_block(data, words, pos, stop, t, raw, row)
-        if not m:
-            return None
-        row += m
-    return t, raw
-
-
 def _fixed_point_block(data, words, pos, stop, t, raw, row):
     """Store the lines of ``data[pos:stop]``, which ends in a line break, as
     samples ``row`` onwards of ``t`` and ``raw``, and return their count;
-    0 if a line is not plain."""
+    0 if a line is not plain.
+
+    A plain line holds a timestamp of 2 to 15 digits with one point
+    between them, then ``len(raw)`` raw cells of an optional minus and 1
+    to 8 digits. Python's ``float`` and ``int`` take every such cell, and
+    the values stored are theirs.
+    """
     ncol = len(raw) + 1
     block = np.frombuffer(data, np.uint8, stop - pos, pos)
     # each line's point, commas and line break, in that order; any other
@@ -524,75 +528,10 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     return m
 
 
-def _read_blocks(csv_path, text: str, header: str, n_channels: int):
-    """``(t, raw)`` of a session CSV's ``text`` with ``header`` expected,
-    converted in blocks of whole lines; SessionFormatError names the first
-    bad line."""
-    if not text:
-        raise SessionFormatError(f"{csv_path} is empty")
-    # the samples start after the header's line break (past the end if none)
-    pos = text.find("\n") + 1 or len(text) + 1
-    if text[:pos - 1] == header + "\r":
-        raise SessionFormatError(
-            f"{csv_path} has CRLF line endings; session CSVs take LF line endings only")
-    if text[:pos - 1] != header:
-        raise SessionFormatError(
-            f"{csv_path} header {text[:pos - 1]!r} does not match expected "
-            f"{header!r} for {n_channels} channel(s)"
-        )
-    # the sample lines run from pos to end; a final line break ends the last
-    end = len(text) - text.endswith("\n")
-    if pos > end:
-        raise SessionFormatError(f"{csv_path} has a header but no samples")
-
-    n = text.count("\n", pos, end) + 1
-    t = np.empty(n)
-    raw = np.empty((n_channels, n), dtype=np.int64)
-    row = 0
-    while row < n:
-        stop = end
-        if end - pos > READ_BLOCK_CHARS:
-            stop = text.rfind("\n", pos, pos + READ_BLOCK_CHARS)
-            if stop < 0:  # a line longer than the budget is a block of its own
-                stop = text.find("\n", pos, end)
-            if stop < 0:
-                stop = end
-        block = text[pos:stop]
-        m = _convert_block(block, t, raw, row)
-        if not m:
-            m = _convert_lines(csv_path, block, t, raw, row)
-        row += m
-        pos = stop + 1
-    return t, raw
-
-
-def _convert_block(block, t, raw, row):
-    """Store the lines of ``block`` as samples ``row`` onwards of ``t`` and
-    ``raw``, and return their count; 0 if a line has the wrong number of
-    fields or a cell does not convert."""
-    ncol = len(raw) + 1
-    # a line break or comma byte is never part of a multi-byte UTF-8 character
-    data = np.frombuffer(block.encode(), np.uint8)
-    breaks = np.flatnonzero(data == 10)
-    commas = np.flatnonzero(data == 44)
-    commas_per_line = np.diff(np.searchsorted(commas, breaks),
-                              prepend=0, append=commas.size)
-    if (commas_per_line != ncol - 1).any():
-        return 0
-    m = breaks.size + 1
-    cells = block.replace("\n", ",").split(",")
-    try:
-        t[row:row + m] = cells[0::ncol]
-        for c in range(ncol - 1):
-            raw[c, row:row + m] = cells[c + 1::ncol]
-    except (ValueError, OverflowError):  # OverflowError: beyond int64
-        return 0
-    return m
-
-
 def _convert_lines(csv_path, block, t, raw, row):
-    """``_convert_block`` one line at a time, raising SessionFormatError at
-    the first bad line of ``block``, whose first line is sample ``row``."""
+    """Store the lines of ``block`` as samples ``row`` onwards of ``t`` and
+    ``raw`` with Python's ``float`` and ``int``, and return their count;
+    SessionFormatError names the first bad line."""
     ncol = len(raw) + 1
     lines = block.split("\n")
     for i, line in enumerate(lines, row):

@@ -1,5 +1,6 @@
 """Wire framing, ADC conversion, session files, and ARFF export."""
 
+import bisect
 import json
 import math
 import re
@@ -451,9 +452,9 @@ class TestScannerReference:
 
 
 def parse_time(wire):
-    t0 = time.perf_counter()
+    t0 = time.thread_time()
     packets_to_samples(wire)
-    return time.perf_counter() - t0
+    return time.thread_time() - t0
 
 
 def doubling_ratio(half, whole, pairs=7):
@@ -461,7 +462,8 @@ def doubling_ratio(half, whole, pairs=7):
 
     The two parses of a pair run back to back, in alternating order, so a
     drift in machine speed (a shared VM can drift by 30 % within a second)
-    cancels.
+    cancels. Each parse is timed on this thread's CPU clock, which does not
+    count the time the host spends on other work.
     """
     ratios = []
     for i in range(pairs):
@@ -758,23 +760,21 @@ def assert_matches_oracle(csv, man, fs):
 def block_starts(text, budget):
     """The lines (the header is line 0) that start a block when read_session
     cuts ``text`` into blocks: after the last line break within ``budget``
-    characters, or after the first line if that is longer."""
-    pos = text.index("\n") + 1
-    end = len(text) - text.endswith("\n")
+    bytes, or after the first line if that is longer."""
+    data = text.encode()
+    pos = data.index(b"\n") + 1
     starts = []
-    while end - pos > budget:
-        stop = text.rfind("\n", pos, pos + budget)
-        if stop < 0:
-            stop = text.index("\n", pos)
-        starts.append(text.count("\n", 0, stop) + 1)
-        pos = stop + 1
-    return starts
+    while True:
+        pos = data.rfind(b"\n", pos, pos + budget) + 1 or data.find(b"\n", pos) + 1
+        if not 0 < pos < len(data):
+            return starts
+        starts.append(data.count(b"\n", 0, pos))
 
 
 # replacements for one cell of a data line; "{t}" is the line's timestamp
 RAW_CELLS = (" 12", "12\t", "+5", "1_0", "_1", "1__0", "1_", "\u0661\u0662",
              "1.5", "0x10", "", "100000000000000000000", "3000", "-30000",
-             "2048", "-2049")
+             "2048", "-2049", "3000000000", "-2147483649", "+3000000000")
 TIME_CELLS = ("nan", "inf", "-inf", "Infinity", "NaN", " {t} ", "+{t}",
               "{t}\r", "{t_arabic}", "9{t}", "1e308", "-1e308", "{t}.5", "")
 ARABIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
@@ -840,16 +840,29 @@ LONG_ZEROS = "0" * 5000
 
 
 def decline_fixed_point(monkeypatch):
-    """Make read_session's fixed-point route decline every file, so the
-    block reader reads them all."""
-    monkeypatch.setattr(protocol, "_fixed_point_samples", lambda *args: None)
+    """Make read_session's fixed-point route decline every block, so each
+    is read line by line."""
+    monkeypatch.setattr(protocol, "_fixed_point_block", lambda *args: 0)
+
+
+def spy_lines(monkeypatch):
+    """The ``(row, block)`` of each block read_session reads line by line,
+    appended as it runs."""
+    blocks = []
+    convert_lines = protocol._convert_lines
+
+    def spy(csv_path, block, t, raw, row):
+        blocks.append((row, block))
+        return convert_lines(csv_path, block, t, raw, row)
+    monkeypatch.setattr(protocol, "_convert_lines", spy)
+    return blocks
 
 
 class TestBlockReader:
     """read_session against the per-line reader it replaced, as it runs:
-    plain files through the fixed-point route, every other one through the
-    block reader. ``TestBlockRoute`` repeats each check on the block reader
-    alone."""
+    plain blocks through the fixed-point route, every other one line by
+    line. ``TestBlockRoute`` repeats each check with every block read line
+    by line."""
 
     @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
     @pytest.mark.parametrize("budget", [16, 300])
@@ -894,6 +907,9 @@ class TestBlockReader:
         "t_s,raw\n0.000000000,+5\n", "t_s,raw\n0.000000000,1_0\n",
         "t_s,raw\n0.000000000,99999999999999999999\n",
         "t_s,raw\n0.000000000,-9223372036854775809\n",
+        # beyond int32: the range check names the value
+        "t_s,raw\n0.000000000,3000000000\n", "t_s,raw\n0.000000000,-2147483649\n",
+        "t_s,raw\n0.000000000,+3000000000\n",
         "t_s,raw\n0,1\n1.953125e-3,2\n", "t_s,raw\n1e-3,1\n",
         "t_s,raw\n0.000000000,1\n0.001953125,2",
         # more digits than int takes: loadtxt reads the first as 1
@@ -943,26 +959,20 @@ class TestBlockReader:
 
     def test_lines_longer_than_the_budget_are_blocks_of_their_own(
             self, tmp_path, monkeypatch):
-        # plain files take the fixed-point route, so decline it
+        # plain blocks take the fixed-point route, so decline it
         decline_fixed_point(monkeypatch)
-        blocks = []
-        convert_block = protocol._convert_block
-
-        def spy(block, *args):
-            blocks.append(block)
-            return convert_block(block, *args)
-        monkeypatch.setattr(protocol, "_convert_block", spy)
+        blocks = spy_lines(monkeypatch)
         monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 8)
         csv, man, session = write_random_session(tmp_path, 40, 2, 512)
         assert np.array_equal(read_session(csv, man).raw, session.raw)
-        assert blocks == csv.read_text().split("\n")[1:-1]
+        assert [block for _, block in blocks] == csv.read_text().split("\n")[1:-1]
 
 
 class TestBlockRoute(TestBlockReader):
     """Every TestBlockReader check with the fixed-point route declining."""
 
     @pytest.fixture(autouse=True)
-    def block_reader_only(self, monkeypatch):
+    def lines_only(self, monkeypatch):
         decline_fixed_point(monkeypatch)
 
 
@@ -983,26 +993,34 @@ def write_timed_session(d, n, n_channels, fs, time_format):
 
 
 def spy_fixed_point(monkeypatch):
-    """The results of read_session's fixed-point route, appended as it runs."""
-    results = []
-    fixed_point_samples = protocol._fixed_point_samples
+    """Follows read_session's blocks as it runs: the returned dict's
+    "taken" stays True while every block takes the fixed-point route, and
+    "samples" is the ``(t, raw)`` that route stores its blocks in."""
+    route = {"taken": True, "samples": None}
+    fixed_point_block = protocol._fixed_point_block
+    convert_lines = protocol._convert_lines
 
-    def spy(*args):
-        results.append(fixed_point_samples(*args))
-        return results[-1]
-    monkeypatch.setattr(protocol, "_fixed_point_samples", spy)
-    return results
+    def block_spy(data, words, pos, stop, t, raw, row):
+        route["samples"] = t, raw
+        return fixed_point_block(data, words, pos, stop, t, raw, row)
+
+    def lines_spy(*args):
+        route["taken"] = False
+        return convert_lines(*args)
+    monkeypatch.setattr(protocol, "_fixed_point_block", block_spy)
+    monkeypatch.setattr(protocol, "_convert_lines", lines_spy)
+    return route
 
 
 def test_written_sessions_take_the_fixed_point_route(tmp_path, monkeypatch):
-    results = spy_fixed_point(monkeypatch)
+    route = spy_fixed_point(monkeypatch)
     for n_channels in (1, 2, 3):
         for fs in (512, 128):
             for time_format in TIME_FORMATS:
                 csv, man, session = write_timed_session(tmp_path, 700, n_channels, fs,
                                                         time_format)
                 got = read_session(csv, man)
-                assert results[-1] is not None, (n_channels, fs, time_format)
+                assert route["taken"], (n_channels, fs, time_format)
                 assert got.raw.flags.c_contiguous and np.array_equal(got.raw, session.raw)
 
 
@@ -1114,7 +1132,7 @@ class TestFixedPointRoute:
     def test_values_equal_float_and_int(self, tmp_path, monkeypatch, time_format):
         # every timestamp of a 20 minute recording and every raw value, then
         # the widest cells the route takes, off the time grid
-        results = spy_fixed_point(monkeypatch)
+        route = spy_fixed_point(monkeypatch)
         n = 20 * 60 * 128
         csv, man, _ = write_timed_session(tmp_path, n, 1, 128, time_format)
         lines = csv.read_text().split("\n")[1:-1]
@@ -1127,16 +1145,53 @@ class TestFixedPointRoute:
         csv.write_text("t_s,raw\n" + "\n".join(lines) + "\n")
         with pytest.raises(SessionFormatError):
             read_session(csv, man)
-        t, raw = results[-1]
+        assert route["taken"]
+        t, raw = route["samples"]
         cells = [line.split(",") for line in lines]
         assert t.tolist() == [float(c[0]) for c in cells]
         assert raw[0].tolist() == [int(c[1]) for c in cells]
 
 
+class TestBlockRouting:
+    """Only the blocks the fixed-point route declines are read line by
+    line."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        # 12000 lines make four blocks
+        csv, man, _ = write_random_session(tmp_path, 12000, 1, 512)
+        return csv, man, csv.read_text().split("\n")[:-1]
+
+    def test_one_odd_line_declines_its_block_alone(self, monkeypatch, written):
+        csv, man, lines = written
+        at = len(lines) // 2
+        lines[at] = replace_time(lines[at], pad_time(lines[at].split(",")[0], 16))
+        text = "\n".join(lines) + "\n"
+        csv.write_text(text)
+        starts = block_starts(text, protocol.READ_BLOCK_CHARS)
+        # the odd line's block, which is neither the first nor the last
+        i = bisect.bisect_right(starts, at)
+        assert 0 < i < len(starts)
+        blocks = spy_lines(monkeypatch)
+        assert_matches_oracle(csv, man, 512)
+        assert blocks == [(starts[i - 1] - 1, "\n".join(lines[starts[i - 1]:starts[i]]))]
+
+    def test_no_final_line_break_declines_the_last_block_alone(self, monkeypatch,
+                                                               written):
+        csv, man, lines = written
+        text = "\n".join(lines)
+        csv.write_text(text)
+        last = block_starts(text, protocol.READ_BLOCK_CHARS)[-1]
+        blocks = spy_lines(monkeypatch)
+        assert_matches_oracle(csv, man, 512)
+        assert blocks == [(last - 1, "\n".join(lines[last:]))]
+
+
 def read_time(read, path):
-    t0 = time.perf_counter()
+    """The CPU time of ``read(*path)`` on this thread, in seconds."""
+    t0 = time.thread_time()
     read(*path)
-    return time.perf_counter() - t0
+    return time.thread_time() - t0
 
 
 class TestSessionCost:
