@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -190,21 +191,63 @@ def _load_sessions(paths):
     """The sessions stored at ``paths``, in order; the first path that
     fails, in order, raises its error.
 
-    With two or more paths and usable CPUs, the paths are read in forked
-    worker processes, one contiguous run of paths per worker, and the pool
-    is joined before this returns or raises. A forked worker starts in
-    milliseconds, where a fresh interpreter must import the package.
+    With two or more paths and usable CPUs, the paths are cut into one
+    contiguous run per CPU. The calling process reads the first run while
+    one forked worker per other run reads its own and sends the results
+    back over a one-way pipe. Every worker's results are received before
+    any error is raised, and every worker is joined before this returns or
+    raises. A forked worker starts in milliseconds, where a fresh
+    interpreter must import the package.
     """
     workers = min(len(paths), _usable_cpus())
     if workers >= 2:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                return _collect_sessions(paths, pool.map(
-                    _read_or_error, paths, chunksize=-(-len(paths) // workers)))
+            return _collect_sessions(paths, _read_in_forks(
+                multiprocessing.get_context("fork"), paths, workers))
     return _collect_sessions(paths, map(_read_or_error, paths))
+
+
+def _read_in_forks(ctx, paths, workers):
+    """``_read_or_error`` of every path, in order: the first of ``workers``
+    contiguous runs is read here, each other run in a forked worker."""
+    size = -(-len(paths) // workers)
+    runs = [paths[i:i + size] for i in range(0, len(paths), size)]
+    procs, receivers, senders = [], [], []
+    try:
+        for run in runs[1:]:
+            receiver, sender = ctx.Pipe(duplex=False)
+            receivers.append(receiver)
+            senders.append(sender)
+            proc = ctx.Process(target=_read_run, args=(run, sender))
+            proc.start()
+            procs.append(proc)
+            sender.close()  # so that a dead worker's pipe reads as EOF
+        results = [_read_or_error(path) for path in runs[0]]
+        for run, proc, receiver in zip(runs[1:], procs, receivers):
+            try:
+                results += receiver.recv()
+            except EOFError:
+                proc.join()
+                raise CliError(f"worker reading {run[0]!r} died with exit code "
+                               f"{proc.exitcode}") from None
+        return results
+    except BaseException:  # an error or an interrupt: stop every worker
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in receivers + senders:
+            conn.close()
+        for proc in procs:
+            proc.join()
+            proc.close()  # its sentinel fd, even while a traceback holds it
+
+
+def _read_run(paths, sender):
+    """A worker's body: send ``_read_or_error`` of each path as one list."""
+    with sender:
+        sender.send([_read_or_error(path) for path in paths])
 
 
 def _collect_sessions(paths, results):
@@ -390,7 +433,8 @@ def _cmd_synth(args):
 
 
 def _cmd_calibrate(args):
-    # one call, so the two groups share a pool; base sessions come first
+    # one call, so the two groups share the forked readers; base sessions
+    # come first
     sessions = _load_sessions(args.base + args.distraction)
     result = calibrate_thresholds(sessions, subject_id=args.subject,
                                   window_s=args.window, hop_s=args.hop,
@@ -437,7 +481,10 @@ def _cmd_stream(args):
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: nothing mutates it
+    after it is built, and ``parse_args`` returns a fresh namespace."""
     parser = _Parser(prog="driveguard",
                      description="EEG distracted-driving detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True,

@@ -551,6 +551,37 @@ class TestCalibrateAndStream:
         assert len(trace_path.read_text().splitlines()) == 1 + 5  # 8 s, 4 s windows
 
 
+class TestParserCache:
+    """``cli.main`` builds its parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert driveguard.cli._build_parser() is driveguard.cli._build_parser()
+
+    def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        base = write_fixture(tmp_path, "base", seed=1, dur=8.0, subject="cal-1")
+        text = write_fixture(tmp_path, "text", seed=2, task=TaskLabel.TEXT,
+                             bursts=STRONG_BETA, dur=8.0, subject="cal-1")
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({
+            "subject_id": "cal-1", "band_thresholds": {"beta": 5.0},
+            "di_threshold": None, "refractory_s": 2.0, "window_s": 4.0,
+            "hop_s": 1.0, "combine": "or"}))
+        argvs = [["stream", text, "--no-such-flag"],
+                 ["stream", text, "--profile", str(profile)],
+                 ["calibrate", "--base", base, "--distraction", text]]
+        env = dict(os.environ)
+        src = str(Path(driveguard.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys; from driveguard import cli; sys.exit(cli.main(sys.argv[1:]))"
+        statuses = []
+        for argv in argvs:
+            alone = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
+            statuses.append(alone.returncode)
+        assert statuses == [2, 0, 0]
+
+
 class TestErrorSurface:
     def test_unknown_subcommand(self, capsys):
         rc, _, err = run(capsys, "frobnicate")

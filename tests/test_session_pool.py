@@ -1,14 +1,14 @@
-"""Session CSVs read by a pool of worker processes, against the same
-reads made one after another in-process.
+"""Session CSVs read by the calling process and forked worker processes,
+against the same reads made one after another in-process.
 
 Each route is forced by patching the usable CPU count, so a one-CPU
 machine covers the pool too. Outputs, sessions, errors and the
 ``loaded session`` log lines must be the same on both routes.
 """
 
-import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,7 +19,7 @@ import pytest
 
 import driveguard
 from driveguard import cli
-from driveguard.protocol import read_session, write_session
+from driveguard.protocol import SessionFormatError, read_session, write_session
 from driveguard.synth import generate_benchmark_suite
 
 ROUTES = ("pool", "serial")
@@ -48,15 +48,37 @@ def suite(tmp_path_factory):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """(workers, chunksize) of each pool the package starts."""
+    """The runs of paths each pooled load reads: the length of the calling
+    process's run first, then that of each worker it forks."""
     made = []
+    read_or_error, read_in_forks = cli._read_or_error, cli._read_in_forks
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
-            made.append((self._max_workers, chunksize))
-            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+    class Forks:
+        """The fork context, noting the run each worker is given."""
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        def __init__(self, ctx, runs):
+            self.ctx, self.runs = ctx, runs
+
+        def Pipe(self, duplex):
+            return self.ctx.Pipe(duplex)
+
+        def Process(self, target, args):
+            self.runs.append(len(args[0]))
+            return self.ctx.Process(target=target, args=args)
+
+    def spy(ctx, paths, workers):
+        runs = [0]
+        made.append(runs)
+
+        def counted(path):  # a worker counts in its own copy of ``runs``
+            runs[0] += 1
+            return read_or_error(path)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_or_error", counted)
+            return read_in_forks(Forks(ctx, runs), paths, workers)
+
+    monkeypatch.setattr(cli, "_read_in_forks", spy)
     return made
 
 
@@ -113,7 +135,7 @@ def test_sessions_equal_field_by_field(suite, monkeypatch, pools):
     for route in ROUTES:
         on_route(monkeypatch, route)
         loaded[route] = cli._load_sessions(paths)
-    assert pools == [(2, 5)]
+    assert pools == [[5, 5]]
     for path, a, b in zip(paths, loaded["pool"], loaded["serial"], strict=True):
         want = read_session(path, path[:-4] + ".manifest.json")
         for s in (a, b):
@@ -128,7 +150,7 @@ def test_sessions_equal_field_by_field(suite, monkeypatch, pools):
 
 
 @pytest.mark.parametrize("cpus, n_paths, expected", [
-    (2, 10, [(2, 5)]), (4, 3, [(3, 1)]), (3, 10, [(3, 4)]),
+    (2, 10, [[5, 5]]), (4, 3, [[1, 1, 1]]), (3, 10, [[4, 4, 2]]),
     (2, 1, []), (1, 10, []),
 ], ids=["two-cpus", "fewer-paths-than-cpus", "uneven-runs", "one-path", "one-cpu"])
 def test_one_worker_per_usable_cpu(suite, monkeypatch, pools, cpus, n_paths, expected):
@@ -190,11 +212,67 @@ class TestErrors:
         assert logged == [f"loaded session {p}" for p in paths[:n_loaded]]
 
 
+PID = os.getpid()
+_read_or_error = cli._read_or_error
+
+
+def exit_in_workers(path):
+    """``cli._read_or_error``, but a forked worker exits with status 3 first."""
+    if os.getpid() != PID:
+        os._exit(3)
+    return _read_or_error(path)
+
+
+def interrupt_here(path):
+    """``cli._read_or_error``, but the calling process is interrupted first."""
+    if os.getpid() == PID:
+        raise KeyboardInterrupt
+    return _read_or_error(path)
+
+
+def test_dead_worker_is_a_json_error(suite, capsys, monkeypatch):
+    # it used to escape cli.main as a BrokenProcessPool traceback
+    on_route(monkeypatch, "pool")
+    monkeypatch.setattr(cli, "_read_or_error", exit_in_workers)
+    rc, out, err, _ = run(capsys, ["features", *suite[:4]])
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "CliError",
+        "message": f"worker reading {suite[2]!r} died with exit code 3"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("case, error", [
+    ("loads", None), ("bad-csv", SessionFormatError), ("dead-worker", cli.CliError),
+    ("interrupt", KeyboardInterrupt),
+])
+def test_no_descriptor_or_worker_left(suite, tmp_path, monkeypatch, case, error):
+    on_route(monkeypatch, "pool")
+    paths = suite[:4]
+    if case == "bad-csv":
+        paths[1] = TestErrors.bad_inputs(tmp_path, suite)[0]
+    elif case == "dead-worker":
+        monkeypatch.setattr(cli, "_read_or_error", exit_in_workers)
+    elif case == "interrupt":
+        monkeypatch.setattr(cli, "_read_or_error", interrupt_here)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if error is None:
+        assert len(cli._load_sessions(paths)) == 4
+    else:
+        with pytest.raises(error):
+            cli._load_sessions(paths)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert multiprocessing.active_children() == []
+
+
 def run_python(code, *argv, **env):
+    # dev mode with warnings as errors: an unclosed pipe or a stray warning
+    # in a worker or its parent fails the run
     environ = dict(os.environ, **env)
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=environ, timeout=120)
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *argv],
+                          capture_output=True, text=True, env=environ, timeout=120)
 
 
 def test_workers_neither_print_nor_log(suite):
