@@ -39,12 +39,13 @@ from .dsp import (
     stft_spectrogram,
     trial_feature_rows,
 )
-from .errors import DriveGuardError
+from .errors import DriveGuardError, ValidationError
 from .index import CoverageError, di_rows, distraction_index, rank_tasks
 # perfbench/tracing.py rebinds cli.EegSample, cli.process_sample,
 # cli.replay_session and cli.stream_session, so keep all four imported
 from .model import BandPowers, EegSample, TaskLabel, shared_schema, trial_stack  # noqa: F401
 from .protocol import (
+    json_number,
     packets_to_samples,
     read_arff,
     read_bytes,
@@ -391,18 +392,28 @@ def _cmd_spectrogram(args):
 
 
 def _spec_from_json(path: str, seed_override) -> GeneratorSpec:
+    def numbers(record, what, keep=()):
+        # the fields of a nested spec object, each a JSON number but those kept
+        if not isinstance(record, dict):
+            raise ValidationError(f"{what} must be an object, got {record!r}")
+        return {k: v if k in keep else json_number(record, k, what)
+                for k, v in record.items()}
+
     def build(raw):
         fields = {f.name for f in dataclasses.fields(GeneratorSpec)}
         if unknown := sorted(raw.keys() - fields):
             raise ValueError(f"unknown keys {unknown}")
+        bursts = raw.get("bursts", [])
+        if not isinstance(bursts, list):
+            raise ValidationError(f"spec bursts must be a list, got {bursts!r}")
         # keys left out keep GeneratorSpec's defaults, except the duration
-        spec = dict(raw, duration_s=float(raw.get("duration_s", 20.0)),
-                    baseline=PinkNoiseSpec(**raw.get("baseline", {})),
-                    bursts=tuple(BurstSpec(**b) for b in raw.get("bursts", [])))
+        spec = dict(raw, duration_s=json_number(raw, "duration_s", "spec", 20.0),
+                    baseline=PinkNoiseSpec(**numbers(raw.get("baseline", {}),
+                                                     "spec baseline")),
+                    bursts=tuple(BurstSpec(**numbers(b, "spec bursts", keep=("band",)))
+                                 for b in bursts))
         if "task" in raw:
             spec["task"] = TaskLabel.from_string(raw["task"])
-        if "subject_id" in raw:
-            spec["subject_id"] = str(raw["subject_id"])
         seed = raw.get("seed") if seed_override is None else seed_override
         spec["seed"] = 0 if seed is None else seed
         return GeneratorSpec(**spec)

@@ -322,17 +322,34 @@ def read_json_record(path, what: str, build, error):
         raise error(f"{what} {path}: {exc}") from exc
 
 
+def json_number(record: dict, key: str, what: str, default=None) -> float:
+    """``record[key]``, or ``default`` when absent, which must be a JSON
+    number (int or float; ``true`` is not one), as a float. The
+    ValidationError otherwise names the key after ``what``."""
+    value = record.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} {key} is beyond the float range") from None
+
+
 def _manifest_fields(manifest: dict) -> dict:
     task = TaskLabel.from_string(str(manifest["task"]))
     device = Device.from_string(str(manifest["device"]))
     fs, channels = manifest["fs_hz"], manifest["channels"]
+    subject = manifest["subject_id"]
     if not isinstance(fs, int) or fs != device.fs_hz:
         raise ValueError(f"fs_hz {fs!r} is not the integer rate of device "
                          f"{device.value} ({device.fs_hz} Hz)")
-    if not isinstance(channels, list) or not channels:
-        raise ValueError(f"channels must be a non-empty list, got {channels!r}")
-    return {"subject_id": str(manifest["subject_id"]), "task": task,
-            "device": device, "fs_hz": fs, "channels": tuple(str(c) for c in channels)}
+    if not isinstance(subject, str):
+        raise ValueError(f"subject_id must be a string, got {subject!r}")
+    if (not isinstance(channels, list) or not channels
+            or not all(isinstance(c, str) for c in channels)):
+        raise ValueError(f"channels must be a non-empty list of names, got {channels!r}")
+    return {"subject_id": subject, "task": task,
+            "device": device, "fs_hz": fs, "channels": tuple(channels)}
 
 
 def read_manifest(path) -> dict:

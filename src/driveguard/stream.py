@@ -15,6 +15,7 @@ rows with ``judge_hop``, which calibration and ``evaluate_profile`` share.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -28,6 +29,7 @@ from .errors import ParameterError, ValidationError
 from .index import di_rows, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
                     SubjectSession, check_adc_range, check_timestamp)
+from .protocol import json_number
 
 STREAM_FS_HZ = 512
 DEFAULT_WINDOW_S = 4.0
@@ -47,18 +49,6 @@ class CalibrationError(ValidationError):
 
 # ---------------------------------------------------------------------------
 # profile
-
-
-def _json_number(record: dict, key: str, default=None) -> float:
-    """``record[key]``, or ``default`` when absent, which must be a JSON
-    number (int or float; ``true`` is not one), as a float."""
-    value = record.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"profile {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"profile {key} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -126,12 +116,15 @@ class CalibrationProfile:
             if not isinstance(bands, dict):
                 raise ValidationError(
                     f"profile band_thresholds must be an object, got {bands!r}")
-            return cls(subject_id=d["subject_id"],
-                       band_thresholds={b: _json_number(bands, b) for b in bands},
-                       di_threshold=None if di is None else _json_number(d, "di_threshold"),
-                       refractory_s=_json_number(d, "refractory_s", 2.0),
-                       window_s=_json_number(d, "window_s", DEFAULT_WINDOW_S),
-                       hop_s=_json_number(d, "hop_s", DEFAULT_HOP_S),
+            if not isinstance(subject := d["subject_id"], str):
+                raise ValidationError(f"profile subject_id must be a string, got {subject!r}")
+            number = functools.partial(json_number, what="profile")
+            return cls(subject_id=subject,
+                       band_thresholds={b: number(bands, b) for b in bands},
+                       di_threshold=None if di is None else number(d, "di_threshold"),
+                       refractory_s=number(d, "refractory_s", default=2.0),
+                       window_s=number(d, "window_s", default=DEFAULT_WINDOW_S),
+                       hop_s=number(d, "hop_s", default=DEFAULT_HOP_S),
                        combine=d.get("combine", "or"))
         except KeyError as exc:
             raise ValidationError(f"profile missing field {exc}") from None

@@ -87,6 +87,10 @@ class BurstSpec:
             raise ParameterError(f"burst gain must be finite and > 0, got {self.gain}")
 
 
+def _is_seed_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Full recipe for one synthetic session."""
@@ -102,10 +106,10 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if isinstance(self.seed, (list, tuple)):
-            if not all(isinstance(v, int) and v >= 0 for v in self.seed):
+            if not all(_is_seed_int(v) for v in self.seed):
                 raise ParameterError(f"seed sequence must be ints >= 0, got {self.seed!r}")
             object.__setattr__(self, "seed", tuple(self.seed))
-        elif not isinstance(self.seed, int) or self.seed < 0:
+        elif not _is_seed_int(self.seed):
             raise ParameterError(f"seed must be an int >= 0 or tuple of ints, got {self.seed!r}")
         if not isinstance(self.task, TaskLabel):
             raise ParameterError(f"task must be a TaskLabel, got {self.task!r}")
@@ -120,8 +124,12 @@ class GeneratorSpec:
         for b in self.bursts:
             if not isinstance(b, BurstSpec):
                 raise ParameterError(f"bursts must be BurstSpec, got {b!r}")
-        if not isinstance(self.channels, (list, tuple)) or not self.channels:
-            raise ParameterError(f"channels must be a non-empty list, got {self.channels!r}")
+        if not isinstance(self.subject_id, str):
+            raise ParameterError(f"subject_id must be a string, got {self.subject_id!r}")
+        if (not isinstance(self.channels, (list, tuple)) or not self.channels
+                or not all(isinstance(c, str) for c in self.channels)):
+            raise ParameterError(
+                f"channels must be a non-empty list of names, got {self.channels!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @property

@@ -3,7 +3,9 @@
 The filter bank is hand-rolled so its behaviour is pinned by this
 package rather than by an external implementation: analysis filters are
 the time-reversed synthesis filters, the high-pass is the quadrature
-mirror of the low-pass, and two boundary policies are supported.
+mirror of the low-pass, and two boundary policies are supported. One
+analysis step and one synthesis step serve both; only the extension of
+the signal and the handling of the synthesis transient differ.
 
   symmetric      half-sample reflection padding; coefficient arrays grow
                  by the filter transient, matching common practice for
@@ -74,58 +76,40 @@ def _check_mode(mode):
 _DEC_PAIR_REVERSED = np.stack([DB8_DEC_LO[::-1], DB8_DEC_HI[::-1]], axis=1)
 
 
-def _dwt_step_symmetric(x):
-    """One symmetric level along the last axis of a stack of signals.
-
-    Only the kept outputs are computed: the odd-phase, stride-2 points of
-    the fully overlapped convolution with each analysis filter, for both
-    filters in one product of the padded signal's filter-length windows.
-    """
-    pad = [(0, 0)] * (x.ndim - 1) + [(FILTER_LEN - 1, FILTER_LEN - 1)]
-    ext = np.pad(x, pad, mode="symmetric")
+def _dwt_step(x, mode):
+    """One level along the last axis of a stack of signals: extend each
+    signal, then compute only the kept outputs, the odd-phase stride-2
+    points of the full convolution with both analysis filters, as one
+    product of the extension's filter-length windows."""
+    lead = [(0, 0)] * (x.ndim - 1)
+    if mode == "symmetric":
+        ext = np.pad(x, lead + [(FILTER_LEN - 1, FILTER_LEN - 1)], mode="symmetric")
+    else:
+        if x.shape[-1] % 2:  # an odd length repeats its last sample
+            x = np.pad(x, lead + [(0, 1)], mode="edge")
+        ext = np.pad(x, lead + [(FILTER_LEN - 1, 0)], mode="wrap")
     windows = np.lib.stride_tricks.sliding_window_view(ext, FILTER_LEN, axis=-1)
     out = windows[..., 1::2, :] @ _DEC_PAIR_REVERSED
     return out[..., 0], out[..., 1]
 
 
-def _idwt_single_symmetric(approx, detail, out_len):
+def _idwt_step(approx, detail, out_len, mode):
+    """Invert one level of a 1-D signal: convolve the upsampled arrays with
+    the synthesis pair. Output p of the convolution is sample p - (F-2):
+    symmetric mode drops the F-2 transient, periodization folds the output
+    modulo its period 2m."""
     m = approx.size
-    up_a = np.zeros(2 * m)
-    up_d = np.zeros(2 * m)
-    up_a[::2] = approx
-    up_d[::2] = detail
-    rec = np.convolve(up_a, DB8_REC_LO) + np.convolve(up_d, DB8_REC_HI)
+    up = np.zeros((2, 2 * m))
+    up[:, ::2] = approx, detail
+    rec = np.convolve(up[0], DB8_REC_LO) + np.convolve(up[1], DB8_REC_HI)
     start = FILTER_LEN - 2
-    if out_len > rec.size - start:
-        raise ValidationError(
-            f"cannot reconstruct {out_len} samples from {m} coefficients"
-        )
-    return rec[start:start + out_len]
-
-
-def _dwt_single_periodic(x):
-    n = x.size
-    if n % 2:
-        x = np.append(x, x[-1])
-        n += 1
-    half = n // 2
-    idx = (2 * np.arange(half)[:, None] + 1 - np.arange(FILTER_LEN)[None, :]) % n
-    windows = x[idx]
-    return windows @ DB8_DEC_LO, windows @ DB8_DEC_HI
-
-
-def _idwt_single_periodic(approx, detail, out_len):
-    half = approx.size
-    n = 2 * half
-    idx = (2 * np.arange(half)[:, None] + 1 - np.arange(FILTER_LEN)[None, :]) % n
-    x = np.zeros(n)
-    np.add.at(x, idx, approx[:, None] * DB8_DEC_LO[None, :])
-    np.add.at(x, idx, detail[:, None] * DB8_DEC_HI[None, :])
-    if out_len > n:
-        raise ValidationError(
-            f"cannot reconstruct {out_len} samples from {half} coefficients"
-        )
-    return x[:out_len]
+    if mode == "symmetric":
+        out = rec[start:]
+    else:
+        out = np.bincount((np.arange(rec.size) - start) % (2 * m), weights=rec)
+    if out_len > out.size:
+        raise ValidationError(f"cannot reconstruct {out_len} samples from {m} coefficients")
+    return out[:out_len]
 
 
 @dataclass(frozen=True)
@@ -182,11 +166,11 @@ def _check_levels(n: int, max_level: int):
         )
 
 
-def _decompose(x, max_level: int, step):
+def _decompose(x, max_level: int, mode: str):
     approx = x
     details = []
     for _ in range(max_level):
-        approx, detail = step(approx)
+        approx, detail = _dwt_step(approx, mode)
         details.append(detail)
     return approx, tuple(details)
 
@@ -200,8 +184,7 @@ def dwt_db8(
     if x.ndim != 1:
         raise ValidationError(f"signal must be 1-D, got shape {x.shape}")
     _check_levels(x.size, max_level)
-    step = _dwt_step_symmetric if mode == "symmetric" else _dwt_single_periodic
-    approx, details = _decompose(x, max_level, step)
+    approx, details = _decompose(x, max_level, mode)
     return WaveletDecomposition(
         approx=approx,
         details=details,
@@ -218,18 +201,13 @@ def dwt_db8_rows(signals, max_level: int):
     of every row and ``approx`` the level-``max_level`` approximations."""
     x = np.asarray(signals, dtype=np.float64)
     _check_levels(x.shape[-1], max_level)
-    return _decompose(x, max_level, _dwt_step_symmetric)
+    return _decompose(x, max_level, "symmetric")
 
 
 def idwt_db8(decomp: WaveletDecomposition) -> np.ndarray:
     """Invert dwt_db8; exact to rounding error for both modes."""
-    single = (
-        _idwt_single_symmetric
-        if decomp.mode == "symmetric"
-        else _idwt_single_periodic
-    )
     approx = decomp.approx
     for level in range(decomp.level, 0, -1):
         out_len = decomp._lengths[level - 1]
-        approx = single(approx, decomp.details[level - 1], out_len)
+        approx = _idwt_step(approx, decomp.details[level - 1], out_len, decomp.mode)
     return approx

@@ -147,6 +147,12 @@ class TestGnb:
             assert p == preds[i]
             assert np.allclose(lp, log_post[i])
 
+    def test_feature_count_checked(self):
+        X = np.random.default_rng(0).normal(size=(8, 3))
+        model = train_gnb(X, np.array([0, 1] * 4), ("a", "b"))
+        with pytest.raises(ValidationError, match="input has 2 features, model expects 3"):
+            predict_gnb_many(model, X[:, :2])
+
 
 @pytest.mark.parametrize("train", [train_gnb, train_mlp])
 @pytest.mark.parametrize("X, y", [

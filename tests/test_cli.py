@@ -633,6 +633,20 @@ class TestErrorSurface:
                             for s in driveguard.cli.SETTINGS.get(command, ())]
                 assert listed == declared, f"{doc}: {command}"
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path, capsys):
+        config = tmp_path / "dg.conf"
+        text = "# stats settings\n\n  \nalpha = 0.02\n  # alpha = 0.5\n"
+        config.write_text(text)
+        rc, out, _ = run(capsys, "stats", "--fixtures", "table5", "--format", "json",
+                         "--config", str(config))
+        assert rc == 0
+        assert json.loads(out)[0]["alpha"] == 0.02
+        # skipped lines still count toward the line a message names
+        config.write_text(text + "alhpa = 0.01\n")
+        rc, _, err = run(capsys, "stats", "--config", str(config))
+        assert rc == 2
+        assert f"{config}:6: unknown setting 'alhpa'" in json.loads(err)["message"]
+
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "dg.conf"
         config.write_text("this is not a pair\n")

@@ -4,7 +4,8 @@ A malformed profile, manifest, generator spec, config, session CSV or
 ARFF file, or an out-of-range numeric setting, must end in exit status
 2, with nothing on stdout and exactly one JSON object on stderr: never a
 traceback. ``ESCAPES`` and ``NUMERIC_ESCAPES`` pin inputs that once broke
-the contract. The seeded mutation test derives many more
+the contract, and ``NAMED_ESCAPES`` rejections whose message must name the
+line or key at fault. The seeded mutation test derives many more
 from valid files by truncation, wrong JSON types, non-UTF-8 bytes, NaN
 and infinities, and a JSON top level that is not an object.
 """
@@ -38,26 +39,28 @@ SPEC = {"seed": 3, "task": "Text", "fs_hz": 512, "duration_s": 2.0,
         "subject_id": "s7", "channels": ["FP1"]}
 CONFIG = "alpha = 0.05\n"
 
-# Wrong-typed values each JSON field must reject. Fields that take any
-# value (subject_id, which is only ever printed) are left out.
+# Wrong-typed values each JSON field must reject.
 WRONG_TYPES = {
-    "profile": {"band_thresholds": ["abc", [1], 5],
+    "profile": {"subject_id": [None, 5, [1]],
+                "band_thresholds": ["abc", [1], 5],
                 "di_threshold": ["abc", [1], {}],
                 "window_s": ["abc", [1], None],
                 "hop_s": ["abc", [1], None],
                 "refractory_s": ["abc", [1], None],
                 "combine": [5, [1], None]},
-    "manifest": {"task": [5, [1], None],
+    "manifest": {"subject_id": [None, 5, [1]],
+                 "task": [5, [1], None],
                  "device": [5, [1], None],
                  "fs_hz": ["abc", [512], 512.5],
-                 "channels": ["FP1", 5, None]},
-    "spec": {"seed": ["abc", 1.5, {"k": 1}],
+                 "channels": ["FP1", 5, None, [7]]},
+    "spec": {"subject_id": [None, 5, [1]],
+             "seed": ["abc", 1.5, {"k": 1}, True],
              "task": [5, [1], None],
              "fs_hz": ["abc", [512], 512.0],
-             "duration_s": ["abc", [1], None],
-             "baseline": ["abc", [1], {"k": 1}],
-             "bursts": ["abc", [1], 5],
-             "channels": ["FP1", 5, {"k": 1}]},
+             "duration_s": ["abc", [1], None, "4", True],
+             "baseline": ["abc", [1], {"k": 1}, {"amplitude_uv": True}],
+             "bursts": ["abc", [1], 5, [{"band": "beta", "center_hz": True}]],
+             "channels": ["FP1", 5, {"k": 1}, [7]]},
 }
 # numeric fields that must reject NaN, Infinity and -Infinity alike
 NON_FINITE_FIELDS = {"profile": ("window_s", "hop_s", "refractory_s"),
@@ -217,6 +220,61 @@ ESCAPES = [
     # a NaN feature used to train a classifier and report a score
     pytest.param("arff", first_arff_value("nan"), id="arff-nan-value"),
 ]
+
+
+def arff_header(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+def arff_without_numeric_attributes(text):
+    # the header alone, less its numeric attributes
+    head = text.partition("@data")[0]
+    return "".join(line for line in head.splitlines(True) if "numeric" not in line) + "@data\n"
+
+
+# rejections that must also name what they reject: the ARFF line, or the
+# JSON key. Each JSON value was once taken as another type, read and used,
+# and exited 0.
+NAMED_ESCAPES = [
+    pytest.param("arff", arff_header("@attribute f1 numeric", "@attribute f1"),
+                 "input.arff line 3: bad @attribute", id="arff-attribute-without-type"),
+    pytest.param("arff", arff_header("@attribute f1 numeric", "@attribute f1 string"),
+                 "input.arff line 3: unsupported attribute type 'string'",
+                 id="arff-attribute-string"),
+    pytest.param("arff", arff_header("\n\n", "\n1,2,Base\n"),
+                 "input.arff line 2: data before @data", id="arff-data-before-header"),
+    pytest.param("arff", arff_without_numeric_attributes,
+                 "input.arff: no numeric attributes found", id="arff-no-numeric-attribute"),
+    pytest.param("spec", with_fields(duration_s="4"), "duration_s",
+                 id="spec-duration-numeric-string"),
+    pytest.param("spec", with_fields(duration_s=True), "duration_s", id="spec-duration-true"),
+    pytest.param("spec", with_fields(seed=True), "seed", id="spec-seed-true"),
+    pytest.param("spec", with_fields(seed=[1, True]), "seed", id="spec-seed-list-with-true"),
+    pytest.param("spec", with_fields(baseline={"amplitude_uv": True}), "amplitude_uv",
+                 id="spec-baseline-true"),
+    pytest.param("spec", with_fields(bursts=[{"band": "beta", "center_hz": 22.0,
+                                              "gain": True}]), "gain",
+                 id="spec-burst-gain-true"),
+    pytest.param("spec", with_fields(subject_id=None), "subject_id", id="spec-subject-null"),
+    pytest.param("spec", with_fields(subject_id=5), "subject_id", id="spec-subject-number"),
+    pytest.param("spec", with_fields(channels=[7]), "channels", id="spec-channel-number"),
+    pytest.param("manifest", with_fields(subject_id=None), "subject_id",
+                 id="manifest-subject-null"),
+    pytest.param("manifest", with_fields(channels=[7]), "channels",
+                 id="manifest-channel-number"),
+    pytest.param("profile", with_fields(subject_id=None), "subject_id",
+                 id="profile-subject-null"),
+]
+
+
+@pytest.mark.parametrize("kind, mutate, named", NAMED_ESCAPES)
+def test_named_escapes_exit_2(valid, capsys, kind, mutate, named):
+    d, texts = valid
+    data = mutate(texts[kind])
+    result = run_with(capsys, d, kind, data)
+    assert_contract(result, f"{kind} {data[:120]!r}")
+    message = json.loads(result[2])["message"]
+    assert named in message, message
 
 
 def test_valid_inputs_pass(valid, capsys):

@@ -122,6 +122,20 @@ class TestSubjectSession:
                            channels=("A", "A"),
                            raw=np.zeros((2, 10), dtype=np.int32))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("subject_id", "", "subject_id must be non-empty"),
+        ("task", "Base", "task must be a TaskLabel"),
+        ("device", 512, "device must be a Device"),
+        ("channels", (), "at least one channel"),
+        ("raw", np.zeros(10, dtype=np.int32), r"raw must be 2-D .* shape \(10,\)"),
+    ])
+    def test_constructor_rejections(self, field, value, message):
+        fields = dict(subject_id="s", task=TaskLabel.BASE,
+                      device=Device.SINGLE_ELECTRODE_512, fs_hz=512,
+                      channels=("A",), raw=np.zeros((1, 10), dtype=np.int32))
+        with pytest.raises(ValidationError, match=message):
+            SubjectSession(**{**fields, field: value})
+
     def test_raw_range_enforced(self):
         with pytest.raises(ValidationError):
             make_session(fill=ADC_MAX + 1)

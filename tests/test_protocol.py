@@ -208,11 +208,13 @@ def noisy_stream(n_frames, seed):
 
 
 # payloads the block check must hand to the scanner, with the raw value
-# each carries: no raw row, a raw row after or before other rows, a raw
-# code with the wrong value length, and two maximal (169-byte) payloads,
-# one ending in a raw row and one holding a whole canonical frame
+# each carries: no raw row, an extended code as the last byte, a raw row
+# after or before other rows, a raw code with the wrong value length, and
+# two maximal (169-byte) payloads, one ending in a raw row and one holding
+# a whole canonical frame
 ODD_PAYLOADS = (
     (bytes([0x02, 0x55]), None),
+    (bytes([0x02, 0x55, 0x80]), None),
     (bytes([0x02, 0x55, 0x80, 0x02, 0x07, 0xD0]), 2000),
     (bytes([0x80, 0x02, 0xFF, 0x38, 0x04, 0x22]), -200),
     (bytes([0x80, 0x03, 0x01, 0x02, 0x03]), None),
@@ -1252,6 +1254,10 @@ class TestArff:
     def test_mixed_schemas_rejected(self):
         with pytest.raises(ValidationError):
             write_arff([_vector([1.0]), _vector([1.0], names=("other",))], "x")
+
+    def test_explicit_schema_must_match_vectors(self):
+        with pytest.raises(ValidationError, match="explicit schema does not match"):
+            write_arff([_vector([1.0, 2.0])], "x", schema=("f0", "other"))
 
     def test_empty_needs_schema(self):
         with pytest.raises(ValidationError):

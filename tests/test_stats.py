@@ -278,6 +278,9 @@ class TestFriedman:
             friedman(good[:, :1])
         with pytest.raises(ParameterError):
             friedman(good, reps=0)
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ParameterError, match="alpha must be in"):
+                friedman(good, alpha=alpha)
         with pytest.raises(ValidationError):
             friedman(good, reps=4)  # 6 rows not divisible
         with pytest.raises(ValidationError):

@@ -46,6 +46,9 @@ class TestSpecValidation:
             spec(seed=-1)  # numpy seeds must be >= 0
         with pytest.raises(ParameterError):
             spec(seed=(1, -2))
+        for with_bool in (True, (1, True)):  # a bool is not a seed
+            with pytest.raises(ParameterError):
+                spec(seed=with_bool)
 
     def test_task_and_rate(self):
         with pytest.raises(ParameterError):
@@ -73,6 +76,10 @@ class TestSpecValidation:
             spec(channels=())
         with pytest.raises(ParameterError):
             spec(channels="FP1")  # a string, not three channels F, P, 1
+        with pytest.raises(ParameterError, match="list of names"):
+            spec(channels=("FP1", 7))
+        with pytest.raises(ParameterError, match="subject_id must be a string"):
+            spec(subject_id=None)
         with pytest.raises(ParameterError):
             spec(bursts=("alpha",))
         two = spec(channels=("AF3", "AF4"))

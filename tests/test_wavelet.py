@@ -1,5 +1,6 @@
 """Daubechies-8 filter bank: tap derivation, orthonormality, PR, energy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,31 @@ from driveguard.wavelet import (
 )
 
 
+def periodic_windows_index(n):
+    """Index of sample 2k + 1 - j (mod n), row k and column j: the taps that
+    output k of a periodization level weighs."""
+    return (2 * np.arange(n // 2)[:, None] + 1 - np.arange(FILTER_LEN)[None, :]) % n
+
+
+def periodic_analysis(x):
+    """One periodization level as a 1-D index gather: an odd length first
+    repeats its last sample."""
+    if x.size % 2:
+        x = np.append(x, x[-1])
+    windows = x[periodic_windows_index(x.size)]
+    return windows @ DB8_DEC_LO, windows @ DB8_DEC_HI
+
+
+def periodic_synthesis(approx, detail, out_len):
+    """The adjoint of ``periodic_analysis``, scattered with ``np.add.at``."""
+    n = 2 * approx.size
+    idx = periodic_windows_index(n)
+    x = np.zeros(n)
+    np.add.at(x, idx, approx[:, None] * DB8_DEC_LO[None, :])
+    np.add.at(x, idx, detail[:, None] * DB8_DEC_HI[None, :])
+    return x[:out_len]
+
+
 def derive_db8_taps():
     """Independent construction of the extremal-phase db8 scaling filter.
 
@@ -36,6 +62,10 @@ def derive_db8_taps():
         zroots.append(cand[np.argmin(np.abs(cand))])
     h = np.real(np.poly([-1.0] * n_moments + zroots))
     return h * np.sqrt(2.0) / np.sum(h)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestFilterBank:
@@ -112,11 +142,14 @@ class TestLevels:
         assert d.level_band_hz(1, 128.0) == (32.0, 64.0)
 
 
+RANDOM_LENGTHS = (31, 64, 100, 257, 512, 1023, 2048)
+
+
 class TestPerfectReconstruction:
     @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
     def test_random_signals(self, mode):
         rng = np.random.default_rng(42)
-        for n in (31, 64, 100, 257, 512, 1023, 2048):
+        for n in RANDOM_LENGTHS:
             x = rng.normal(scale=30.0, size=n)
             levels = max_decomposition_level(n)
             for lev in range(1, levels + 1):
@@ -125,6 +158,36 @@ class TestPerfectReconstruction:
                 assert back.shape == x.shape
                 err = np.max(np.abs(back - x)) / np.max(np.abs(x))
                 assert err < 1e-9, (mode, n, lev, err)
+
+    def test_periodization_matches_index_gather_oracle(self):
+        rng = np.random.default_rng(42)
+        for n in RANDOM_LENGTHS:
+            x = rng.normal(scale=30.0, size=n)
+            for lev in range(1, max_decomposition_level(n) + 1):
+                d = dwt_db8(x, lev, mode="periodization")
+                approx, lengths = x, []
+                for got in d.details:
+                    lengths.append(approx.size)
+                    approx, detail = periodic_analysis(approx)
+                    assert_close(got, detail)
+                assert_close(d.approx, approx)
+                back = d.approx
+                for level in range(lev, 0, -1):
+                    back = periodic_synthesis(back, d.details[level - 1],
+                                              lengths[level - 1])
+                assert_close(idwt_db8(d), back)
+
+    @pytest.mark.parametrize("mode, spare", [("symmetric", 1), ("periodization", 0)])
+    def test_reconstruction_longer_than_coefficients_allow(self, mode, spare):
+        # one level of m coefficients gives at most 2m + spare samples
+        d = dwt_db8(np.random.default_rng(5).normal(size=64), 1, mode=mode)
+        m = d.approx.size
+        fits = dataclasses.replace(d, _lengths=(2 * m + spare,))
+        assert idwt_db8(fits).size == 2 * m + spare
+        too_long = dataclasses.replace(d, _lengths=(2 * m + spare + 1,))
+        with pytest.raises(ValidationError, match=f"cannot reconstruct {2 * m + spare + 1} "
+                                                  f"samples from {m} coefficients"):
+            idwt_db8(too_long)
 
     def test_zero_signal(self):
         d = dwt_db8(np.zeros(128), 2)
