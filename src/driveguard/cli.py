@@ -414,8 +414,7 @@ def _spec_from_json(path: str, seed_override) -> GeneratorSpec:
                                  for b in bursts))
         if "task" in raw:
             spec["task"] = TaskLabel.from_string(raw["task"])
-        seed = raw.get("seed") if seed_override is None else seed_override
-        spec["seed"] = 0 if seed is None else seed
+        spec["seed"] = raw.get("seed", 0) if seed_override is None else seed_override
         return GeneratorSpec(**spec)
     return read_json_record(path, "spec", build, CliError)
 

@@ -15,11 +15,14 @@ the noise by rescanning from the byte after a failed sync.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import truth
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DriveGuardError, ValidationError
 from .model import (
     ADC_MAX,
     ADC_MIN,
@@ -81,12 +84,25 @@ def encode_packet(raw: int) -> bytes:
     return RAW_HEADER + bytes((hi, lo, (_RAW_CHECK_SUM - hi - lo) & 0xFF))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RawPacket:
-    """A checksum-verified payload, with the decoded sample when present."""
+    """A checksum-verified payload, with the decoded sample when present.
+
+    Frozen, because the parser hands out one shared packet per canonical
+    raw frame in the ADC range (see ``_RAW_PACKETS``).
+    """
 
     payload: bytes
     raw_value: int | None
+
+
+# each canonical raw frame whose value is in the ADC range, read as one
+# native-order 8-byte word, to the one packet the scanner hands out for it.
+# Filled by the scanner's canonical step, so it never holds more than
+# ADC_MAX - ADC_MIN + 1 entries. Shared by every parser in the process: an
+# entry is the packet any parser would build for its frame, so what a
+# parser returns never depends on what others have read.
+_RAW_PACKETS = {}
 
 
 def _decode_raw_value(payload: bytes):
@@ -122,20 +138,39 @@ def _scan(buf: bytes, pos: int, out: list, one: bool = False):
     A failed candidate is rescanned from its second byte, so a valid frame
     overlapping garbage is never lost. With ``one`` it returns after one
     step: one frame emitted, or one candidate rejected or slid past.
-    ``buf`` is never sliced except for an emitted payload, so the cost is
-    linear in ``len(buf) - pos``. A canonical raw frame at ``pos`` is taken
-    in one step, by the rule ``packets_to_samples`` applies to its rows;
-    the general step below would accept the same frame.
+    ``buf`` is never copied except for the bytes of a new packet, so the
+    cost is linear in ``len(buf) - pos``.
+
+    Three steps take frames. Without ``one``, the run step takes the run of
+    stored frames (``_RAW_PACKETS``) at ``pos`` as their shared packets,
+    reading each 8-byte word once and stopping at the first word not
+    stored. The canonical step takes a canonical raw frame at ``pos`` by
+    the rule ``packets_to_samples`` applies to its rows, and stores its
+    packet when its value is in the ADC range. The general step takes any
+    other frame. The general step would accept every frame the first two
+    take.
     """
     n = len(buf)
     corrupt = 0
     while True:
+        if not one and buf.startswith(RAW_HEADER, pos):
+            # only verified frames are stored, and this step counts nothing
+            # and skips nothing: every skipped byte and corrupt frame is
+            # the general step's
+            taken = len(out)
+            words = memoryview(buf)[pos:n - (n - pos) % RAW_FRAME_LEN].cast("Q")
+            out += takewhile(truth, map(_RAW_PACKETS.get, words))
+            pos += (len(out) - taken) * RAW_FRAME_LEN
         if buf.startswith(RAW_HEADER, pos) and pos + RAW_FRAME_LEN <= n:
             hi, lo, check = buf[pos + 5], buf[pos + 6], buf[pos + 7]
             if (hi + lo + check) & 0xFF == _RAW_CHECK_SUM:
                 value = (hi << 8) | lo
-                out.append(RawPacket(buf[pos + 3:pos + 7],
-                                     value - 0x10000 if value >= 0x8000 else value))
+                value -= 0x10000 if value >= 0x8000 else 0
+                packet = RawPacket(buf[pos + 3:pos + 7], value)
+                if ADC_MIN <= value <= ADC_MAX:
+                    word = int.from_bytes(buf[pos:pos + RAW_FRAME_LEN], sys.byteorder)
+                    packet = _RAW_PACKETS.setdefault(word, packet)
+                out.append(packet)
                 pos += RAW_FRAME_LEN
                 if one:
                     return pos, corrupt, True
@@ -179,6 +214,9 @@ class PacketParser:
     failed candidate frame is rescanned from its second byte so a valid
     frame overlapping the garbage is never lost. Each feed scans its bytes
     once, so its cost is linear in the pending bytes plus the chunk.
+    A canonical raw frame in the ADC range comes back as the one frozen
+    packet shared by every parser for that frame, built the first time
+    any parser accepted it; runs of such frames are taken in C.
     """
 
     def __init__(self):
@@ -301,8 +339,9 @@ def read_json_record(path, what: str, build, error):
     """``build(record)`` for the one JSON object held by input file ``path``.
 
     An unreadable file, invalid JSON, a top level other than an object, or
-    a KeyError, TypeError or ValueError from ``build`` raises ``error``;
-    package errors raised by ``build`` pass through unchanged.
+    a KeyError, TypeError or ValueError from ``build`` raises ``error``; a
+    package error raised by ``build`` is raised again as its own class.
+    Each message names the file.
     """
     text = read_text(path, what, error)
     try:
@@ -320,6 +359,8 @@ def read_json_record(path, what: str, build, error):
         raise error(f"{what} {path} missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise error(f"{what} {path}: {exc}") from exc
+    except DriveGuardError as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from exc
 
 
 def json_number(record: dict, key: str, what: str, default=None) -> float:

@@ -210,6 +210,19 @@ class TestSynth:
                 open(third["session_csv"], "rb") as fb:
             assert fa.read() != fb.read()
 
+    def test_spec_without_seed_keeps_seed_0(self, tmp_path, capsys):
+        spec = {"task": "Text", "duration_s": 2.0, "subject_id": "s7"}
+        paths = []
+        for name, fields in (("none", spec), ("zero", dict(spec, seed=0))):
+            spec_path = tmp_path / f"{name}.json"
+            spec_path.write_text(json.dumps(fields))
+            rc, out, _ = run(capsys, "synth", "--spec", str(spec_path),
+                             "--out", str(tmp_path / name), "--no-packets")
+            assert rc == 0
+            paths.append(json.loads(out)["session_csv"])
+        with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+            assert fa.read() == fb.read()
+
     def test_bad_spec_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

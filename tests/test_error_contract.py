@@ -54,7 +54,7 @@ WRONG_TYPES = {
                  "fs_hz": ["abc", [512], 512.5],
                  "channels": ["FP1", 5, None, [7]]},
     "spec": {"subject_id": [None, 5, [1]],
-             "seed": ["abc", 1.5, {"k": 1}, True],
+             "seed": ["abc", 1.5, {"k": 1}, True, None],
              "task": [5, [1], None],
              "fs_hz": ["abc", [512], 512.0],
              "duration_s": ["abc", [1], None, "4", True],
@@ -233,8 +233,8 @@ def arff_without_numeric_attributes(text):
 
 
 # rejections that must also name what they reject: the ARFF line, or the
-# JSON key. Each JSON value was once taken as another type, read and used,
-# and exited 0.
+# JSON file and key. Each JSON value was once taken as another type, read
+# and used, and exited 0.
 NAMED_ESCAPES = [
     pytest.param("arff", arff_header("@attribute f1 numeric", "@attribute f1"),
                  "input.arff line 3: bad @attribute", id="arff-attribute-without-type"),
@@ -245,24 +245,30 @@ NAMED_ESCAPES = [
                  "input.arff line 2: data before @data", id="arff-data-before-header"),
     pytest.param("arff", arff_without_numeric_attributes,
                  "input.arff: no numeric attributes found", id="arff-no-numeric-attribute"),
-    pytest.param("spec", with_fields(duration_s="4"), "duration_s",
+    pytest.param("spec", with_fields(duration_s="4"), "input.json: spec duration_s",
                  id="spec-duration-numeric-string"),
-    pytest.param("spec", with_fields(duration_s=True), "duration_s", id="spec-duration-true"),
-    pytest.param("spec", with_fields(seed=True), "seed", id="spec-seed-true"),
-    pytest.param("spec", with_fields(seed=[1, True]), "seed", id="spec-seed-list-with-true"),
-    pytest.param("spec", with_fields(baseline={"amplitude_uv": True}), "amplitude_uv",
-                 id="spec-baseline-true"),
+    pytest.param("spec", with_fields(duration_s=True), "input.json: spec duration_s",
+                 id="spec-duration-true"),
+    pytest.param("spec", with_fields(seed=True), "input.json: seed", id="spec-seed-true"),
+    pytest.param("spec", with_fields(seed=[1, True]), "input.json: seed",
+                 id="spec-seed-list-with-true"),
+    pytest.param("spec", with_fields(seed=None), "input.json: seed", id="spec-seed-null"),
+    pytest.param("spec", with_fields(baseline={"amplitude_uv": True}),
+                 "input.json: spec baseline amplitude_uv", id="spec-baseline-true"),
     pytest.param("spec", with_fields(bursts=[{"band": "beta", "center_hz": 22.0,
-                                              "gain": True}]), "gain",
+                                              "gain": True}]), "input.json: spec bursts gain",
                  id="spec-burst-gain-true"),
-    pytest.param("spec", with_fields(subject_id=None), "subject_id", id="spec-subject-null"),
-    pytest.param("spec", with_fields(subject_id=5), "subject_id", id="spec-subject-number"),
-    pytest.param("spec", with_fields(channels=[7]), "channels", id="spec-channel-number"),
-    pytest.param("manifest", with_fields(subject_id=None), "subject_id",
+    pytest.param("spec", with_fields(subject_id=None), "input.json: subject_id",
+                 id="spec-subject-null"),
+    pytest.param("spec", with_fields(subject_id=5), "input.json: subject_id",
+                 id="spec-subject-number"),
+    pytest.param("spec", with_fields(channels=[7]), "input.json: channels",
+                 id="spec-channel-number"),
+    pytest.param("manifest", with_fields(subject_id=None), "input.manifest.json: subject_id",
                  id="manifest-subject-null"),
-    pytest.param("manifest", with_fields(channels=[7]), "channels",
+    pytest.param("manifest", with_fields(channels=[7]), "input.manifest.json: channels",
                  id="manifest-channel-number"),
-    pytest.param("profile", with_fields(subject_id=None), "subject_id",
+    pytest.param("profile", with_fields(subject_id=None), "input.json: profile subject_id",
                  id="profile-subject-null"),
 ]
 
@@ -275,6 +281,21 @@ def test_named_escapes_exit_2(valid, capsys, kind, mutate, named):
     assert_contract(result, f"{kind} {data[:120]!r}")
     message = json.loads(result[2])["message"]
     assert named in message, message
+
+
+@pytest.mark.parametrize("kind, fields, error", [
+    ("spec", {"seed": True}, "ParameterError"),
+    ("spec", {"duration_s": "4"}, "ValidationError"),
+    ("profile", {"window_s": True}, "ValidationError"),
+], ids=["spec-seed", "spec-duration", "profile-window"])
+def test_json_package_errors_keep_their_class_and_name_their_file(
+        valid, capsys, kind, fields, error):
+    d, texts = valid
+    result = run_with(capsys, d, kind, with_fields(**fields)(texts[kind]))
+    assert_contract(result, kind)
+    record = json.loads(result[2])
+    assert record["error"] == error
+    assert record["message"].startswith(f"{kind} {d / 'input.json'}: "), record
 
 
 def test_valid_inputs_pass(valid, capsys):

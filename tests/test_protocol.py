@@ -1,6 +1,7 @@
 """Wire framing, ADC conversion, session files, and ARFF export."""
 
 import bisect
+import dataclasses
 import json
 import math
 import re
@@ -91,6 +92,18 @@ class TestRawPacket:
         assert repr(p) == "RawPacket(payload=b'\\x80\\x02\\x00\\x05', raw_value=5)"
         assert RawPacket.__slots__ == ("payload", "raw_value")
         assert not hasattr(p, "__dict__")
+
+    def test_frozen_and_shared(self):
+        # the parser hands out one packet per canonical frame, so no caller
+        # may change it
+        p = RawPacket(payload=b"\x80\x02\x00\x05", raw_value=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.raw_value = 6
+        assert hash(p) == hash(RawPacket(b"\x80\x02\x00\x05", 5))
+        wire = encode_packet(5)
+        first, second = PacketParser().feed(wire), PacketParser().feed(wire)
+        assert first == second == [p]
+        assert first[0] is second[0]
 
 
 class TestParserRobustness:
@@ -453,14 +466,71 @@ class TestScannerReference:
             assert parser.corrupt_frames == 1
 
 
+def every_canonical_frame():
+    """The canonical raw frame of each of the 65536 hi, lo pairs, with a
+    valid checksum, in value order from 0."""
+    hi, lo = np.divmod(np.arange(65536), 256)
+    frames = np.empty((65536, 8), dtype=np.uint8)
+    frames[:, :5] = tuple(protocol.RAW_HEADER)
+    frames[:, 5], frames[:, 6] = hi, lo
+    frames[:, 7] = (0xFF - 0x80 - 0x02 - hi - lo) & 0xFF
+    return frames.tobytes()
+
+
+class TestRunStep:
+    """PacketParser.feed against the reference with the intern table of
+    shared packets empty and full."""
+
+    def test_cold_and_warm_table(self):
+        _, _, wire = acceptance_six_corpus()
+        protocol._RAW_PACKETS.clear()
+        assert_matches_reference(wire)
+        for seed, mutated in enumerate(mutated_streams()):
+            protocol._RAW_PACKETS.clear()
+            assert_matches_reference(mutated, seed)
+        PacketParser().feed(every_canonical_frame())
+        assert len(protocol._RAW_PACKETS) == 4096
+        assert_matches_reference(wire)
+        for seed, mutated in enumerate(mutated_streams()):
+            assert_matches_reference(mutated, seed)
+        assert len(protocol._RAW_PACKETS) == 4096
+
+    def test_every_canonical_frame(self):
+        wire = every_canonical_frame()
+        protocol._RAW_PACKETS.clear()
+        assert_matches_reference(wire)
+        # only the frames in the ADC range are stored, and the others are
+        # still emitted, each as a packet of its own
+        table = protocol._RAW_PACKETS
+        assert len(table) == 4096
+        assert sorted(p.raw_value for p in table.values()) == list(range(-2048, 2048))
+        packets = PacketParser().feed(wire)
+        assert [p.raw_value for p in packets] == [
+            v - 0x10000 if v >= 0x8000 else v for v in range(65536)]
+        assert [p.payload for p in packets] == [wire[i + 3:i + 7]
+                                                for i in range(0, len(wire), 8)]
+        assert len(table) == 4096
+
+
 def parse_time(wire):
     t0 = time.thread_time()
     packets_to_samples(wire)
     return time.thread_time() - t0
 
 
-def doubling_ratio(half, whole, pairs=7):
-    """Median over ``pairs`` of parse time of ``whole`` over that of ``half``.
+def cold_feed_time(wire):
+    """Time of one PacketParser().feed of ``wire`` with the intern table
+    emptied first."""
+    protocol._RAW_PACKETS.clear()
+    parser = PacketParser()
+    t0 = time.thread_time()
+    parser.feed(wire)
+    return time.thread_time() - t0
+
+
+def doubling_ratio(half, whole, pairs=7, timer=parse_time):
+    """Median over ``pairs`` of ``timer``'s parse time of ``whole`` over
+    that of ``half``.
 
     The two parses of a pair run back to back, in alternating order, so a
     drift in machine speed (a shared VM can drift by 30 % within a second)
@@ -470,11 +540,11 @@ def doubling_ratio(half, whole, pairs=7):
     ratios = []
     for i in range(pairs):
         if i % 2:
-            t_whole = parse_time(whole)
-            t_half = parse_time(half)
+            t_whole = timer(whole)
+            t_half = timer(half)
         else:
-            t_half = parse_time(half)
-            t_whole = parse_time(whole)
+            t_half = timer(half)
+            t_whole = timer(whole)
         ratios.append(t_whole / t_half)
     return float(np.median(ratios))
 
@@ -484,6 +554,11 @@ class TestParserCost:
         half = noisy_stream(156_250, seed=16)     # 1.25 MB
         whole = noisy_stream(312_500, seed=16)    # 2.5 MB
         assert doubling_ratio(half, whole) <= 2.5
+
+    def test_noisy_one_shot_feed_cost_is_linear(self):
+        half = noisy_stream(156_250, seed=16)     # 1.25 MB
+        whole = noisy_stream(312_500, seed=16)    # 2.5 MB
+        assert doubling_ratio(half, whole, timer=cold_feed_time) <= 2.5
 
     def test_clean_600_s_stream_parses_fast(self):
         values = np.random.default_rng(17).integers(-2048, 2048, size=600 * 512)
