@@ -59,16 +59,38 @@ class ResolutionError(ValidationError):
 
 
 @functools.lru_cache(maxsize=32)
+def rfft_freqs(n: int, fs_hz) -> np.ndarray:
+    """The bin frequencies of an n-point rfft at ``fs_hz``, built once per
+    ``(n, fs_hz)`` and shared, so read-only."""
+    freqs = np.fft.rfftfreq(n, 1.0 / fs_hz)
+    freqs.setflags(write=False)
+    return freqs
+
+
+@functools.lru_cache(maxsize=32)
 def band_bins(n: int, fs_hz) -> tuple:
     """Each band's contiguous bin range in an n-point rfft at ``fs_hz``, as
     slices in ``BANDS`` order; a band that holds no bin gets an empty slice."""
-    freqs = np.fft.rfftfreq(n, 1.0 / fs_hz)
+    freqs = rfft_freqs(n, fs_hz)
     bins = []
     for band in BANDS:
         m = band.mask(freqs)
         lo = int(np.argmax(m))
         bins.append(slice(lo, lo + int(m.sum())))
     return tuple(bins)
+
+
+@functools.lru_cache(maxsize=32)
+def band_widths(n: int, fs_hz) -> np.ndarray:
+    """The bin count of each band in ``band_bins(n, fs_hz)``, as a shared,
+    read-only float array; ResolutionError when a band holds no bin."""
+    widths = np.array([bins.stop - bins.start for bins in band_bins(n, fs_hz)],
+                      dtype=np.float64)
+    if not widths.all():
+        band = BANDS[int(widths.argmin())]
+        raise ResolutionError(f"no FFT bins fall inside band {band.name}")
+    widths.setflags(write=False)
+    return widths
 
 
 def fold_one_sided(power, n):
@@ -82,7 +104,8 @@ def fold_one_sided(power, n):
 def periodogram(frames, fs_hz, taper=None):
     """(freqs, psd): the one-sided PSD, in input-units^2/Hz, of each row of
     ``frames`` (a 1-D signal is one row), mean-removed and scaled by fs * n;
-    with ``taper``, multiplied by it and scaled by fs * sum(taper^2) instead."""
+    with ``taper``, multiplied by it and scaled by fs * sum(taper^2) instead.
+    ``freqs`` is the shared, read-only ``rfft_freqs(n, fs_hz)``."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
     if taper is None:
@@ -92,8 +115,10 @@ def periodogram(frames, fs_hz, taper=None):
     else:
         spec = np.fft.rfft(frames * taper)
         scale = fs_hz * np.sum(taper ** 2)
-    psd = fold_one_sided((spec.real ** 2 + spec.imag ** 2) / scale, n)
-    return np.fft.rfftfreq(n, 1.0 / fs_hz), psd
+    psd = spec.real ** 2
+    psd += spec.imag ** 2
+    psd /= scale
+    return rfft_freqs(n, fs_hz), fold_one_sided(psd, n)
 
 
 def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
@@ -107,11 +132,11 @@ def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
             "band edges need at most 0.5 Hz bin spacing"
         )
     _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz)
+    widths = band_widths(n, fs_hz)
     out = np.empty(psd.shape[:-1] + (len(BANDS),))
-    for i, (band, bins) in enumerate(zip(BANDS, band_bins(n, fs_hz))):
-        if bins.start == bins.stop:
-            raise ResolutionError(f"no FFT bins fall inside band {band.name}")
-        out[..., i] = np.add.reduce(psd[..., bins], axis=-1) / (bins.stop - bins.start)
+    for i, bins in enumerate(band_bins(n, fs_hz)):
+        np.add.reduce(psd[..., bins], axis=-1, out=out[..., i])
+    out /= widths
     return out
 
 

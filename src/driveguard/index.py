@@ -44,8 +44,10 @@ def di_rows(powers) -> np.ndarray:
     """The DI of each row of an ``(m, 5)`` band-power array, NaN where
     ``distraction_index`` raises; a NaN denominator keeps division quiet."""
     powers = np.asarray(powers)
-    alpha, beta, gamma = np.where(powers[:, 2:] > 0.0, powers[:, 2:], np.nan).T
-    return powers[:, 1] / alpha + alpha / beta + beta / gamma
+    high = powers[:, 2:]
+    # theta/alpha, alpha/beta, beta/gamma
+    ratios = powers[:, 1:4] / np.where(high > 0.0, high, np.nan)
+    return ratios[:, 0] + ratios[:, 1] + ratios[:, 2]
 
 
 @dataclass(frozen=True)

@@ -81,28 +81,32 @@ class Device(enum.Enum):
         return _member_by_value(cls, name, "device")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class EegSample:
     """One timestamped ADC reading from a single electrode.
 
     A slotted record, not a frozen one: a frozen dataclass's ``__init__``
     writes each field through ``object.__setattr__``, which would double
-    the cost of the one record built per streamed sample.
+    the cost of the one record built per streamed sample. ``__init__`` is
+    written by hand for the same reason: it checks its arguments before
+    storing them, where a generated one would store them, call
+    ``__post_init__`` and read them back.
     """
 
     t: float
     raw: int
 
-    def __post_init__(self):
+    def __init__(self, t, raw):
         # the checks' functions are called only to raise
-        if not 0 <= self.t < math.inf:
-            check_timestamp(self.t)
+        if not 0 <= t < math.inf:
+            check_timestamp(t)
         try:
-            if not ADC_MIN <= self.raw <= ADC_MAX:
-                check_adc_range(self.raw, self.raw)
+            if not ADC_MIN <= raw <= ADC_MAX:
+                check_adc_range(raw, raw)
         except TypeError:  # a value that does not compare with numbers
-            raise ValidationError(
-                f"raw sample must be a number, got {self.raw!r}") from None
+            raise ValidationError(f"raw sample must be a number, got {raw!r}") from None
+        self.t = t
+        self.raw = raw
 
 
 def check_timestamp(t):

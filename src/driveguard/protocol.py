@@ -144,7 +144,11 @@ def _scan(buf: bytes, pos: int, out: list, one: bool = False):
     Three steps take frames. Without ``one``, the run step takes the run of
     stored frames (``_RAW_PACKETS``) at ``pos`` as their shared packets,
     reading each 8-byte word once and stopping at the first word not
-    stored. The canonical step takes a canonical raw frame at ``pos`` by
+    stored; when what is left after the run is at most the start of a
+    canonical frame (a prefix of ``RAW_HEADER``, or the header and less
+    than the rest), it returns at once with that tail pending, where the
+    other steps would reach the same offset by a longer way. The canonical
+    step takes a canonical raw frame at ``pos`` by
     the rule ``packets_to_samples`` applies to its rows, and stores its
     packet when its value is in the ADC range. The general step takes any
     other frame. The general step would accept every frame the first two
@@ -161,6 +165,10 @@ def _scan(buf: bytes, pos: int, out: list, one: bool = False):
             words = memoryview(buf)[pos:n - (n - pos) % RAW_FRAME_LEN].cast("Q")
             out += takewhile(truth, map(_RAW_PACKETS.get, words))
             pos += (len(out) - taken) * RAW_FRAME_LEN
+            if n - pos < RAW_FRAME_LEN and RAW_HEADER.startswith(buf[pos:pos + 5]):
+                # the usual end of a read: at most the start of a canonical
+                # frame is left, which the steps below would keep pending
+                return pos, corrupt, False
         if buf.startswith(RAW_HEADER, pos) and pos + RAW_FRAME_LEN <= n:
             hi, lo, check = buf[pos + 5], buf[pos + 6], buf[pos + 7]
             if (hi + lo + check) & 0xFF == _RAW_CHECK_SUM:
@@ -341,7 +349,8 @@ def read_json_record(path, what: str, build, error):
     An unreadable file, invalid JSON, a top level other than an object, or
     a KeyError, TypeError or ValueError from ``build`` raises ``error``; a
     package error raised by ``build`` is raised again as its own class.
-    Each message names the file.
+    Each message names the file, and the kind ``what`` once: a message
+    from ``build`` that starts with it loses that start.
     """
     text = read_text(path, what, error)
     try:
@@ -357,10 +366,9 @@ def read_json_record(path, what: str, build, error):
         return build(record)
     except KeyError as exc:
         raise error(f"{what} {path} missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what} {path}: {exc}") from exc
-    except DriveGuardError as exc:
-        raise type(exc)(f"{what} {path}: {exc}") from exc
+    except (TypeError, ValueError, DriveGuardError) as exc:
+        cls = type(exc) if isinstance(exc, DriveGuardError) else error
+        raise cls(f"{what} {path}: {str(exc).removeprefix(what + ' ')}") from exc
 
 
 def json_number(record: dict, key: str, what: str, default=None) -> float:

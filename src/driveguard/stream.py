@@ -296,10 +296,14 @@ def process_sample(state: DetectorState, sample: EegSample):
     if not t >= state._prev_t:
         raise SequencingError(f"sample at t={t} precedes previous t={state._prev_t}")
     state._prev_t = t
-    state._buf[state._count % state.win_n] = sample.raw
-    state._count += 1
-    state._to_hop -= 1
-    return state, None if state._to_hop else _hop(state, t)
+    count = state._count
+    state._buf[count % state.win_n] = sample.raw
+    state._count = count + 1
+    to_hop = state._to_hop - 1
+    if to_hop:
+        state._to_hop = to_hop
+        return state, None
+    return state, _hop(state, t)
 
 
 def feed_block(state: DetectorState, raw, t0: float):

@@ -77,6 +77,15 @@ class TestPeriodogram:
         assert np.allclose(base, shifted, rtol=0, atol=1e-6 * np.max(base))
         assert shifted[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, fs", [(2048, 512), (511, 512), (300, 128), (257, 128.0)])
+    def test_freqs_are_rfftfreq_and_read_only(self, n, fs):
+        x = np.random.default_rng(n).normal(size=(2, n))
+        freqs, _ = periodogram(x, fs)
+        assert np.array_equal(freqs, np.fft.rfftfreq(n, 1.0 / fs))
+        assert freqs.dtype == np.float64 and not freqs.flags.writeable
+        tapered, _ = periodogram(x, fs, taper=np.hanning(n))
+        assert tapered is freqs
+
 
 class TestBandDefinitions:
     def test_canonical_ladder(self):
@@ -223,6 +232,13 @@ class TestSpectrogram:
         assert spec.freqs_hz.size == 257
         assert np.allclose(spec.times_s, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
         assert spec.power_db.shape == (257, 7)
+
+    def test_shared_freqs_cannot_be_changed(self):
+        spec = stft_spectrogram(np.zeros(N, dtype=np.int32), FS)
+        with pytest.raises(ValueError):
+            spec.freqs_hz[1] = -1.0
+        again = stft_spectrogram(np.zeros(N, dtype=np.int32), FS)
+        assert np.array_equal(again.freqs_hz, np.fft.rfftfreq(512, 1.0 / FS))
 
     def test_silence_hits_floor(self):
         spec = stft_spectrogram(np.zeros(N, dtype=np.int32), FS)

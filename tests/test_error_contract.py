@@ -245,18 +245,18 @@ NAMED_ESCAPES = [
                  "input.arff line 2: data before @data", id="arff-data-before-header"),
     pytest.param("arff", arff_without_numeric_attributes,
                  "input.arff: no numeric attributes found", id="arff-no-numeric-attribute"),
-    pytest.param("spec", with_fields(duration_s="4"), "input.json: spec duration_s",
+    pytest.param("spec", with_fields(duration_s="4"), "input.json: duration_s",
                  id="spec-duration-numeric-string"),
-    pytest.param("spec", with_fields(duration_s=True), "input.json: spec duration_s",
+    pytest.param("spec", with_fields(duration_s=True), "input.json: duration_s",
                  id="spec-duration-true"),
     pytest.param("spec", with_fields(seed=True), "input.json: seed", id="spec-seed-true"),
     pytest.param("spec", with_fields(seed=[1, True]), "input.json: seed",
                  id="spec-seed-list-with-true"),
     pytest.param("spec", with_fields(seed=None), "input.json: seed", id="spec-seed-null"),
     pytest.param("spec", with_fields(baseline={"amplitude_uv": True}),
-                 "input.json: spec baseline amplitude_uv", id="spec-baseline-true"),
+                 "input.json: baseline amplitude_uv", id="spec-baseline-true"),
     pytest.param("spec", with_fields(bursts=[{"band": "beta", "center_hz": 22.0,
-                                              "gain": True}]), "input.json: spec bursts gain",
+                                              "gain": True}]), "input.json: bursts gain",
                  id="spec-burst-gain-true"),
     pytest.param("spec", with_fields(subject_id=None), "input.json: subject_id",
                  id="spec-subject-null"),
@@ -268,7 +268,7 @@ NAMED_ESCAPES = [
                  id="manifest-subject-null"),
     pytest.param("manifest", with_fields(channels=[7]), "input.manifest.json: channels",
                  id="manifest-channel-number"),
-    pytest.param("profile", with_fields(subject_id=None), "input.json: profile subject_id",
+    pytest.param("profile", with_fields(subject_id=None), "input.json: subject_id",
                  id="profile-subject-null"),
 ]
 

@@ -1,5 +1,6 @@
 """Domain model: labels, devices, sessions, trial splitting."""
 
+import dataclasses
 import math
 import pickle
 import re
@@ -106,6 +107,23 @@ class TestEegSample:
         assert repr(s) == "EegSample(t=0.5, raw=3)"
         assert EegSample.__slots__ == ("t", "raw")
         assert not hasattr(s, "__dict__")
+
+    def test_positional_keyword_and_dataclass_helpers(self):
+        # __init__ is written by hand; it must still behave as a dataclass's
+        s = EegSample(0.5, 3)
+        assert s == EegSample(t=0.5, raw=3) == EegSample(0.5, raw=3)
+        assert [f.name for f in dataclasses.fields(EegSample)] == ["t", "raw"]
+        moved = dataclasses.replace(s, raw=-7)
+        assert moved == EegSample(t=0.5, raw=-7) and s.raw == 3
+        with pytest.raises(ValidationError, match="raw sample 4000 outside ADC range"):
+            dataclasses.replace(s, raw=4000)
+        with pytest.raises(TypeError):
+            EegSample(0.5)
+
+    def test_time_is_checked_before_raw(self):
+        with pytest.raises(ValidationError,
+                           match="sample timestamp must be finite and >= 0, got nan"):
+            EegSample(t=math.nan, raw=None)
 
 
 class TestSubjectSession:

@@ -382,13 +382,21 @@ def reference_scan(buf):
     """The general scanner loop with no canonical-frame step, over all of
     ``buf``: sync search, length check, checksum of the payload, row walk.
     Returns (packets as (payload, raw value) pairs, corrupt frame count)."""
+    return reference_scan_with_rest(buf)[:2]
+
+
+def reference_scan_with_rest(buf):
+    """``reference_scan`` and the bytes a parser keeps pending after it:
+    an incomplete frame, or a lone trailing 0xAA."""
     n = len(buf)
     pos = corrupt = 0
     packets = []
     while True:
-        pos = buf.find(b"\xaa\xaa", pos)
-        if pos < 0 or n - pos < 3:
-            return packets, corrupt
+        start, pos = pos, buf.find(b"\xaa\xaa", pos)
+        if pos < 0:
+            return packets, corrupt, b"\xaa" if buf.endswith(b"\xaa", start) else b""
+        if n - pos < 3:
+            return packets, corrupt, buf[pos:]
         length = buf[pos + 2]
         if length == 0xAA:
             pos += 1
@@ -398,7 +406,7 @@ def reference_scan(buf):
         else:
             end = pos + length + 4
             if end > n:
-                return packets, corrupt
+                return packets, corrupt, buf[pos:]
             payload = buf[pos + 3:end - 1]
             if buf[end - 1] == checksum(payload):
                 packets.append((payload, reference_raw_value(payload)))
@@ -510,6 +518,32 @@ class TestRunStep:
         assert [p.payload for p in packets] == [wire[i + 3:i + 7]
                                                 for i in range(0, len(wire), 8)]
         assert len(table) == 4096
+
+    @pytest.mark.parametrize("last", [
+        encode_packet(-300),
+        frame(bytes([0x02, 0x55, 0x80, 0x02, 0x01, 0x2C])),
+        bytes([0x01, 0x02, 0xAA, 0x03, 0x04, 0x05, 0xAA, 0x06]),
+    ], ids=["canonical", "non-canonical", "garbage"])
+    @pytest.mark.parametrize("kept", range(8))
+    def test_tail_left_between_feeds(self, last, kept):
+        # a run, then the first ``kept`` bytes of ``last``: the start of a
+        # frame stays pending and the next feed completes it
+        head = clean_stream([1, -2, 3])
+        cut = len(head) + kept
+        wire = head + last + clean_stream([4])
+        for warm in (False, True):
+            protocol._RAW_PACKETS.clear()
+            if warm:
+                PacketParser().feed(wire)
+            parser = PacketParser()
+            first = [(p.payload, p.raw_value) for p in parser.feed(wire[:cut])]
+            assert (first, parser.corrupt_frames, parser._pending) == \
+                reference_scan_with_rest(wire[:cut])
+            if last[:2] == b"\xaa\xaa":
+                assert parser._pending == last[:kept]
+            second = [(p.payload, p.raw_value) for p in parser.feed(wire[cut:])]
+            assert (first + second, parser.corrupt_frames, parser._pending) == \
+                reference_scan_with_rest(wire)
 
 
 def parse_time(wire):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -372,6 +373,18 @@ class TestFeedBlock:
                      }[split]()
             assert fed_in_blocks(state, raw, sizes) == (alerts, hops), seed
             assert state_of(state) == final, seed
+
+    def test_ring_stores_values_as_feed_block_casts_them(self):
+        # both routes write the int32 ring by numpy's cast: a numpy integer
+        # and a bool as their values, an in-range float truncated
+        values = [np.int16(-5), True, 100.7, -3.9, np.int64(2047)]
+        one = DetectorState(A5_PROFILE)
+        fed_one_by_one(one, np.array(values, dtype=object))
+        block = DetectorState(A5_PROFILE)
+        feed_block(block, values, 0.0)
+        assert one._buf[:5].tolist() == [-5, 1, 100, -3, 2047]
+        assert state_of(one) == state_of(block)
+        assert state_of(pickle.loads(pickle.dumps(one))) == state_of(one)
 
     def test_offset_start_time(self, a5_oracle):
         for raw, _, _, _ in a5_oracle[:8]:
