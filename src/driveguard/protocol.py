@@ -98,10 +98,10 @@ class RawPacket:
 
 # each canonical raw frame whose value is in the ADC range, read as one
 # native-order 8-byte word, to the one packet the scanner hands out for it.
-# Filled by the scanner's canonical step, so it never holds more than
-# ADC_MAX - ADC_MIN + 1 entries. Shared by every parser in the process: an
-# entry is the packet any parser would build for its frame, so what a
-# parser returns never depends on what others have read.
+# Filled by ``_frame_step`` as it takes such frames, so it never holds
+# more than ADC_MAX - ADC_MIN + 1 entries. Shared by every parser in the
+# process: an entry is the packet any parser would build for its frame, so
+# what a parser returns never depends on what others have read.
 _RAW_PACKETS = {}
 
 
@@ -129,88 +129,43 @@ def _decode_raw_value(payload: bytes):
     return None
 
 
-def _scan(buf: bytes, pos: int, out: list, one: bool = False):
-    """The frame scanner: read ``buf`` from offset ``pos``.
+def _frame_step(buf: bytes, pos: int, out: list):
+    """One scanner step at the next sync pair in ``buf`` from ``pos``.
 
-    Appends each verified frame to ``out`` as a RawPacket and returns
-    ``(pos, corrupt, more)``: the offset to resume from, the corrupt
-    frames counted, and False once it needs bytes past the end of ``buf``.
-    A failed candidate is rescanned from its second byte, so a valid frame
-    overlapping garbage is never lost. With ``one`` it returns after one
-    step: one frame emitted, or one candidate rejected or slid past.
-    ``buf`` is never copied except for the bytes of a new packet, so the
-    cost is linear in ``len(buf) - pos``.
-
-    Three steps take frames. Without ``one``, the run step takes the run of
-    stored frames (``_RAW_PACKETS``) at ``pos`` as their shared packets,
-    reading each 8-byte word once and stopping at the first word not
-    stored; when what is left after the run is at most the start of a
-    canonical frame (a prefix of ``RAW_HEADER``, or the header and less
-    than the rest), it returns at once with that tail pending, where the
-    other steps would reach the same offset by a longer way. The canonical
-    step takes a canonical raw frame at ``pos`` by
-    the rule ``packets_to_samples`` applies to its rows, and stores its
-    packet when its value is in the ADC range. The general step takes any
-    other frame. The general step would accept every frame the first two
-    take.
+    Appends a verified frame to ``out`` as a RawPacket, the stored one
+    (``_RAW_PACKETS``) for a canonical raw frame in the ADC range. A failed
+    candidate is counted corrupt and rescanned from its second byte, so a
+    valid frame overlapping garbage is never lost. Returns ``(pos, corrupt,
+    more)``: the offset to resume from, the corrupt frames counted, and
+    False when the step needs bytes past the end of ``buf``. Every skipped
+    byte and corrupt frame of both packet routes is decided here.
     """
     n = len(buf)
-    corrupt = 0
-    while True:
-        if not one and buf.startswith(RAW_HEADER, pos):
-            # only verified frames are stored, and this step counts nothing
-            # and skips nothing: every skipped byte and corrupt frame is
-            # the general step's
-            taken = len(out)
-            words = memoryview(buf)[pos:n - (n - pos) % RAW_FRAME_LEN].cast("Q")
-            out += takewhile(truth, map(_RAW_PACKETS.get, words))
-            pos += (len(out) - taken) * RAW_FRAME_LEN
-            if n - pos < RAW_FRAME_LEN and RAW_HEADER.startswith(buf[pos:pos + 5]):
-                # the usual end of a read: at most the start of a canonical
-                # frame is left, which the steps below would keep pending
-                return pos, corrupt, False
-        if buf.startswith(RAW_HEADER, pos) and pos + RAW_FRAME_LEN <= n:
-            hi, lo, check = buf[pos + 5], buf[pos + 6], buf[pos + 7]
-            if (hi + lo + check) & 0xFF == _RAW_CHECK_SUM:
-                value = (hi << 8) | lo
-                value -= 0x10000 if value >= 0x8000 else 0
-                packet = RawPacket(buf[pos + 3:pos + 7], value)
-                if ADC_MIN <= value <= ADC_MAX:
-                    word = int.from_bytes(buf[pos:pos + RAW_FRAME_LEN], sys.byteorder)
-                    packet = _RAW_PACKETS.setdefault(word, packet)
-                out.append(packet)
-                pos += RAW_FRAME_LEN
-                if one:
-                    return pos, corrupt, True
-                continue
-        start = buf.find(b"\xaa\xaa", pos)
-        if start < 0:
-            # a lone trailing 0xAA may be half a sync pair
-            return (n - 1 if buf.endswith(b"\xaa", pos) else n), corrupt, False
-        pos = start
-        if n - pos < 3:
-            return pos, corrupt, False
-        length = buf[pos + 2]
-        if length == SYNC:
-            # runs of sync bytes: slide one and keep looking
-            pos += 1
-        elif length > MAX_PAYLOAD:
-            corrupt += 1
-            pos += 1
-        else:
-            end = pos + length + 4
-            if end > n:
-                return pos, corrupt, False
-            payload = buf[pos + 3:end - 1]
-            if buf[end - 1] == checksum(payload):
-                out.append(RawPacket(payload=payload,
-                                     raw_value=_decode_raw_value(payload)))
-                pos = end
-            else:
-                corrupt += 1
-                pos += 1
-        if one:
-            return pos, corrupt, True
+    start = buf.find(b"\xaa\xaa", pos)
+    if start < 0:
+        # a lone trailing 0xAA may be half a sync pair
+        return (n - 1 if buf.endswith(b"\xaa", pos) else n), 0, False
+    pos = start
+    if n - pos < 3:
+        return pos, 0, False
+    length = buf[pos + 2]
+    if length == SYNC:
+        # runs of sync bytes: slide one and keep looking
+        return pos + 1, 0, True
+    if length > MAX_PAYLOAD:
+        return pos + 1, 1, True
+    end = pos + length + 4
+    if end > n:
+        return pos, 0, False
+    payload = buf[pos + 3:end - 1]
+    if buf[end - 1] != checksum(payload):
+        return pos + 1, 1, True
+    packet = RawPacket(payload, _decode_raw_value(payload))
+    if buf.startswith(RAW_HEADER, pos) and ADC_MIN <= packet.raw_value <= ADC_MAX:
+        word = int.from_bytes(buf[pos:end], sys.byteorder)
+        packet = _RAW_PACKETS.setdefault(word, packet)
+    out.append(packet)
+    return end, 0, True
 
 
 class PacketParser:
@@ -222,9 +177,12 @@ class PacketParser:
     failed candidate frame is rescanned from its second byte so a valid
     frame overlapping the garbage is never lost. Each feed scans its bytes
     once, so its cost is linear in the pending bytes plus the chunk.
-    A canonical raw frame in the ADC range comes back as the one frozen
-    packet shared by every parser for that frame, built the first time
-    any parser accepted it; runs of such frames are taken in C.
+
+    Two steps take frames: the run step takes the run of stored frames
+    (``_RAW_PACKETS``) at the cursor in C and counts and skips nothing, and
+    at any other byte ``_frame_step`` takes one step. So a canonical raw
+    frame in the ADC range always comes back as the one frozen packet
+    shared by every parser for that frame, however it was reached.
     """
 
     def __init__(self):
@@ -235,7 +193,22 @@ class PacketParser:
     def feed(self, data: bytes):
         out = []
         buf = self._pending + bytes(data)
-        pos, corrupt, _ = _scan(buf, 0, out)
+        n = len(buf)
+        pos = corrupt = 0
+        more = True
+        while more:
+            if buf.startswith(RAW_HEADER, pos):
+                taken = len(out)
+                words = memoryview(buf)[pos:n - (n - pos) % RAW_FRAME_LEN].cast("Q")
+                out += takewhile(truth, map(_RAW_PACKETS.get, words))
+                pos += (len(out) - taken) * RAW_FRAME_LEN
+                if n - pos < RAW_FRAME_LEN and RAW_HEADER.startswith(buf[pos:pos + 5]):
+                    # the usual end of a read: at most the start of a
+                    # canonical frame is left, which _frame_step would
+                    # leave pending
+                    break
+            pos, step_corrupt, more = _frame_step(buf, pos, out)
+            corrupt += step_corrupt
         self._pending = buf[pos:]
         self.corrupt_frames += corrupt
         self.packets_emitted += len(out)
@@ -273,7 +246,7 @@ def packets_to_samples(data: bytes):
     bytes is viewed as 8-byte rows and the canonical raw frames at its
     start (RAW_HEADER, value, valid checksum) are taken as values at once:
     such a frame at the cursor is the frame the scanner would accept
-    there. At the first other row the scanner takes one step, then the
+    there. At the first other row ``_frame_step`` takes one step, then the
     block check resumes. The cost is linear in ``len(data)``.
     """
     buf = bytes(data)
@@ -301,7 +274,7 @@ def packets_to_samples(data: bytes):
                 continue
             rows_per_block = BULK_MIN_ROWS
         packets = []
-        pos, step_corrupt, more = _scan(buf, pos, packets, one=True)
+        pos, step_corrupt, more = _frame_step(buf, pos, packets)
         corrupt += step_corrupt
         parts += [(p.raw_value,) for p in packets if p.raw_value is not None]
     return np.concatenate(parts, dtype=np.int32), corrupt

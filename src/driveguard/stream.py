@@ -28,7 +28,7 @@ from .dsp import SCORE_STACK, band_power_rows, band_powers_from_samples  # noqa:
 from .errors import ParameterError, ValidationError
 from .index import di_rows, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
-                    SubjectSession, check_adc_range, check_timestamp)
+                    SubjectSession, check_timestamp)
 from .protocol import json_number
 
 STREAM_FS_HZ = 512
@@ -239,8 +239,8 @@ class DetectorState:
                  "_to_hop", "_prev_t", "last_hop", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
-        if fs_hz <= 0:
-            raise ParameterError(f"fs must be positive, got {fs_hz}")
+        if not 0 < fs_hz < math.inf:
+            raise ParameterError(f"fs must be finite and positive, got {fs_hz}")
         self.win_n, self.hop_n = profile.sample_counts(fs_hz)
         self.profile = profile
         self.fs_hz = int(fs_hz)
@@ -316,9 +316,10 @@ def feed_block(state: DetectorState, raw, t0: float):
     only the block's last ``win_n`` samples are written into the ring. The
     per-sample checks are made once for the block, before anything
     changes: ``t0`` must be finite, >= 0 and not precede the previous
-    sample, and the first raw value outside the ADC range, in stream order,
-    is the one reported. An empty block changes nothing. Returns
-    ``(alerts, hops)``, every HopRecord the block completed.
+    sample, the block must be 1-D, and the first raw value that
+    ``EegSample`` rejects, in stream order, is reported as it reports it.
+    An empty block changes nothing. Returns ``(alerts, hops)``, every
+    HopRecord the block completed.
     """
     raw = np.asarray(raw)
     n = raw.size
@@ -329,10 +330,17 @@ def feed_block(state: DetectorState, raw, t0: float):
     check_timestamp(t0)
     if t0 < state._prev_t:
         raise SequencingError(f"sample at t={t0} precedes previous t={state._prev_t}")
-    bad = np.flatnonzero((raw < ADC_MIN) | (raw > ADC_MAX))
-    if bad.size:
-        first = int(raw[bad[0]])
-        check_adc_range(first, first)
+    if raw.ndim != 1:
+        raise ValidationError(f"raw samples must be a 1-D block, got shape {raw.shape}")
+    if raw.dtype.kind in "biuf":
+        # "not in range" also catches NaN
+        bad = np.flatnonzero(~((raw >= ADC_MIN) & (raw <= ADC_MAX)))
+        suspects = raw[bad[:1]]
+    else:
+        # strings and objects: every value, as the per-sample route sees it
+        suspects = raw
+    for value in suspects.tolist():
+        EegSample(t0, value)
     buf, win_n, hop_n, fs = state._buf, state.win_n, state.hop_n, state.fs_hz
     count = state._count
     # the block offsets just past each hop the block completes

@@ -630,7 +630,8 @@ class TestErrorSurface:
 
     def test_settings_table_matches_docs(self):
         # README's CLI section, mirrored in PAPER.md, lists every
-        # subcommand's settings as key=default; None reads as "none"
+        # subcommand's settings as key=default, and a setting with no
+        # default as its bare key
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         usage = driveguard.cli._build_parser().format_usage()
         commands = re.search(r"\{([\w,-]+)\}", usage).group(1).split(",")
@@ -641,8 +642,8 @@ class TestErrorSurface:
             for command in commands:
                 row = re.search(rf"^\| `{command}` \|(.*)\|$", text, re.M)
                 assert row, f"{doc}: no settings row for {command}"
-                listed = re.findall(r"`(\w+)=([^`]*)`", row.group(1))
-                declared = [(s.key, "none" if s.default is None else str(s.default))
+                listed = re.findall(r"`(\w+)(?:=([^`]*))?`", row.group(1))
+                declared = [(s.key, "" if s.default is None else str(s.default))
                             for s in driveguard.cli.SETTINGS.get(command, ())]
                 assert listed == declared, f"{doc}: {command}"
 

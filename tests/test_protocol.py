@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 
@@ -518,6 +519,26 @@ class TestRunStep:
         assert [p.payload for p in packets] == [wire[i + 3:i + 7]
                                                 for i in range(0, len(wire), 8)]
         assert len(table) == 4096
+
+    @pytest.mark.parametrize("lead", [
+        b"\x00",
+        b"\x01\xaa\x02",
+        protocol.RAW_HEADER + b"\x00\x05\x00",
+    ], ids=["garbage", "lone-sync-byte", "corrupt-candidate"])
+    def test_frame_reached_by_sync_search_is_the_stored_packet(self, lead):
+        # a canonical frame found by the sync search, not at a run's start,
+        # comes back as the one shared packet with the table cold and warm
+        wire = encode_packet(5)
+        for warm in (False, True):
+            protocol._RAW_PACKETS.clear()
+            stored = PacketParser().feed(wire)[0] if warm else None
+            parser = PacketParser()
+            (resynced,) = parser.feed(lead + wire)
+            assert parser.corrupt_frames == (lead[:2] == b"\xaa\xaa")
+            assert resynced is protocol._RAW_PACKETS[int.from_bytes(wire, sys.byteorder)]
+            assert resynced is PacketParser().feed(wire)[0]
+            if warm:
+                assert resynced is stored
 
     @pytest.mark.parametrize("last", [
         encode_packet(-300),

@@ -134,6 +134,11 @@ class TestDetectorState:
         with pytest.raises(ParameterError):
             DetectorState(profile(hop_s=1.0 / 3.0), fs_hz=FS)
 
+    @pytest.mark.parametrize("fs", [-512, math.nan, math.inf])
+    def test_rejects_rates_that_are_not_finite_and_positive(self, fs):
+        with pytest.raises(ParameterError, match="fs must be finite and positive"):
+            DetectorState(profile(), fs_hz=fs)
+
     def test_buffer_is_fixed_size_ring(self):
         state = DetectorState(profile(), fs_hz=FS)
         assert state.win_n == 4 * FS
@@ -471,6 +476,44 @@ class TestFeedBlock:
         assert str(block.value) == str(per_sample.value) == \
             "raw sample 3000 outside ADC range [-2048, 2047]"
         assert state_of(state) == before
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, math.nan, 3000], "raw sample nan outside ADC range [-2048, 2047]"),
+        ([math.inf], "raw sample inf outside ADC range [-2048, 2047]"),
+        ([0, -math.inf], "raw sample -inf outside ADC range [-2048, 2047]"),
+        ([2, 2047.5], "raw sample 2047.5 outside ADC range [-2048, 2047]"),
+        (["x"], "raw sample must be a number, got 'x'"),
+        ([1, None, 3000], "raw sample must be a number, got None"),
+        ([1, 2**70], "raw sample 1180591620717411303424 outside ADC range [-2048, 2047]"),
+        ([1j], "raw sample must be a number, got 1j"),
+    ], ids=["nan", "inf", "-inf", "float", "str", "none", "big-int", "complex"])
+    def test_bad_values_rejected_as_per_sample(self, values, message):
+        with pytest.raises(ValidationError) as per_sample:
+            fed_one_by_one(DetectorState(profile()), np.array(values, dtype=object))
+        state = DetectorState(profile())
+        feed_block(state, [0, 1], 0.0)
+        before = state_of(state)
+        # a NaN cast into the ring would also warn, which fails the test
+        with pytest.raises(ValidationError) as block:
+            feed_block(state, values, 2 / FS)
+        assert str(block.value) == str(per_sample.value) == message
+        assert state_of(state) == before
+
+    @pytest.mark.parametrize("raw", [np.zeros((2, 3)), np.int32(5)], ids=["2-D", "0-D"])
+    def test_block_must_be_one_dimensional(self, raw):
+        state = DetectorState(profile())
+        with pytest.raises(ValidationError, match=r"1-D block, got shape \("):
+            feed_block(state, raw, 0.0)
+        assert state.samples_seen == 0
+
+    def test_object_block_of_numbers_is_stored_as_numbers(self):
+        values = np.array([3, 100.7, -2048], dtype=object)
+        one = DetectorState(A5_PROFILE)
+        fed_one_by_one(one, values)
+        block = DetectorState(A5_PROFILE)
+        feed_block(block, values, 0.0)
+        assert block._buf[:3].tolist() == [3, 100, -2048]
+        assert state_of(one) == state_of(block)
 
     def test_negative_start_time(self):
         with pytest.raises(ValidationError) as per_sample:
