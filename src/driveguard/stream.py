@@ -35,6 +35,8 @@ STREAM_FS_HZ = 512
 DEFAULT_WINDOW_S = 4.0
 DEFAULT_HOP_S = 1.0
 MIN_WINDOW_S = 2.0
+# the longest window or hop, which bounds the detector's buffer (14 MiB at 512 Hz)
+MAX_SPAN_S = 3600.0
 COMBINATORS = ("or", "and")
 DI_KEY = "di"
 
@@ -78,11 +80,12 @@ class CalibrationProfile:
                 raise ParameterError(f"threshold for {band} must be > 0, got {thr}")
         if self.di_threshold is not None and not self.di_threshold > 0:
             raise ParameterError(f"DI threshold must be > 0, got {self.di_threshold}")
-        if not (math.isfinite(self.window_s) and self.window_s >= MIN_WINDOW_S):
-            raise ParameterError(
-                f"window must be finite and >= {MIN_WINDOW_S} s, got {self.window_s}")
-        if not (math.isfinite(self.hop_s) and self.hop_s > 0):
-            raise ParameterError(f"hop must be finite and > 0, got {self.hop_s}")
+        # "not <=" also catches NaN
+        if not MIN_WINDOW_S <= self.window_s <= MAX_SPAN_S:
+            raise ParameterError(f"window_s must lie in [{MIN_WINDOW_S}, {MAX_SPAN_S}] s, "
+                                 f"got {self.window_s}")
+        if not 0 < self.hop_s <= MAX_SPAN_S:
+            raise ParameterError(f"hop_s must lie in (0, {MAX_SPAN_S}] s, got {self.hop_s}")
         if not (math.isfinite(self.refractory_s) and self.refractory_s >= self.hop_s):
             raise ParameterError(
                 f"refractory {self.refractory_s} s must be finite and >= hop {self.hop_s} s")
@@ -228,39 +231,41 @@ def _hop_alert(t: float, row, last_alert_t: float | None,
 class DetectorState:
     """Single-owner detector memory: one window, the latest HopRecord, alert timing.
 
-    The buffer is a fixed ring of window_s * fs samples; feeding a
-    sample is O(1) and each hop evaluation touches only the buffer.
-    ``_to_hop`` counts the samples still due before the next hop: the
-    first hop ends the first full window, each later one ``hop_n``
-    samples after its predecessor.
+    ``_buf`` is one linear buffer of ``hop_n + win_n`` samples, of which
+    the first ``_fill`` are written. The first window fills it from offset
+    ``hop_n``. A hop is due when the buffer is full, and its window is
+    always the contiguous slice ``_buf[hop_n:]``; after it the last
+    ``win_n`` samples move to the front and the next ``hop_n`` samples
+    fill the rest, whether the hop is shorter or longer than the window.
+    Feeding a sample is O(1) and each hop touches only the buffer.
+    ``_hops`` counts the hops taken.
     """
 
-    __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_count",
-                 "_to_hop", "_prev_t", "last_hop", "last_alert_t")
+    __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_fill",
+                 "_hops", "_prev_t", "last_hop", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
-        if not 0 < fs_hz < math.inf:
-            raise ParameterError(f"fs must be finite and positive, got {fs_hz}")
+        if not (0 < fs_hz < math.inf and fs_hz == int(fs_hz)):
+            raise ParameterError(f"fs must be finite and positive, in whole Hz, got {fs_hz}")
         self.win_n, self.hop_n = profile.sample_counts(fs_hz)
         self.profile = profile
         self.fs_hz = int(fs_hz)
-        self._buf = np.zeros(self.win_n, dtype=np.int32)
-        self._count = 0
-        self._to_hop = self.win_n
+        self._buf = np.zeros(self.hop_n + self.win_n, dtype=np.int32)
+        self._fill = self.hop_n
+        self._hops = 0
         self._prev_t = -math.inf
         self.last_hop = None
         self.last_alert_t = None
 
     @property
     def samples_seen(self) -> int:
-        return self._count
+        return self._hops * self.hop_n + self._fill - self.hop_n
 
     def window_samples(self) -> np.ndarray:
-        """The buffered window in arrival order (only valid once full)."""
-        if self._count < self.win_n:
+        """A copy of the last ``win_n`` samples, in arrival order."""
+        if self.samples_seen < self.win_n:
             raise ValidationError("window not yet full")
-        cut = self._count % self.win_n
-        return np.concatenate([self._buf[cut:], self._buf[:cut]])
+        return self._buf[self._fill - self.win_n:self._fill].copy()
 
 
 def _judge(state: DetectorState, t: float, row):
@@ -272,14 +277,6 @@ def _judge(state: DetectorState, t: float, row):
     if alert is not None:
         state.last_alert_t = t
     return alert
-
-
-def _hop(state: DetectorState, t: float):
-    """Score and judge the ring's window, which ends at ``t``, and restart
-    the countdown."""
-    state._to_hop = state.hop_n
-    return _judge(state, t, score_windows(state.window_samples()[None],
-                                          state.fs_hz)[0].tolist())
 
 
 def process_sample(state: DetectorState, sample: EegSample):
@@ -296,35 +293,40 @@ def process_sample(state: DetectorState, sample: EegSample):
     if not t >= state._prev_t:
         raise SequencingError(f"sample at t={t} precedes previous t={state._prev_t}")
     state._prev_t = t
-    count = state._count
-    state._buf[count % state.win_n] = sample.raw
-    state._count = count + 1
-    to_hop = state._to_hop - 1
-    if to_hop:
-        state._to_hop = to_hop
+    buf = state._buf
+    fill = state._fill
+    buf[fill] = sample.raw
+    fill += 1
+    if fill < len(buf):
+        state._fill = fill
         return state, None
-    return state, _hop(state, t)
+    window = buf[state.hop_n:]
+    alert = _judge(state, t, score_windows(window[None], state.fs_hz)[0].tolist())
+    buf[:state.win_n] = window
+    state._fill = state.win_n
+    state._hops += 1
+    return state, alert
 
 
 def feed_block(state: DetectorState, raw, t0: float):
     """Advance the detector by an array of raw samples, sample j at t0 + j / fs.
 
     Leaves ``state`` as feeding the same samples one by one through
-    ``process_sample`` would. The windows of every hop the block completes
-    are cut from the ring's samples in arrival order followed by the block,
-    scored as one strided stack by ``score_windows`` and judged in order;
-    only the block's last ``win_n`` samples are written into the ring. The
-    per-sample checks are made once for the block, before anything
-    changes: ``t0`` must be finite, >= 0 and not precede the previous
-    sample, the block must be 1-D, and the first raw value that
-    ``EegSample`` rejects, in stream order, is reported as it reports it.
-    An empty block changes nothing. Returns ``(alerts, hops)``, every
-    HopRecord the block completed.
+    ``process_sample`` would. The buffer's written samples followed by the
+    block are cast into one array, as the buffer casts; the window of
+    every hop the block completes is a contiguous slice of it, and the
+    windows are scored as one strided stack by ``score_windows`` and
+    judged in order. What is left after the last hop goes back to the
+    front of the buffer. The per-sample checks are made once for the
+    block, before anything changes: ``t0`` must be finite, >= 0 and not
+    precede the previous sample, the block must be 1-D, and the first raw
+    value that ``EegSample`` rejects, in stream order, is reported as it
+    reports it. An empty block changes nothing. Returns ``(alerts, hops)``,
+    every HopRecord the block completed.
     """
     raw = np.asarray(raw)
     n = raw.size
-    alerts = []
-    hops = []
+    alerts, hops = [], []
     if n == 0:
         return alerts, hops
     check_timestamp(t0)
@@ -341,34 +343,21 @@ def feed_block(state: DetectorState, raw, t0: float):
         suspects = raw
     for value in suspects.tolist():
         EegSample(t0, value)
-    buf, win_n, hop_n, fs = state._buf, state.win_n, state.hop_n, state.fs_hz
-    count = state._count
-    # the block offsets just past each hop the block completes
-    ends = range(state._to_hop, n + 1, hop_n)
+    buf, fill, hop_n, fs = state._buf, state._fill, state.hop_n, state.fs_hz
+    samples = np.concatenate([buf[:fill], raw], dtype=buf.dtype, casting="unsafe")
+    # the offsets in ``samples`` just past each hop the block completes
+    ends = range(buf.size, samples.size + 1, hop_n)
     if ends:
-        held = buf[:count] if count < win_n else state.window_samples()
-        # cast as the ring casts
-        samples = np.empty(held.size + ends[-1], dtype=buf.dtype)
-        samples[:held.size] = held
-        samples[held.size:] = raw[:ends[-1]]
-        first_start = held.size + ends[0] - win_n
         windows = np.lib.stride_tricks.sliding_window_view(
-            samples[first_start:], win_n)[::hop_n]
+            samples[hop_n:ends[-1]], state.win_n)[::hop_n]
         for end, row in zip(ends, score_windows(windows, fs).tolist()):
-            alert = _judge(state, t0 + (end - 1) / fs, row)
+            alert = _judge(state, t0 + (end - fill - 1) / fs, row)
             hops.append(state.last_hop)
             if alert is not None:
                 alerts.append(alert)
-        state._to_hop = ends[-1] + hop_n - n
-    else:
-        state._to_hop -= n
-    # only the block's last win_n samples survive in the ring
-    tail = raw[max(0, n - win_n):]
-    pos = (count + n - tail.size) % win_n
-    head = min(tail.size, win_n - pos)
-    buf[pos:pos + head] = tail[:head]
-    buf[:tail.size - head] = tail[head:]
-    state._count += n
+    state._fill = keep = samples.size - len(ends) * hop_n
+    buf[:keep] = samples[-keep:]
+    state._hops += len(ends)
     state._prev_t = t0 + (n - 1) / fs
     return alerts, hops
 

@@ -189,6 +189,11 @@ ESCAPES = [
     pytest.param("profile", with_fields(window_s="4"), id="profile-window-numeric-string"),
     # used to end in an uncaught OverflowError
     pytest.param("profile", with_fields(hop_s=10 ** 400), id="profile-hop-beyond-float"),
+    # a window this long ended in numpy's memory error when the detector
+    # allocated its buffer, and so would a hop, which the buffer now holds too
+    pytest.param("profile", with_fields(window_s=1e12), id="profile-window-beyond-limit"),
+    pytest.param("profile", with_fields(hop_s=1e12, refractory_s=1e12),
+                 id="profile-hop-beyond-limit"),
     # json.loads raised a ValueError that was not caught
     pytest.param("profile", with_long_int("hop_s"), id="profile-int-beyond-digit-limit"),
     pytest.param("manifest", with_long_int("fs_hz"), id="manifest-int-beyond-digit-limit"),

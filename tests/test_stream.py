@@ -134,23 +134,37 @@ class TestDetectorState:
         with pytest.raises(ParameterError):
             DetectorState(profile(hop_s=1.0 / 3.0), fs_hz=FS)
 
+    def test_rejects_a_fractional_rate(self):
+        # 4 s are 401 whole samples at 100.25 Hz, but hop times were stamped
+        # at a rate truncated to 100 Hz
+        p = profile(window_s=4.0, hop_s=4.0, refractory_s=4.0)
+        with pytest.raises(ParameterError, match="whole Hz, got 100.25"):
+            DetectorState(p, fs_hz=100.25)
+
+    def test_whole_float_rate_is_that_integer(self):
+        state = DetectorState(profile(), fs_hz=512.0)
+        assert state.fs_hz == 512 and type(state.fs_hz) is int
+        raw = np.arange(3 * FS) % 100
+        assert feed_block(state, raw, 0.0) == feed_block(DetectorState(profile()), raw, 0.0)
+
     @pytest.mark.parametrize("fs", [-512, math.nan, math.inf])
     def test_rejects_rates_that_are_not_finite_and_positive(self, fs):
         with pytest.raises(ParameterError, match="fs must be finite and positive"):
             DetectorState(profile(), fs_hz=fs)
 
-    def test_buffer_is_fixed_size_ring(self):
+    def test_buffer_is_fixed_size(self):
         state = DetectorState(profile(), fs_hz=FS)
         assert state.win_n == 4 * FS
         assert state.hop_n == FS
-        assert state._buf.size == state.win_n
-        for i in range(3 * state.win_n):
-            process_sample(state, EegSample(t=i / FS, raw=i % 1024))
-        assert state._buf.size == state.win_n
-        assert state.samples_seen == 3 * state.win_n
-        expected = np.array([i % 1024 for i in range(2 * state.win_n,
-                                                     3 * state.win_n)])
-        assert np.array_equal(state.window_samples(), expected)
+        assert state._buf.size == state.win_n + state.hop_n
+        # at a hop boundary, then between two hops
+        for start, n in ((0, 3 * state.win_n), (3 * state.win_n, 3 * state.win_n + 100)):
+            for i in range(start, n):
+                process_sample(state, EegSample(t=i / FS, raw=i % 1024))
+            assert state._buf.size == state.win_n + state.hop_n
+            assert state.samples_seen == n
+            expected = np.array([i % 1024 for i in range(n - state.win_n, n)])
+            assert np.array_equal(state.window_samples(), expected)
 
     def test_last_hop_replaced_only_at_hop_boundaries(self):
         state = DetectorState(profile(), fs_hz=FS)
@@ -330,7 +344,7 @@ def fed_in_blocks(state, raw, sizes):
 
 def state_of(state):
     return (state.samples_seen, state._prev_t, state.last_hop,
-            state.last_alert_t, state._to_hop, state._buf.tolist())
+            state.last_alert_t, state._fill, state._buf[:state._fill].tolist())
 
 
 def split_sizes(n, size):
@@ -379,15 +393,15 @@ class TestFeedBlock:
             assert fed_in_blocks(state, raw, sizes) == (alerts, hops), seed
             assert state_of(state) == final, seed
 
-    def test_ring_stores_values_as_feed_block_casts_them(self):
-        # both routes write the int32 ring by numpy's cast: a numpy integer
+    def test_buffer_stores_values_as_feed_block_casts_them(self):
+        # both routes write the int32 buffer by numpy's cast: a numpy integer
         # and a bool as their values, an in-range float truncated
         values = [np.int16(-5), True, 100.7, -3.9, np.int64(2047)]
         one = DetectorState(A5_PROFILE)
         fed_one_by_one(one, np.array(values, dtype=object))
         block = DetectorState(A5_PROFILE)
         feed_block(block, values, 0.0)
-        assert one._buf[:5].tolist() == [-5, 1, 100, -3, 2047]
+        assert one._buf[one.hop_n:][:5].tolist() == [-5, 1, 100, -3, 2047]
         assert state_of(one) == state_of(block)
         assert state_of(pickle.loads(pickle.dumps(one))) == state_of(one)
 
@@ -410,11 +424,12 @@ class TestFeedBlock:
 
     @pytest.mark.parametrize("hop_s", [1.0, 4.0, 5.0])
     def test_hop_at_or_beyond_window(self, a5_oracle, hop_s):
-        # a slice longer than the ring keeps only its last win_n samples
+        # a block longer than the buffer keeps only what the next hop needs
         p = profile(window_s=4.0, hop_s=hop_s, refractory_s=hop_s)
         raw = np.concatenate([a5_oracle[5][0], a5_oracle[6][0]])
         one = DetectorState(p)
         expected = fed_one_by_one(one, raw)
+        assert expected == replay_session(raw_session(raw), p)
         for size in (1, 700, 3000, raw.size):
             block = DetectorState(p)
             assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
@@ -451,6 +466,7 @@ class TestFeedBlock:
         one = DetectorState(p)
         expected = fed_one_by_one(one, raw)
         assert len(expected[1]) == 5
+        assert expected == replay_session(raw_session(raw), p)
         block = DetectorState(p)
         assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
         assert state_of(block) == state_of(one)
@@ -512,7 +528,7 @@ class TestFeedBlock:
         fed_one_by_one(one, values)
         block = DetectorState(A5_PROFILE)
         feed_block(block, values, 0.0)
-        assert block._buf[:3].tolist() == [3, 100, -2048]
+        assert block._buf[block.hop_n:][:3].tolist() == [3, 100, -2048]
         assert state_of(one) == state_of(block)
 
     def test_negative_start_time(self):
