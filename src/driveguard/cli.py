@@ -168,17 +168,26 @@ def _resolve_settings(args):
         setattr(args, s.key, value)
 
 
-def _read_or_error(path):
-    """The session stored at ``path`` and its ``.manifest.json``, or the
-    package error that reading them raised."""
-    # a worker hands its error back as a result: raising it would also
-    # drop the sessions read before it in the worker's run of paths
+def _read_path(path):
+    """The session stored at ``path`` and its ``.manifest.json``."""
+    if not path.endswith(".csv"):
+        raise CliError(f"session path must end in .csv, got {path!r}")
+    return read_session(path, path[:-4] + ".manifest.json")
+
+
+def _run_or_error(paths, per_run):
+    """``(read, result)``: ``per_run`` of the sessions stored at ``paths``,
+    or the package error that reading path ``read`` or ``per_run`` raised;
+    ``read`` counts the paths read without error."""
+    # a worker hands its error back as a result, with the count of paths
+    # read before it, so that the calling process logs them and raises it
+    sessions = []
     try:
-        if not path.endswith(".csv"):
-            raise CliError(f"session path must end in .csv, got {path!r}")
-        return read_session(path, path[:-4] + ".manifest.json")
+        for path in paths:
+            sessions.append(_read_path(path))
+        return len(sessions), per_run(sessions)
     except (DriveGuardError, OSError) as exc:
-        return exc
+        return len(sessions), exc
 
 
 def _usable_cpus() -> int:
@@ -188,15 +197,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _load_sessions(paths):
-    """The sessions stored at ``paths``, in order; the first path that
-    fails, in order, raises its error.
+def _load_sessions(paths, per_run=list):
+    """The lists ``per_run`` makes of contiguous runs of the sessions stored
+    at ``paths``, joined in order: by default, the sessions. The first
+    path that fails to read, in order, raises its error; if none does, the
+    first run whose ``per_run`` fails raises that error.
 
     With two or more paths and usable CPUs, the paths are cut into one
-    contiguous run per CPU. The calling process reads the first run while
-    one forked worker per other run reads its own and sends the results
-    back over a one-way pipe. Every worker's results are received before
-    any error is raised, and every worker is joined before this returns or
+    contiguous run per CPU. The calling process reads the first run and
+    applies ``per_run`` to it, while one forked worker per other run does
+    the same with its own and sends the result back over a one-way pipe;
+    so a run's work is done in the process that read it, and only its
+    result crosses the pipe. Every worker's result is received before any
+    error is raised, and every worker is joined before this returns or
     raises. A forked worker starts in milliseconds, where a fresh
     interpreter must import the package.
     """
@@ -204,35 +217,42 @@ def _load_sessions(paths):
     if workers >= 2:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            return _collect_sessions(paths, _read_in_forks(
-                multiprocessing.get_context("fork"), paths, workers))
-    return _collect_sessions(paths, map(_read_or_error, paths))
+            size = -(-len(paths) // workers)
+            runs = [paths[i:i + size] for i in range(0, len(paths), size)]
+            return _collect(runs, _read_in_forks(
+                multiprocessing.get_context("fork"), runs, per_run))
+    return _collect([paths], [_run_or_error(paths, per_run)])
 
 
-def _read_in_forks(ctx, paths, workers):
-    """``_read_or_error`` of every path, in order: the first of ``workers``
-    contiguous runs is read here, each other run in a forked worker."""
-    size = -(-len(paths) // workers)
-    runs = [paths[i:i + size] for i in range(0, len(paths), size)]
+def _load_vectors(paths, mode, trial_seconds):
+    """The feature vectors of the sessions stored at ``paths``, in order,
+    each run's computed in the process that read it."""
+    return _load_sessions(paths, lambda sessions: feature_vectors_from_sessions(
+        sessions, mode=mode, trial_seconds=trial_seconds))
+
+
+def _read_in_forks(ctx, runs, per_run):
+    """``_run_or_error`` of each run of paths, in order: that of the first
+    run is made here, that of each other run in a forked worker."""
     procs, receivers, senders = [], [], []
     try:
         for run in runs[1:]:
             receiver, sender = ctx.Pipe(duplex=False)
             receivers.append(receiver)
             senders.append(sender)
-            proc = ctx.Process(target=_read_run, args=(run, sender))
+            proc = ctx.Process(target=_work_run, args=(run, per_run, sender))
             proc.start()
             procs.append(proc)
             sender.close()  # so that a dead worker's pipe reads as EOF
-        results = [_read_or_error(path) for path in runs[0]]
+        outcomes = [_run_or_error(runs[0], per_run)]
         for run, proc, receiver in zip(runs[1:], procs, receivers):
             try:
-                results += receiver.recv()
+                outcomes.append(receiver.recv())
             except EOFError:
                 proc.join()
                 raise CliError(f"worker reading {run[0]!r} died with exit code "
                                f"{proc.exitcode}") from None
-        return results
+        return outcomes
     except BaseException:  # an error or an interrupt: stop every worker
         for proc in procs:
             proc.terminate()
@@ -245,20 +265,25 @@ def _read_in_forks(ctx, paths, workers):
             proc.close()  # its sentinel fd, even while a traceback holds it
 
 
-def _read_run(paths, sender):
-    """A worker's body: send ``_read_or_error`` of each path as one list."""
+def _work_run(paths, per_run, sender):
+    """A worker's body: send ``_run_or_error`` of its run of paths."""
     with sender:
-        sender.send([_read_or_error(path) for path in paths])
+        sender.send(_run_or_error(paths, per_run))
 
 
-def _collect_sessions(paths, results):
-    sessions = []
-    for path, result in zip(paths, results):
+def _collect(runs, outcomes):
+    """The results of ``outcomes``, one ``_run_or_error`` per run of paths,
+    joined in order. Each path read is logged; the first read error, in
+    path order, is raised before the first error of a ``per_run``."""
+    for run, (read, result) in zip(runs, outcomes):
+        for path in run[:read]:
+            log.info("loaded session %s", path)
+        if read < len(run):
+            raise result
+    for _, result in outcomes:
         if isinstance(result, Exception):
             raise result
-        log.info("loaded session %s", path)
-        sessions.append(result)
-    return sessions
+    return [item for _, result in outcomes for item in result]
 
 
 def _write_text(path: str, text: str):
@@ -286,9 +311,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_features(args):
-    sessions = _load_sessions(args.sessions)
-    vectors = feature_vectors_from_sessions(sessions, mode=args.mode,
-                                            trial_seconds=args.trial_seconds)
+    vectors = _load_vectors(args.sessions, args.mode, args.trial_seconds)
     out = {"vectors": len(vectors), "features": len(shared_schema(vectors)),
            "mode": args.mode, "trial_seconds": args.trial_seconds,
            "arff": args.arff}
@@ -303,9 +326,7 @@ def _cmd_train_eval(args):
     if len(args.inputs) == 1 and args.inputs[0].endswith(".arff"):
         vectors = read_arff(args.inputs[0])
     else:
-        vectors = feature_vectors_from_sessions(
-            _load_sessions(args.inputs), mode=args.mode,
-            trial_seconds=args.trial_seconds)
+        vectors = _load_vectors(args.inputs, args.mode, args.trial_seconds)
     X, y, class_names = vectors_to_dataset(vectors, problem=args.classes)
     mlp_config = None
     if args.classifier == "mlp":

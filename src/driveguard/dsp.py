@@ -6,14 +6,15 @@ average a mean-removed window's density over each canonical band; the
 spectrogram is one call over its Hann-tapered frames. The wavelet route
 maps dyadic detail levels onto the same five bands and summarises each
 with the mean absolute coefficient and the mean squared coefficient.
-Feature vectors score a session's trials as stacks of rows, at most
-SCORE_STACK windows per numpy call; the one-trial functions are one-row
-calls of the same scorers.
+Feature vectors score the trials of consecutive sessions of one rate and
+channel count as stacks of rows, at most SCORE_STACK windows per numpy
+call; the one-trial functions are one-row calls of the same scorers.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,14 +350,24 @@ def build_feature_vector(trials, mode: str = "fft") -> FeatureVector:
 def feature_vectors_from_sessions(sessions, mode="fft", trial_seconds=4.0):
     """All per-trial feature vectors of several sessions, in session order.
 
-    Each session's trials are scored from its ``trial_stack``, and its
-    schema is built once.
+    The trials of consecutive sessions that share a rate and a channel
+    count, and so a trial length, are scored as one stack, at most
+    SCORE_STACK windows per call; each session keeps its own schema and
+    label. A bad mode raises before any session is cut into trials, then
+    the first session shorter than one trial raises; every trial length
+    allowed at a session's rate can be scored.
     """
+    _check_mode(mode)
     vectors = []
-    for session in sessions:
-        stack = trial_stack(session, trial_seconds)
-        schema = feature_schema(session.channels, mode)
-        for rows in trial_feature_rows(stack, session.fs_hz, mode):
+    for (fs_hz, _), run in itertools.groupby(
+            sessions, key=lambda s: (s.fs_hz, len(s.channels))):
+        run = [(session, trial_stack(session, trial_seconds)) for session in run]
+        stacks = [stack for _, stack in run]
+        # one copy of the run's trials, unless the run is one session
+        stack = np.concatenate(stacks, axis=1) if len(stacks) > 1 else stacks[0]
+        rows = iter(np.concatenate(list(trial_feature_rows(stack, fs_hz, mode))).tolist())
+        for session, trials in run:
+            schema = feature_schema(session.channels, mode)
             vectors += [FeatureVector(values=row, schema=schema, label=session.task)
-                        for row in rows.tolist()]
+                        for row in itertools.islice(rows, trials.shape[1])]
     return vectors

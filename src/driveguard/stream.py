@@ -261,12 +261,6 @@ class DetectorState:
     def samples_seen(self) -> int:
         return self._hops * self.hop_n + self._fill - self.hop_n
 
-    def window_samples(self) -> np.ndarray:
-        """A copy of the last ``win_n`` samples, in arrival order."""
-        if self.samples_seen < self.win_n:
-            raise ValidationError("window not yet full")
-        return self._buf[self._fill - self.win_n:self._fill].copy()
-
 
 def _judge(state: DetectorState, t: float, row):
     """Take hop row ``row`` of the window ending at ``t``, the hop boundary

@@ -1,5 +1,6 @@
 """Periodogram, band powers, spectrogram, and feature assembly."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,13 @@ from driveguard.dsp import (
     band_powers_fft,
     band_powers_from_samples,
     build_feature_vector,
+    feature_schema,
     feature_vectors_from_sessions,
     periodogram,
     spectrogram_csv,
     spectrogram_triples_csv,
     stft_spectrogram,
+    trial_feature_rows,
     wavelet_band_features,
     wavelet_band_rows,
 )
@@ -473,6 +476,19 @@ def per_trial_feature_vectors(sessions, mode="fft", trial_seconds=4.0):
     return vectors
 
 
+def per_session_feature_vectors(sessions, mode="fft", trial_seconds=4.0):
+    """Every session's feature vectors scored from its own ``trial_stack``,
+    one stack per session: the oracle for stacking across sessions."""
+    vectors = []
+    for session in sessions:
+        stack = trial_stack(session, trial_seconds)
+        schema = feature_schema(session.channels, mode)
+        for rows in trial_feature_rows(stack, session.fs_hz, mode):
+            vectors += [FeatureVector(values=row, schema=schema, label=session.task)
+                        for row in rows.tolist()]
+    return vectors
+
+
 def random_session(channels, fs, n, task=TaskLabel.TEXT, seed=0):
     device = Device.SINGLE_ELECTRODE_512 if fs == 512 else Device.MULTI_ELECTRODE_128
     names = tuple(EPOC_CHANNELS[:channels]) if channels > 1 else ("FP1",)
@@ -509,6 +525,35 @@ class TestStackedFeatures:
         assert_same_vectors(got, want)
         # the last channel's block of the first trial is silent
         assert not any(got[0].values[-(len(got[0].values) // channels):])
+
+    @pytest.mark.parametrize("trial_seconds", [3.0, 4.0])
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_stacked_across_sessions_equal_to_per_session_oracle(self, mode,
+                                                                 trial_seconds):
+        def session(n_channels, fs, trials, seed, **fields):
+            n_per = int(round(trial_seconds * fs))
+            s = random_session(n_channels, fs, trials * n_per + seed % 3 * n_per // 3,
+                               seed=seed)
+            return dataclasses.replace(s, **fields)
+
+        tasks = list(TaskLabel)
+        sessions = [
+            # 20 + 7 + 9 trials: the second stack starts inside the third session
+            session(1, 512, 20, 1), session(1, 512, 7, 2, task=tasks[0]),
+            session(1, 512, 9, 3, task=tasks[1]),
+            # the same rate and channel count under other channel names: one
+            # stack, two schemas; 30 + 5 trials cross a stack boundary
+            session(3, 128, 30, 4), session(3, 128, 5, 5, channels=("a", "b", "c")),
+            session(14, 128, 2, 6, task=tasks[2]),
+            session(1, 512, 40, 7, task=tasks[3]), session(1, 512, 1, 8),
+        ]
+        got = feature_vectors_from_sessions(sessions, mode, trial_seconds)
+        want = per_session_feature_vectors(sessions, mode, trial_seconds)
+        assert len(got) == 114
+        assert [(v.schema, v.label) for v in got] == [(v.schema, v.label) for v in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+        assert got[65].schema != got[66].schema  # one stack, two schemas
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda route: route([random_session(1, 512, 3 * 512 - 1)],

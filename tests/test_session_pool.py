@@ -7,6 +7,7 @@ machine covers the pool too. Outputs, sessions, errors and the
 """
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -19,8 +20,9 @@ import pytest
 
 import driveguard
 from driveguard import cli
+from driveguard.model import TrialSplitError
 from driveguard.protocol import SessionFormatError, read_session, write_session
-from driveguard.synth import generate_benchmark_suite
+from driveguard.synth import GeneratorSpec, generate_benchmark_suite, generate_session
 
 ROUTES = ("pool", "serial")
 SRC = str(Path(driveguard.__file__).resolve().parents[1])
@@ -51,7 +53,7 @@ def pools(monkeypatch):
     """The runs of paths each pooled load reads: the length of the calling
     process's run first, then that of each worker it forks."""
     made = []
-    read_or_error, read_in_forks = cli._read_or_error, cli._read_in_forks
+    read_path, read_in_forks = cli._read_path, cli._read_in_forks
 
     class Forks:
         """The fork context, noting the run each worker is given."""
@@ -66,17 +68,17 @@ def pools(monkeypatch):
             self.runs.append(len(args[0]))
             return self.ctx.Process(target=target, args=args)
 
-    def spy(ctx, paths, workers):
-        runs = [0]
-        made.append(runs)
+    def spy(ctx, runs, per_run):
+        counts = [0]
+        made.append(counts)
 
-        def counted(path):  # a worker counts in its own copy of ``runs``
-            runs[0] += 1
-            return read_or_error(path)
+        def counted(path):  # a worker counts in its own copy of ``counts``
+            counts[0] += 1
+            return read_path(path)
 
         with monkeypatch.context() as m:
-            m.setattr(cli, "_read_or_error", counted)
-            return read_in_forks(Forks(ctx, runs), paths, workers)
+            m.setattr(cli, "_read_path", counted)
+            return read_in_forks(Forks(ctx, counts), runs, per_run)
 
     monkeypatch.setattr(cli, "_read_in_forks", spy)
     return made
@@ -167,8 +169,17 @@ def test_usable_cpus_follow_affinity():
     assert cli._usable_cpus() >= 1
 
 
+def short_csv(tmp_path):
+    """A 2 s session CSV: it reads, but holds no 4 s trial to score."""
+    path = str(tmp_path / "short.csv")
+    write_session(generate_session(GeneratorSpec(seed=1, duration_s=2.0)),
+                  path, path[:-4] + ".manifest.json")
+    return path
+
+
 class TestErrors:
-    """The first failing path in argument order wins, on both routes."""
+    """The first path that fails to read, in argument order, wins on both
+    routes; if every path reads, the first session whose features fail."""
 
     @staticmethod
     def bad_inputs(tmp_path, suite):
@@ -180,8 +191,20 @@ class TestErrors:
 
     def cases(self, tmp_path, suite):
         bad_csv, bad_suffix = self.bad_inputs(tmp_path, suite)
+        short = short_csv(tmp_path)
         good = suite[:3]
+        # with two CPUs, the first half of the paths is read by the calling
+        # process and the second half by one forked worker
         return {
+            "read-error-after-feature-error": (
+                ["features", short, good[0], good[1], bad_csv], "SessionFormatError", 3),
+            "read-error-after-feature-error-in-worker": (
+                ["features", good[0], good[1], short, bad_csv], "SessionFormatError", 3),
+            "feature-error-in-worker": (
+                ["features", good[0], good[1], short, good[2]], "TrialSplitError", 4),
+            "feature-error-before-worker": (
+                ["train-eval", good[0], short, good[1], good[2], "--k", "2"],
+                "TrialSplitError", 4),
             "bad-csv-first": (["features", good[0], bad_csv, good[1], bad_suffix],
                               "SessionFormatError", 1),
             "bad-suffix-first": (["features", good[0], good[1], bad_suffix, bad_csv,
@@ -191,8 +214,10 @@ class TestErrors:
                                      "SessionFormatError", 1),
         }
 
-    @pytest.mark.parametrize("case", ["bad-csv-first", "bad-suffix-first",
-                                      "base-and-distraction"])
+    @pytest.mark.parametrize("case", [
+        "bad-csv-first", "bad-suffix-first", "base-and-distraction",
+        "read-error-after-feature-error", "read-error-after-feature-error-in-worker",
+        "feature-error-in-worker", "feature-error-before-worker"])
     def test_same_error_and_log_on_both_routes(self, suite, tmp_path, capsys, caplog,
                                                monkeypatch, case):
         argv, error, n_loaded = self.cases(tmp_path, suite)[case]
@@ -208,32 +233,32 @@ class TestErrors:
         rc, out, err, logged = seen["pool"]
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and json.loads(err)["error"] == error
-        paths = [a for a in argv[1:] if not a.startswith("--")]
+        paths = [a for a in argv[1:] if a.endswith((".csv", ".txt"))]
         assert logged == [f"loaded session {p}" for p in paths[:n_loaded]]
 
 
 PID = os.getpid()
-_read_or_error = cli._read_or_error
+_read_path = cli._read_path
 
 
 def exit_in_workers(path):
-    """``cli._read_or_error``, but a forked worker exits with status 3 first."""
+    """``cli._read_path``, but a forked worker exits with status 3 first."""
     if os.getpid() != PID:
         os._exit(3)
-    return _read_or_error(path)
+    return _read_path(path)
 
 
 def interrupt_here(path):
-    """``cli._read_or_error``, but the calling process is interrupted first."""
+    """``cli._read_path``, but the calling process is interrupted first."""
     if os.getpid() == PID:
         raise KeyboardInterrupt
-    return _read_or_error(path)
+    return _read_path(path)
 
 
 def test_dead_worker_is_a_json_error(suite, capsys, monkeypatch):
     # it used to escape cli.main as a BrokenProcessPool traceback
     on_route(monkeypatch, "pool")
-    monkeypatch.setattr(cli, "_read_or_error", exit_in_workers)
+    monkeypatch.setattr(cli, "_read_path", exit_in_workers)
     rc, out, err, _ = run(capsys, ["features", *suite[:4]])
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
@@ -245,23 +270,27 @@ def test_dead_worker_is_a_json_error(suite, capsys, monkeypatch):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
 @pytest.mark.parametrize("case, error", [
     ("loads", None), ("bad-csv", SessionFormatError), ("dead-worker", cli.CliError),
-    ("interrupt", KeyboardInterrupt),
+    ("interrupt", KeyboardInterrupt), ("work-error", TrialSplitError),
 ])
 def test_no_descriptor_or_worker_left(suite, tmp_path, monkeypatch, case, error):
     on_route(monkeypatch, "pool")
     paths = suite[:4]
+    load = cli._load_sessions
     if case == "bad-csv":
         paths[1] = TestErrors.bad_inputs(tmp_path, suite)[0]
     elif case == "dead-worker":
-        monkeypatch.setattr(cli, "_read_or_error", exit_in_workers)
+        monkeypatch.setattr(cli, "_read_path", exit_in_workers)
     elif case == "interrupt":
-        monkeypatch.setattr(cli, "_read_or_error", interrupt_here)
+        monkeypatch.setattr(cli, "_read_path", interrupt_here)
+    elif case == "work-error":  # raised in the forked worker's run
+        paths[3] = short_csv(tmp_path)
+        load = functools.partial(cli._load_vectors, mode="fft", trial_seconds=4.0)
     before = sorted(os.listdir("/proc/self/fd"))
     if error is None:
-        assert len(cli._load_sessions(paths)) == 4
+        assert len(load(paths)) == 4
     else:
         with pytest.raises(error):
-            cli._load_sessions(paths)
+            load(paths)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert multiprocessing.active_children() == []
 

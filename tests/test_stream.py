@@ -164,7 +164,8 @@ class TestDetectorState:
             assert state._buf.size == state.win_n + state.hop_n
             assert state.samples_seen == n
             expected = np.array([i % 1024 for i in range(n - state.win_n, n)])
-            assert np.array_equal(state.window_samples(), expected)
+            assert np.array_equal(state._buf[state._fill - state.win_n:state._fill],
+                                  expected)
 
     def test_last_hop_replaced_only_at_hop_boundaries(self):
         state = DetectorState(profile(), fs_hz=FS)
@@ -177,11 +178,12 @@ class TestDetectorState:
         assert [h.t for h in hops[1:]] == [
             (state.win_n + k * state.hop_n - 1) / FS for k in range(3)]
 
-    def test_window_before_full_rejected(self):
+    def test_window_not_full_after_one_sample(self):
         state = DetectorState(profile(), fs_hz=FS)
-        process_sample(state, EegSample(t=0.0, raw=0))
-        with pytest.raises(ValidationError):
-            state.window_samples()
+        process_sample(state, EegSample(t=0.0, raw=7))
+        assert state._fill - state.hop_n == 1 < state.win_n
+        assert state._buf[state.hop_n:state._fill].tolist() == [7]
+        assert state.last_hop is None
 
     def test_sequencing(self):
         state = DetectorState(profile(), fs_hz=FS)
