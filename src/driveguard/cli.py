@@ -63,6 +63,7 @@ from .stream import (
     calibrate_thresholds,
     process_sample,  # noqa: F401
     replay_session,  # noqa: F401
+    session_hop_rows,
     stream_channel,
     stream_samples,
     stream_session,  # noqa: F401
@@ -199,9 +200,12 @@ def _usable_cpus() -> int:
 
 def _load_sessions(paths, per_run=list):
     """The lists ``per_run`` makes of contiguous runs of the sessions stored
-    at ``paths``, joined in order: by default, the sessions. The first
-    path that fails to read, in order, raises its error; if none does, the
-    first run whose ``per_run`` fails raises that error.
+    at ``paths``, joined in order: by default, the sessions. ``features``
+    and ``train-eval`` make the feature vectors (``_load_vectors``) and
+    ``calibrate`` each session's hop rows (``session_hop_rows``); ``index``
+    and ``spectrogram`` take the sessions. The first path that fails to
+    read, in order, raises its error; if none does, the first run whose
+    ``per_run`` fails raises that error.
 
     With two or more paths and usable CPUs, the paths are cut into one
     contiguous run per CPU. The calling process reads the first run and
@@ -465,9 +469,10 @@ def _cmd_synth(args):
 
 def _cmd_calibrate(args):
     # one call, so the two groups share the forked readers; base sessions
-    # come first
-    sessions = _load_sessions(args.base + args.distraction)
-    result = calibrate_thresholds(sessions, subject_id=args.subject,
+    # come first, and each reader keeps only its sessions' hop rows
+    records = _load_sessions(args.base + args.distraction, lambda sessions: [
+        session_hop_rows(session, args.window, args.hop) for session in sessions])
+    result = calibrate_thresholds(records, subject_id=args.subject,
                                   window_s=args.window, hop_s=args.hop,
                                   refractory_s=args.refractory,
                                   max_candidates=args.max_candidates,

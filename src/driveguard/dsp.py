@@ -2,10 +2,13 @@
 
 ``periodogram`` is the one spectral kernel: the one-sided squared FFT
 magnitude, scaled to power density, of each window in a stack. Band powers
-average a mean-removed window's density over each canonical band; the
-spectrogram is one call over its Hann-tapered frames. The wavelet route
-maps dyadic detail levels onto the same five bands and summarises each
-with the mean absolute coefficient and the mean squared coefficient.
+average a mean-removed window's density over each canonical band, and pass
+the kernel an internal bin limit, the top band's stop, so that only the bins
+the bands use are squared, scaled and folded (at 4 s and 512 Hz, 161 of
+1025); the spectrogram is one call over its Hann-tapered frames and keeps
+every bin. The wavelet route maps dyadic detail levels onto the same five
+bands and summarises each with the mean absolute coefficient and the mean
+squared coefficient.
 Feature vectors score the trials of consecutive sessions of one rate and
 channel count as stacks of rows, at most SCORE_STACK windows per numpy
 call; the one-trial functions are one-row calls of the same scorers.
@@ -102,11 +105,13 @@ def fold_one_sided(power, n):
     return power
 
 
-def periodogram(frames, fs_hz, taper=None):
+def periodogram(frames, fs_hz, taper=None, _stop=None):
     """(freqs, psd): the one-sided PSD, in input-units^2/Hz, of each row of
     ``frames`` (a 1-D signal is one row), mean-removed and scaled by fs * n;
     with ``taper``, multiplied by it and scaled by fs * sum(taper^2) instead.
-    ``freqs`` is the shared, read-only ``rfft_freqs(n, fs_hz)``."""
+    ``freqs`` is the shared, read-only ``rfft_freqs(n, fs_hz)``. With the
+    internal bin limit ``_stop``, only the bins below it are squared, scaled
+    and folded, and both arrays end there; each kept bin is as without it."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
     if taper is None:
@@ -116,10 +121,13 @@ def periodogram(frames, fs_hz, taper=None):
     else:
         spec = np.fft.rfft(frames * taper)
         scale = fs_hz * np.sum(taper ** 2)
+    freqs = rfft_freqs(n, fs_hz)
+    if _stop is not None:
+        spec, freqs = spec[..., :_stop], freqs[:_stop]
     psd = spec.real ** 2
     psd += spec.imag ** 2
     psd /= scale
-    return rfft_freqs(n, fs_hz), fold_one_sided(psd, n)
+    return freqs, fold_one_sided(psd, n)
 
 
 def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
@@ -132,10 +140,12 @@ def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
             f"window of {n} samples at {fs_hz} Hz is shorter than 2 s; "
             "band edges need at most 0.5 Hz bin spacing"
         )
-    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz)
+    bands = band_bins(n, fs_hz)
+    # the bands ascend, so no band reaches past the top band's stop
+    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz, _stop=bands[-1].stop)
     widths = band_widths(n, fs_hz)
     out = np.empty(psd.shape[:-1] + (len(BANDS),))
-    for i, bins in enumerate(band_bins(n, fs_hz)):
+    for i, bins in enumerate(bands):
         np.add.reduce(psd[..., bins], axis=-1, out=out[..., i])
     out /= widths
     return out

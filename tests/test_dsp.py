@@ -18,6 +18,7 @@ from driveguard.dsp import (
     band_power_rows,
     band_powers_fft,
     band_powers_from_samples,
+    band_widths,
     build_feature_vector,
     feature_schema,
     feature_vectors_from_sessions,
@@ -193,6 +194,52 @@ class TestBandPowerRows:
         assert np.array_equal(rows, [per_window_band_powers(r, fs) for r in raw])
         assert not rows[3].any() and not rows[5].any()
         assert band_powers_from_samples(raw[0], fs).as_tuple() == tuple(rows[0])
+
+
+def full_spectrum_band_power_rows(raw_windows, fs_hz):
+    """Band powers with every rfft bin squared, scaled and folded, as
+    ``band_power_rows`` computed them before its kernel stopped at the top
+    band: the oracle for the trimmed kernel."""
+    raw_windows = np.asarray(raw_windows)
+    n = raw_windows.shape[-1]
+    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz)
+    out = np.empty(psd.shape[:-1] + (len(BANDS),))
+    for i, bins in enumerate(band_bins(n, fs_hz)):
+        np.add.reduce(psd[..., bins], axis=-1, out=out[..., i])
+    out /= band_widths(n, fs_hz)
+    return out
+
+
+class TestTrimmedKernel:
+    """Band powers square only the bins below the top band's stop, bit for
+    bit as the full spectrum gives them."""
+
+    @pytest.mark.parametrize("fs", [64, 80, 128, 512])
+    @pytest.mark.parametrize("seconds", [2, 3, 5, 8])
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-n", "odd-n"])
+    def test_equal_to_full_spectrum(self, fs, seconds, odd):
+        n = seconds * fs + odd
+        rng = np.random.default_rng(n)
+        raw = rng.integers(-2048, 2048, size=(7, n)).astype(np.int32)
+        raw[2] = 0
+        raw[4] = np.where(np.arange(n) % 2, -2000, 2000)  # a Nyquist tone
+        rows = band_power_rows(raw, fs)
+        assert np.array_equal(rows, full_spectrum_band_power_rows(raw, fs))
+        assert np.array_equal(band_power_rows(raw[4], fs),
+                              full_spectrum_band_power_rows(raw[4], fs))
+        stop = band_bins(n, fs)[-1].stop
+        _, psd = periodogram(raw_to_microvolts(raw), fs, _stop=stop)
+        assert psd.shape == (7, stop)
+
+    def test_nyquist_bin_in_gamma_stays_undoubled(self):
+        # at 80 Hz and even n the Nyquist bin is 40 Hz, gamma's closed top
+        n = 4 * 80
+        assert band_bins(n, 80)[-1].stop == n // 2 + 1
+        tone = np.where(np.arange(n) % 2, -2000, 2000)
+        gamma = band_power_rows(tone, 80)[4]
+        x = raw_to_microvolts(tone)
+        nyquist = np.abs(np.fft.rfft(x - x.mean())[-1]) ** 2 / (80 * n)
+        assert gamma == pytest.approx(nyquist / band_widths(n, 80)[4], rel=1e-12)
 
 
 def per_frame_stft(samples, fs_hz, window_s=1.0, overlap=0.5):

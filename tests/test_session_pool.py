@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import driveguard
-from driveguard import cli
+from driveguard import cli, stream
 from driveguard.model import TrialSplitError
 from driveguard.protocol import SessionFormatError, read_session, write_session
 from driveguard.synth import GeneratorSpec, generate_benchmark_suite, generate_session
@@ -179,7 +179,9 @@ def short_csv(tmp_path):
 
 class TestErrors:
     """The first path that fails to read, in argument order, wins on both
-    routes; if every path reads, the first session whose features fail."""
+    routes; if every path reads, the first session whose features fail.
+    ``calibrate`` checks its labels before its window and hop, and those
+    before the windows they cut."""
 
     @staticmethod
     def bad_inputs(tmp_path, suite):
@@ -192,7 +194,9 @@ class TestErrors:
     def cases(self, tmp_path, suite):
         bad_csv, bad_suffix = self.bad_inputs(tmp_path, suite)
         short = short_csv(tmp_path)
-        good = suite[:3]
+        missing = str(tmp_path / "missing.csv")
+        good = suite[:3]  # Base, Read and Text of one subject
+        no_base = "CalibrationError: calibration needs at least one Base session"
         # with two CPUs, the first half of the paths is read by the calling
         # process and the second half by one forked worker
         return {
@@ -212,12 +216,27 @@ class TestErrors:
             "base-and-distraction": (["calibrate", "--base", good[0], bad_csv,
                                       "--distraction", bad_suffix, good[1]],
                                      "SessionFormatError", 1),
+            "calibrate-read-error-before-bad-window": (
+                ["calibrate", "--base", good[0], "--distraction", missing,
+                 "--window", "1.0"], "SessionFormatError: cannot read manifest", 1),
+            "calibrate-labels-before-bad-window": (
+                ["calibrate", "--base", good[1], "--distraction", good[2],
+                 "--window", "1.0"], no_base, 2),
+            "calibrate-labels-before-bad-hop": (
+                ["calibrate", "--base", good[1], "--distraction", good[2],
+                 "--hop", "0.0001"], no_base, 2),
+            "calibrate-no-windows": (
+                ["calibrate", "--base", good[0], "--distraction", good[2],
+                 "--window", "100"],
+                "CalibrationError: sessions yielded no analysis windows", 2),
         }
 
     @pytest.mark.parametrize("case", [
         "bad-csv-first", "bad-suffix-first", "base-and-distraction",
         "read-error-after-feature-error", "read-error-after-feature-error-in-worker",
-        "feature-error-in-worker", "feature-error-before-worker"])
+        "feature-error-in-worker", "feature-error-before-worker",
+        "calibrate-read-error-before-bad-window", "calibrate-labels-before-bad-window",
+        "calibrate-labels-before-bad-hop", "calibrate-no-windows"])
     def test_same_error_and_log_on_both_routes(self, suite, tmp_path, capsys, caplog,
                                                monkeypatch, case):
         argv, error, n_loaded = self.cases(tmp_path, suite)[case]
@@ -232,9 +251,53 @@ class TestErrors:
         assert seen["pool"] == seen["serial"]
         rc, out, err, logged = seen["pool"]
         assert (rc, out) == (2, "")
-        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+        assert err.count("\n") == 1
+        # ``error`` is the error's name, or its name, ": " and how its message starts
+        name, _, message = error.partition(": ")
+        payload = json.loads(err)
+        assert payload["error"] == name and payload["message"].startswith(message)
         paths = [a for a in argv[1:] if a.endswith((".csv", ".txt"))]
         assert logged == [f"loaded session {p}" for p in paths[:n_loaded]]
+
+
+def test_calibrate_readers_send_hop_rows(suite, tmp_path, capsys, monkeypatch):
+    """Each reader of ``calibrate`` cuts its own sessions' hop rows: both
+    routes print and write the same bytes, the threshold search runs once,
+    over the rows, and no session crosses the worker's pipe."""
+    searched, sent = [], []
+    calibrate, collect = cli.calibrate_thresholds, cli._collect
+
+    def counted(sessions, **kwargs):
+        searched.append([type(s) for s in sessions])
+        return calibrate(sessions, **kwargs)
+
+    def spy(runs, outcomes):
+        # after the calling process's own, each outcome is a worker's
+        # ``_work_run`` result as it came through the pipe
+        sent.extend(outcomes[1:])
+        return collect(runs, outcomes)
+
+    monkeypatch.setattr(cli, "calibrate_thresholds", counted)
+    monkeypatch.setattr(cli, "_collect", spy)
+    profile = str(tmp_path / "profile.json")
+    base = [p for p in suite if p.endswith("_Base.csv")]
+    text = [p for p in suite if p.endswith("_Text.csv")]
+    argv = ["calibrate", "--base", *base, "--distraction", *text,
+            "--subject", "pooled", "--out", profile]
+    results = {}
+    for route in ROUTES:
+        on_route(monkeypatch, route)
+        searched.clear()
+        sent.clear()
+        results[route] = run(capsys, argv, [profile])
+        assert searched == [[stream.SessionHopRows] * 4], route
+        assert len(sent) == (route == "pool")
+        for read, result in sent:
+            assert read == 2
+            assert [type(item) for item in result] == [stream.SessionHopRows] * 2
+    assert results["pool"][0] == 0, results["pool"][2]
+    assert results["pool"] == results["serial"]
+    assert json.loads(results["pool"][1])["n_windows"] == 4 * 9  # 12 s, 4 s / 1 s
 
 
 PID = os.getpid()
