@@ -5,10 +5,11 @@ magnitude, scaled to power density, of each window in a stack. Band powers
 average a mean-removed window's density over each canonical band, and pass
 the kernel an internal bin limit, the top band's stop, so that only the bins
 the bands use are squared, scaled and folded (at 4 s and 512 Hz, 161 of
-1025); the spectrogram is one call over its Hann-tapered frames and keeps
-every bin. The wavelet route maps dyadic detail levels onto the same five
-bands and summarises each with the mean absolute coefficient and the mean
-squared coefficient.
+1025), and their own microvolt array, whose mean it removes in place; the
+spectrogram is one call over its Hann-tapered frames and keeps every bin.
+The wavelet route maps dyadic detail levels onto the same five bands and
+summarises each with the mean absolute coefficient and the mean squared
+coefficient.
 Feature vectors score the trials of consecutive sessions of one rate and
 channel count as stacks of rows, at most SCORE_STACK windows per numpy
 call; the one-trial functions are one-row calls of the same scorers.
@@ -105,18 +106,22 @@ def fold_one_sided(power, n):
     return power
 
 
-def periodogram(frames, fs_hz, taper=None, _stop=None):
+def periodogram(frames, fs_hz, taper=None, _stop=None, _fresh=False):
     """(freqs, psd): the one-sided PSD, in input-units^2/Hz, of each row of
     ``frames`` (a 1-D signal is one row), mean-removed and scaled by fs * n;
     with ``taper``, multiplied by it and scaled by fs * sum(taper^2) instead.
     ``freqs`` is the shared, read-only ``rfft_freqs(n, fs_hz)``. With the
     internal bin limit ``_stop``, only the bins below it are squared, scaled
-    and folded, and both arrays end there; each kept bin is as without it."""
+    and folded, and both arrays end there; each kept bin is as without it.
+    ``frames`` is left as it is, unless the internal ``_fresh`` says that
+    the caller made it for this call alone: then the mean is removed in
+    place, one temporary fewer, and each value is as without it."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
     if taper is None:
         # np.mean's sum and division, without its Python overhead
-        spec = np.fft.rfft(frames - np.add.reduce(frames, axis=-1, keepdims=True) / n)
+        mean = np.add.reduce(frames, axis=-1, keepdims=True) / n
+        spec = np.fft.rfft(np.subtract(frames, mean, out=frames if _fresh else None))
         scale = fs_hz * n
     else:
         spec = np.fft.rfft(frames * taper)
@@ -142,7 +147,8 @@ def band_power_rows(raw_windows, fs_hz) -> np.ndarray:
         )
     bands = band_bins(n, fs_hz)
     # the bands ascend, so no band reaches past the top band's stop
-    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz, _stop=bands[-1].stop)
+    _, psd = periodogram(raw_to_microvolts(raw_windows), fs_hz, _stop=bands[-1].stop,
+                         _fresh=True)
     widths = band_widths(n, fs_hz)
     out = np.empty(psd.shape[:-1] + (len(BANDS),))
     for i, bins in enumerate(bands):

@@ -321,8 +321,8 @@ class FeatureVector:
     label: TaskLabel
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        schema = tuple(str(s) for s in self.schema)
+        values = tuple(map(float, self.values))
+        schema = tuple(map(str, self.schema))
         if len(values) != len(schema):
             raise ValidationError(
                 f"feature vector has {len(values)} values but schema names {len(schema)}"

@@ -590,18 +590,55 @@ def _convert_lines(csv_path, block, t, raw, row):
 WRITE_BLOCK_ROWS = 4096
 
 
+def _cells(texts):
+    """The ASCII ``texts`` right-aligned to the longest and padded with 0
+    bytes, as the rows of a uint8 matrix."""
+    texts = list(texts)
+    width = max(map(len, texts))
+    data = "".join(text.rjust(width, "\0") for text in texts).encode()
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
+
+
+# "%.9f" % (i / fs) is i // fs, a point and (i % fs) * (10**9 // fs) as
+# nine digits when fs divides 10**9, as every device's rate does
+assert all(10**9 % device.fs_hz == 0 for device in Device)
+_FRACTION_CELLS = {
+    device.fs_hz: _cells(f".{k * (10**9 // device.fs_hz):09d}" for k in range(device.fs_hz))
+    for device in Device
+}
+# ",%d" of every ADC count, row raw - ADC_MIN
+_ADC_CELLS = _cells(f",{raw}" for raw in range(ADC_MIN, ADC_MAX + 1))
+_LINE_BREAKS = np.full((WRITE_BLOCK_ROWS, 1), ord("\n"), np.uint8)
+
+
 def write_session(session: SubjectSession, csv_path, manifest_path):
-    """Write a session in the exact format read_session accepts."""
-    row = "%.9f" + ",%d" * len(session.channels) + "\n"
-    # i/fs is exact in 9 decimals for the supported power-of-two rates
-    times = np.arange(session.n_samples) / session.fs_hz
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_expected_header(len(session.channels))) + "\n")
-        # a block of rows at a time, so no session's text is held whole
+    """Write a session in the exact format read_session accepts.
+
+    Each line is ``"%.9f" % (i / fs)`` for sample i, then ``",%d"`` of each
+    channel's count. The CSV is written WRITE_BLOCK_ROWS lines at a time,
+    so no session's text is held whole. A block is one uint8 matrix, a line
+    per row, of table cells: the integer seconds (right-aligned to the
+    session's widest), the fraction of a second, one count cell per channel
+    and the line break. The fraction table is exact because every device's
+    rate divides 10**9 (a sample is 1953125 ns at 512 Hz, 7812500 ns at
+    128 Hz). The cells are padded with 0 bytes, which no line holds, and the
+    block's bytes without them are its lines.
+    """
+    fs, n_channels = session.fs_hz, len(session.channels)
+    seconds_cells = _cells(map(str, range((session.n_samples - 1) // fs + 1)))
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(_expected_header(n_channels)) + "\n").encode())
         for start in range(0, session.n_samples, WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
-            fh.write("".join(map(row.__mod__, zip(
-                times[block].tolist(), *session.raw[:, block].tolist()))))
+            counts = session.raw[:, start:start + WRITE_BLOCK_ROWS].T - ADC_MIN
+            rows = len(counts)
+            seconds, sample = np.divmod(np.arange(start, start + rows), fs)
+            block = np.hstack((
+                np.take(seconds_cells, seconds, axis=0),
+                np.take(_FRACTION_CELLS[fs], sample, axis=0),
+                np.take(_ADC_CELLS, counts, axis=0).reshape(rows, -1),
+                _LINE_BREAKS[:rows],
+            ))
+            fh.write(block[block != 0])
     manifest = {
         "subject_id": session.subject_id,
         "task": session.task.value,

@@ -183,6 +183,17 @@ class TestSynth:
         assert os.path.exists(record["manifest"])
         assert os.path.exists(record["packets"])
 
+    def test_default_csv_matches_per_row_format(self, tmp_path, capsys):
+        rc, out, _ = run(capsys, "synth", "--spec", "default",
+                         "--out", str(tmp_path), "--no-packets")
+        assert rc == 0
+        session = generate_session(GeneratorSpec(seed=0))
+        # the oracle: each line formatted on its own with f-strings
+        lines = ["t_s,raw"] + [f"{i / session.fs_hz:.9f},{v}"
+                               for i, v in enumerate(session.raw[0].tolist())]
+        csv = Path(json.loads(out)["session_csv"])
+        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_spec_json_seed_determinism(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

@@ -90,6 +90,15 @@ class TestPeriodogram:
         tapered, _ = periodogram(x, fs, taper=np.hanning(n))
         assert tapered is freqs
 
+    @pytest.mark.parametrize("stop", [None, 161])
+    def test_callers_frames_unchanged(self, stop):
+        frames = np.random.default_rng(3).normal(loc=40.0, size=(4, N))
+        kept = frames.copy()
+        periodogram(frames, FS, _stop=stop)
+        periodogram(frames[0], FS, _stop=stop)
+        periodogram(frames, FS, taper=np.hanning(N), _stop=stop)
+        assert np.array_equal(frames, kept)
+
 
 class TestBandDefinitions:
     def test_canonical_ladder(self):
@@ -220,7 +229,8 @@ class TestTrimmedKernel:
     def test_equal_to_full_spectrum(self, fs, seconds, odd):
         n = seconds * fs + odd
         rng = np.random.default_rng(n)
-        raw = rng.integers(-2048, 2048, size=(7, n)).astype(np.int32)
+        # a stack of SCORE_STACK windows, as feature extraction scores them
+        raw = rng.integers(-2048, 2048, size=(SCORE_STACK, n)).astype(np.int32)
         raw[2] = 0
         raw[4] = np.where(np.arange(n) % 2, -2000, 2000)  # a Nyquist tone
         rows = band_power_rows(raw, fs)
@@ -229,7 +239,7 @@ class TestTrimmedKernel:
                               full_spectrum_band_power_rows(raw[4], fs))
         stop = band_bins(n, fs)[-1].stop
         _, psd = periodogram(raw_to_microvolts(raw), fs, _stop=stop)
-        assert psd.shape == (7, stop)
+        assert psd.shape == (SCORE_STACK, stop)
 
     def test_nyquist_bin_in_gamma_stays_undoubled(self):
         # at 80 Hz and even n the Nyquist bin is 40 Hz, gamma's closed top

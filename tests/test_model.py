@@ -274,6 +274,25 @@ class TestFeatureVector:
         assert isinstance(v.values, tuple) and isinstance(v.schema, tuple)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "feature vector has 1 values but schema names 2")):
             FeatureVector(values=(1.0,), schema=("a", "b"),
                           label=TaskLabel.READ)
+
+    def test_values_are_floats_and_names_are_strings(self):
+        v = FeatureVector(values=np.array([1, 2.5], dtype=np.float32),
+                          schema=(np.str_("a"), 7), label=TaskLabel.READ)
+        assert v.values == (1.0, 2.5) and v.schema == ("a", "7")
+        assert [type(x) for x in v.values] == [float, float]
+        assert [type(s) for s in v.schema] == [str, str]
+        v = FeatureVector(values=(np.float64(0.25), np.int64(3)), schema=("a", "b"),
+                          label=TaskLabel.READ)
+        assert [type(x) for x in v.values] == [float, float]
+
+    def test_bad_value_and_label_errors(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            FeatureVector(values=("x",), schema=("a",), label=TaskLabel.READ)
+        with pytest.raises(TypeError):
+            FeatureVector(values=(None,), schema=("a",), label=TaskLabel.READ)
+        with pytest.raises(ValidationError, match="label must be a TaskLabel"):
+            FeatureVector(values=(1.0,), schema=("a",), label="Read")

@@ -15,6 +15,8 @@ import pytest
 from driveguard import protocol
 from driveguard.errors import ValidationError
 from driveguard.model import (
+    ADC_MAX,
+    ADC_MIN,
     Device,
     EPOC_CHANNELS,
     FeatureVector,
@@ -637,6 +639,16 @@ class TestParserCost:
             assert len(parser._pending) <= MAX_PAYLOAD + 4
 
 
+def per_row_session_csv(session):
+    """A session's CSV bytes formatted line by line with f-strings: the
+    oracle for ``write_session``."""
+    lines = [",".join(["t_s", "raw"] + [f"raw_ch{c}" for c in
+                                        range(2, len(session.channels) + 1)])]
+    for i, counts in enumerate(session.raw.T.tolist()):
+        lines.append(",".join([f"{i / session.fs_hz:.9f}"] + [str(v) for v in counts]))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestSessionFiles:
     def make_session(self, n=64, n_channels=1, fs=512):
         rng = np.random.default_rng(1)
@@ -673,16 +685,46 @@ class TestSessionFiles:
         raw = sess.raw.copy()
         raw[0, :4] = (-2048, 2047, 0, -1)
         raw[-1, -2:] = (2047, -2048)
-        sess = SubjectSession(subject_id="p1", task=TaskLabel.READ,
-                              device=sess.device, fs_hz=fs,
-                              channels=sess.channels, raw=raw)
+        self.check_writer(tmp_path, raw, fs)
+
+    @pytest.mark.parametrize("seconds, fs", [(101, 512), (1001, 128)], ids=[
+        "9-10-99-100s-at-512Hz", "999-1000s-at-128Hz"])
+    def test_writer_seconds_widen_inside_a_block(self, tmp_path, seconds, fs):
+        # 10 s, 100 s and 1000 s are not block starts, so a block holds
+        # seconds of two widths
+        for width_change in (10, 100, 1000):
+            if width_change < seconds:
+                assert width_change * fs % WRITE_BLOCK_ROWS
+        raw = np.random.default_rng(seconds).integers(
+            -2048, 2048, size=(1, seconds * fs + 3), dtype=np.int32)
+        self.check_writer(tmp_path, raw, fs)
+
+    def test_writer_fourteen_channels_at_128hz(self, tmp_path):
+        raw = np.random.default_rng(14).integers(
+            -2048, 2048, size=(14, WRITE_BLOCK_ROWS + 77), dtype=np.int32)
+        self.check_writer(tmp_path, raw, 128)
+
+    @pytest.mark.parametrize("n_channels, fs", [(1, 512), (14, 128)])
+    def test_writer_one_sample(self, tmp_path, n_channels, fs):
+        self.check_writer(tmp_path, np.full((n_channels, 1), -7, np.int32), fs)
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    def test_writer_every_adc_count_on_every_channel(self, tmp_path, fs):
+        counts = np.arange(ADC_MIN, ADC_MAX + 1, dtype=np.int32)
+        # each channel a different order, across a block boundary
+        raw = np.stack([np.roll(counts, 1000 * c) for c in range(3)])
+        raw = np.concatenate([raw, raw[:, ::-1]], axis=1)
+        self.check_writer(tmp_path, raw, fs)
+
+    def check_writer(self, tmp_path, raw, fs):
+        device = (Device.SINGLE_ELECTRODE_512 if fs == 512
+                  else Device.MULTI_ELECTRODE_128)
+        sess = SubjectSession(subject_id="p1", task=TaskLabel.READ, device=device,
+                              fs_hz=fs, channels=tuple(f"ch{i}" for i in range(len(raw))),
+                              raw=raw)
         csv = tmp_path / "s.csv"
         write_session(sess, csv, tmp_path / "s.manifest.json")
-        rows = [{1: "t_s,raw", 2: "t_s,raw,raw_ch2"}[n_channels]]
-        for i in range(sess.n_samples):
-            rows.append(",".join([f"{i / fs:.9f}"]
-                                 + [str(int(v)) for v in sess.raw[:, i]]))
-        assert csv.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert csv.read_bytes() == per_row_session_csv(sess)
 
     def test_timestamp_format_is_nine_decimals(self, tmp_path):
         sess = self.make_session(n=3)
