@@ -265,10 +265,11 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
 
     Each model's weights are bit-for-bit those of `train_mlp` on its set
     alone. Step i of an epoch takes sample i of every set that still has
-    one; a set whose rows are used up, or whose loss has gone non-finite,
-    is masked: no update and no momentum decay. The DivergenceError
-    raised is that of the lowest-index set that fails, as if the sets
-    were trained one after another.
+    one; a set whose rows are used up is masked: no update and no momentum
+    decay. Each set's row of a step depends on that set alone, so a set
+    whose loss goes non-finite keeps stepping without touching the others.
+    The DivergenceError raised is that of the lowest-index set that fails,
+    as if the sets were trained one after another.
     """
     if config is None:
         config = MlpConfig()
@@ -321,7 +322,8 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
         return loss
 
     diverged_in = np.zeros(k, dtype=np.intp)   # 1-based epoch, 0 while finite
-    live = np.arange(k)
+    # steps before the shortest set runs out take every set, in place
+    in_place = int(sizes.min())
     # a saturated sigmoid's exp overflows to inf and the unit to its
     # correct limit 0, and a diverging set's inf weights make inf - inf in
     # its products: that set is caught by its non-finite loss and weights
@@ -329,21 +331,14 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             epoch_loss = np.zeros(k)
-            # every set steps in place while all are live and have rows
-            in_place = int(sizes.min()) if live.size == k else 0
-            for i in range(n_max):
-                if i < in_place:
-                    epoch_loss += step(theta, velocity, weights, i, slice(None))
-                    continue
-                rows = live[sizes[live] > i]
-                if rows.size == 0:
-                    break
+            for i in range(in_place):
+                epoch_loss += step(theta, velocity, weights, i, slice(None))
+            for i in range(in_place, n_max):
+                rows = np.flatnonzero(sizes > i)
                 th, vel = theta[rows], velocity[rows]
                 epoch_loss[rows] += step(th, vel, _weight_views(th, shapes), i, rows)
                 theta[rows], velocity[rows] = th, vel
-            failed = ~np.isfinite(epoch_loss[live])
-            diverged_in[live[failed]] = epoch + 1
-            live = live[~failed]
+            diverged_in[(diverged_in == 0) & ~np.isfinite(epoch_loss)] = epoch + 1
 
     for j in range(k):
         if diverged_in[j]:

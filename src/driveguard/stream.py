@@ -3,14 +3,16 @@
 A sliding window of the most recent samples is re-scored once per hop
 (1 Hz by default) into a row of band powers and distraction index, and
 ``judge_hop`` checks the row against a per-subject calibration profile.
-Crossings raise structured alert events, rate-limited by a refractory period.
+A hop alerts when any configured criterion crosses its threshold; alerts
+are structured events, rate-limited by a refractory period.
 
 The detector keeps only the current window and its latest hop, so
 arbitrarily long streams run in constant space. ``replay_session`` cuts
 the same windows directly from a stored session array and must produce
 identical alerts and hop trace; tests rely on the two routes cutting
 windows independently. Both score windows with ``score_windows`` and judge
-rows with ``judge_hop``, which calibration and ``evaluate_profile`` share.
+rows with ``judge_hop``, whose rule calibration searches over and
+``evaluate_profile`` scores.
 Calibration can take each session as its ``SessionHopRows``, cut in the
 process that read the session and handed on in its place.
 """
@@ -39,7 +41,6 @@ DEFAULT_HOP_S = 1.0
 MIN_WINDOW_S = 2.0
 # the longest window or hop, which bounds the detector's buffer (14 MiB at 512 Hz)
 MAX_SPAN_S = 3600.0
-COMBINATORS = ("or", "and")
 DI_KEY = "di"
 
 
@@ -61,9 +62,8 @@ class CalibrationProfile:
 
     ``band_thresholds`` maps band name to a power threshold in uV^2/Hz;
     bands without an entry are never checked. ``di_threshold`` of None
-    disables the index criterion. ``combine`` selects whether one
-    crossing suffices ("or") or every configured criterion must cross
-    at once ("and").
+    disables the index criterion. A hop alerts when any configured
+    criterion crosses its threshold.
     """
 
     subject_id: str
@@ -72,7 +72,6 @@ class CalibrationProfile:
     refractory_s: float = 2.0
     window_s: float = DEFAULT_WINDOW_S
     hop_s: float = DEFAULT_HOP_S
-    combine: str = "or"
 
     def __post_init__(self):
         for band, thr in self.band_thresholds.items():
@@ -91,8 +90,6 @@ class CalibrationProfile:
         if not (math.isfinite(self.refractory_s) and self.refractory_s >= self.hop_s):
             raise ParameterError(
                 f"refractory {self.refractory_s} s must be finite and >= hop {self.hop_s} s")
-        if self.combine not in COMBINATORS:
-            raise ParameterError(f"combine must be one of {COMBINATORS}")
 
     def sample_counts(self, fs_hz: int) -> tuple:
         """(window, hop) lengths in samples at ``fs_hz``; both must be whole."""
@@ -113,9 +110,12 @@ class CalibrationProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationProfile":
         """The profile a JSON object describes: every key must be a field,
-        and every threshold and timing a JSON number."""
-        if unknown := sorted(d.keys() - {f.name for f in fields(cls)}):
+        and every threshold and timing a JSON number. A ``combine`` key,
+        which older profiles hold, is read only as ``"or"``."""
+        if unknown := sorted(d.keys() - {f.name for f in fields(cls)} - {"combine"}):
             raise ValidationError(f"profile has unknown fields {unknown}")
+        if d.get("combine", "or") != "or":
+            raise ValidationError(f'profile combine must be "or", got {d["combine"]!r}')
         try:
             bands, di = d["band_thresholds"], d.get("di_threshold")
             if not isinstance(bands, dict):
@@ -129,8 +129,7 @@ class CalibrationProfile:
                        di_threshold=None if di is None else number(d, "di_threshold"),
                        refractory_s=number(d, "refractory_s", default=2.0),
                        window_s=number(d, "window_s", default=DEFAULT_WINDOW_S),
-                       hop_s=number(d, "hop_s", default=DEFAULT_HOP_S),
-                       combine=d.get("combine", "or"))
+                       hop_s=number(d, "hop_s", default=DEFAULT_HOP_S))
         except KeyError as exc:
             raise ValidationError(f"profile missing field {exc}") from None
 
@@ -199,10 +198,10 @@ def _row_di(row):
 
 
 def judge_hop(row, profile: CalibrationProfile):
-    """``(trigger, observed, alert)`` for one hop row of six floats: the
-    criteria that crossed, bands in band order then 'di'; each criterion's
-    value, in the profile's order (DI None where undefined); and whether
-    the profile's combination alerts."""
+    """``(trigger, observed)`` for one hop row of six floats: the criteria
+    that crossed, bands in band order then 'di', and each criterion's
+    value, in the profile's order (DI None where undefined). The hop
+    alerts when ``trigger`` is not empty."""
     thresholds = profile.band_thresholds
     trigger = [band for band, value in zip(BAND_NAMES, row)
                if band in thresholds and value > thresholds[band]]
@@ -211,17 +210,16 @@ def judge_hop(row, profile: CalibrationProfile):
         observed[DI_KEY] = _row_di(row)
         if row[5] > profile.di_threshold:  # False for NaN
             trigger.append(DI_KEY)
-    alert = 0 < len(trigger) == len(observed) if profile.combine == "and" else bool(trigger)
-    return tuple(trigger), observed, alert
+    return tuple(trigger), observed
 
 
 def _hop_alert(t: float, row, last_alert_t: float | None,
                profile: CalibrationProfile):
     """The alert that hop row ``row`` at ``t`` raises, or None: no alert, or
     within the refractory period since ``last_alert_t``."""
-    trigger, observed, alert = judge_hop(row, profile)
-    if not alert or (last_alert_t is not None
-                     and t - last_alert_t < profile.refractory_s - 1e-9):
+    trigger, observed = judge_hop(row, profile)
+    if not trigger or (last_alert_t is not None
+                       and t - last_alert_t < profile.refractory_s - 1e-9):
         return None
     return AlertEvent(t=t, trigger=trigger, observed=observed, severity=_row_di(row))
 
@@ -627,5 +625,5 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     independently as alert-vs-quiet against its session's label.
     """
     rows, truth = _hop_feature_rows(sessions, profile)
-    pred = np.array([judge_hop(row, profile)[2] for row in rows.tolist()], dtype=bool)
+    pred = np.array([bool(judge_hop(row, profile)[0]) for row in rows.tolist()], dtype=bool)
     return float(_f1(np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & truth)))

@@ -478,8 +478,10 @@ class TestCalibrateAndStream:
         assert result["ok"] is True
         assert result["f1"] == 1.0
         with open(profile_path, "r", encoding="utf-8") as fh:
-            profile = CalibrationProfile.from_json(fh.read())
-        assert profile.subject_id == "cal-1"
+            record = json.load(fh)
+        assert list(record) == ["subject_id", "band_thresholds", "di_threshold",
+                                "refractory_s", "window_s", "hop_s"]
+        assert CalibrationProfile.from_dict(record).subject_id == "cal-1"
 
         trace_path = str(tmp_path / "trace.csv")
         rc, out, _ = run(capsys, "stream", text, "--profile", profile_path,
@@ -540,6 +542,36 @@ class TestCalibrateAndStream:
             assert traced_out == out
         assert traces["bin"].read_bytes() == traces["csv"].read_bytes()
         assert traces["bin"].read_text().startswith(TRACE_HEADER + "\n")
+
+    def test_profile_with_combine_or_streams_the_same(self, tmp_path, capsys):
+        # profiles written before the combine key was retired hold
+        # "combine": "or", and must stream as the same profile without it
+        base = write_fixture(tmp_path, "base", seed=1, dur=12.0, amp=10.0,
+                             subject="cal-1")
+        text = generate_session(GeneratorSpec(
+            seed=2, task=TaskLabel.TEXT, duration_s=12.0, subject_id="cal-1",
+            baseline=PinkNoiseSpec(amplitude_uv=10.0), bursts=STRONG_BETA))
+        csv_path = str(tmp_path / "text.csv")
+        write_session(text, csv_path, str(tmp_path / "text.manifest.json"))
+        bin_path = tmp_path / "text.bin"
+        bin_path.write_bytes(session_to_packets(text))
+        new = tmp_path / "new.json"
+        rc, _, err = run(capsys, "calibrate", "--base", base, "--distraction",
+                         csv_path, "--out", str(new))
+        assert rc == 0, err
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**json.loads(new.read_text()), "combine": "or"},
+                                  indent=2))
+        for path in (csv_path, str(bin_path)):
+            streamed = {}
+            for name, profile in (("new", new), ("old", old)):
+                trace = tmp_path / f"{name}_trace.csv"
+                rc, out, err = run(capsys, "stream", path, "--profile", str(profile),
+                                   "--trace", str(trace))
+                assert rc == 0, err
+                streamed[name] = (out, trace.read_bytes())
+            assert streamed["old"] == streamed["new"]
+            assert streamed["new"][0].splitlines()
 
     def test_stream_names_first_out_of_range_sample(self, tmp_path, capsys):
         # wire values beyond the 12-bit ADC: 3000 first, then -30000

@@ -275,6 +275,12 @@ NAMED_ESCAPES = [
                  id="manifest-channel-number"),
     pytest.param("profile", with_fields(subject_id=None), "input.json: subject_id",
                  id="profile-subject-null"),
+    # a hop alerts when any criterion crosses: "or" is the one combine a
+    # profile may still hold
+    pytest.param("profile", with_fields(combine="and"), "input.json: combine",
+                 id="profile-combine-and"),
+    pytest.param("profile", with_fields(combine="xor"), "input.json: combine",
+                 id="profile-combine-xor"),
 ]
 
 
