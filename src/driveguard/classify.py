@@ -200,33 +200,25 @@ def mlp_forward(w1, b1, w2, b2, x):
     return h, o
 
 
-def _rows_times(x, w):
-    """x @ w for each leading index: rows (..., m) times matrices (..., m, n).
-
-    Each product runs as its own vector-matrix call, so a batch element
-    gets the same bits as the unbatched product.
-    """
-    return np.matmul(x[..., None, :], w)[..., 0, :]
-
-
 def mlp_sample_gradients(w1, b1, w2, b2, x, target):
-    """Squared-error loss and its exact gradients for one sample.
+    """Output error and exact squared-error gradients for one sample.
 
-    Every argument may carry the same leading batch axes, one sample and
-    one set of weights per batch element: x (..., F), w1 (..., F, H).
+    Vectors are rows: x (..., 1, F), b1 (..., 1, H), and b2 and target
+    (..., 1, C), with the leading batch axes of w1 (..., F, H) and w2
+    (..., H, C), one sample and one set of weights per batch element.
+    Every product is then one vector-matrix call per batch element, the
+    call the unbatched product makes, so the bits match. Returns
+    err = output - target, whose half squared norm is the sample's loss,
+    and the gradients gw1, gb1, gw2, gb2, shaped like the weights.
     Training consumes this; tests difference it numerically.
     """
-    h = _sigmoid(_rows_times(x, w1) + b1)
-    o = _sigmoid(_rows_times(h, w2) + b2)
+    h = _sigmoid(np.matmul(x, w1) + b1)
+    o = _sigmoid(np.matmul(h, w2) + b2)
     err = o - target
-    loss = 0.5 * np.add.reduce(err * err, axis=-1)
     delta_o = err * o * (1.0 - o)
-    gw2 = h[..., :, None] * delta_o[..., None, :]
-    gb2 = delta_o
-    delta_h = np.matmul(w2, delta_o[..., None])[..., 0] * h * (1.0 - h)
-    gw1 = x[..., :, None] * delta_h[..., None, :]
-    gb1 = delta_h
-    return loss, gw1, gb1, gw2, gb2
+    delta_h = np.matmul(delta_o, w2.swapaxes(-1, -2)) * h * (1.0 - h)
+    return (err, x.swapaxes(-1, -2) * delta_h, delta_h,
+            h.swapaxes(-1, -2) * delta_o, delta_o)
 
 
 def init_mlp_weights(n_features, n_hidden, n_classes, seed):
@@ -249,6 +241,51 @@ def _weight_views(theta, shapes):
     return views
 
 
+def _online_step(theta, velocity, weights, x, target, lr, mom):
+    """One momentum step of parameter rows theta (m, P) on the sample
+    rows x; returns their output error."""
+    err, gw1, gb1, gw2, gb2 = mlp_sample_gradients(*weights, x, target)
+    m = len(theta)
+    velocity *= mom
+    velocity -= lr * np.concatenate(
+        (gw1.reshape(m, -1), gb1.reshape(m, -1), gw2.reshape(m, -1),
+         gb2.reshape(m, -1)), axis=1)
+    theta += velocity
+    return err
+
+
+def _online_epochs(theta, velocity, shapes, Xs, targets, sizes, config,
+                   losses=None):
+    """Train parameter rows theta (k, P) in place for config.epochs epochs.
+
+    Step i of an epoch takes sample i of every set that has one: Xs
+    (n_max, k, 1, F) and targets (n_max, k, 1, C) hold the samples as
+    rows, sample-major, and sizes (k,) counts each set's samples. A set
+    whose samples are used up is masked: no update and no momentum
+    decay. Given `losses` (epochs,), each epoch's summed loss is added
+    to it; only steps that take every set are counted, so pass it for
+    one set alone.
+    """
+    lr, mom = config.learning_rate, config.momentum
+    weights = _weight_views(theta, shapes)
+    # steps before the shortest set runs out take every set, in place
+    in_place = int(sizes.min())
+    steps = list(zip(Xs[:in_place], targets[:in_place]))
+    tail = []
+    for i in range(in_place, len(Xs)):
+        rows = np.flatnonzero(sizes > i)
+        tail.append((rows, Xs[i, rows], targets[i, rows]))
+    for epoch in range(config.epochs):
+        for x, target in steps:
+            err = _online_step(theta, velocity, weights, x, target, lr, mom)
+            if losses is not None:
+                losses[epoch] += 0.5 * np.add.reduce(err * err, axis=None)
+        for rows, x, target in tail:
+            th, vel = theta[rows], velocity[rows]
+            _online_step(th, vel, _weight_views(th, shapes), x, target, lr, mom)
+            theta[rows], velocity[rows] = th, vel
+
+
 def train_mlp(X, y, classes, config: MlpConfig | None = None) -> MlpModel:
     """Online backpropagation with momentum, deterministic per seed.
 
@@ -264,12 +301,18 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
     """One MlpModel per (X, y) training set, all trained in lockstep.
 
     Each model's weights are bit-for-bit those of `train_mlp` on its set
-    alone. Step i of an epoch takes sample i of every set that still has
-    one; a set whose rows are used up is masked: no update and no momentum
-    decay. Each set's row of a step depends on that set alone, so a set
-    whose loss goes non-finite keeps stepping without touching the others.
-    The DivergenceError raised is that of the lowest-index set that fails,
-    as if the sets were trained one after another.
+    alone: each set's row of a step depends on that set alone, and a set
+    whose rows are used up is masked (see `_online_epochs`). The online
+    step computes only what changes the weights; it tracks no loss.
+
+    A set fails exactly when its final weights are non-finite. A NaN
+    output, the one way a sample's loss goes non-finite, makes the set's
+    b2 gradient, velocity and weights NaN, and under momentum steps no
+    NaN or infinite weight becomes finite again. When some set fails,
+    the lowest-index one is trained again alone, with its loss recorded,
+    and the DivergenceError names its first epoch whose loss is
+    non-finite, or its non-finite weights: the error training the sets
+    one after another would raise first.
     """
     if config is None:
         config = MlpConfig()
@@ -287,74 +330,57 @@ def train_mlp_stack(training_sets, classes, config: MlpConfig | None = None):
     sizes = np.array([y.size for _, y in sets])
     n_max = int(sizes.max())
 
-    # z-scored rows and one-hot targets, one zero-padded (n_max, .) slab per set
-    Xs = np.zeros((k, n_max, f))
-    targets = np.zeros((k, n_max, c))
+    # z-scored rows and one-hot targets, sample-major and zero-padded, so
+    # step i takes the contiguous (k, 1, .) rows Xs[i] and targets[i]
+    Xs = np.zeros((n_max, k, 1, f))
+    targets = np.zeros((n_max, k, 1, c))
     means, scales = [], []
     for j, (X, y) in enumerate(sets):
         mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale = np.where(scale < 1e-12, 1.0, scale)
-        Xs[j, :y.size] = (X - mean) / scale
-        targets[j, np.arange(y.size), y] = 1.0
+        Xs[:y.size, j, 0] = (X - mean) / scale
+        targets[np.arange(y.size), j, 0, y] = 1.0
         means.append(mean)
         scales.append(scale)
 
-    # one parameter row per set; w1, b1, w2 and b2 are views into it
+    # one parameter row per set; w1, b1, w2 and b2 are views into it, the
+    # biases as (1, .) rows like the samples
     init = init_mlp_weights(f, hidden, c, config.seed)
-    shapes = [a.shape for a in init]
-    theta = np.tile(np.concatenate([a.ravel() for a in init]), (k, 1))
+    shapes = [(f, hidden), (1, hidden), (hidden, c), (1, c)]
+    row0 = np.concatenate([a.ravel() for a in init])
+    theta = np.tile(row0, (k, 1))
     velocity = np.zeros_like(theta)
-    weights = _weight_views(theta, shapes)
 
-    lr = config.learning_rate
-    mom = config.momentum
-
-    def step(th, vel, w, i, rows):
-        """One online step on sample i of the sets `rows`; their loss."""
-        loss, gw1, gb1, gw2, gb2 = mlp_sample_gradients(
-            *w, Xs[rows, i], targets[rows, i])
-        m = len(loss)
-        vel *= mom
-        vel -= lr * np.concatenate(
-            (gw1.reshape(m, -1), gb1, gw2.reshape(m, -1), gb2), axis=1)
-        th += vel
-        return loss
-
-    diverged_in = np.zeros(k, dtype=np.intp)   # 1-based epoch, 0 while finite
-    # steps before the shortest set runs out take every set, in place
-    in_place = int(sizes.min())
     # a saturated sigmoid's exp overflows to inf and the unit to its
     # correct limit 0, and a diverging set's inf weights make inf - inf in
-    # its products: that set is caught by its non-finite loss and weights
-    # below. Set once per fit, as the online step is call-bound
+    # its products: that set ends with non-finite weights, caught below.
+    # Set once per fit, as the online step is call-bound
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            epoch_loss = np.zeros(k)
-            for i in range(in_place):
-                epoch_loss += step(theta, velocity, weights, i, slice(None))
-            for i in range(in_place, n_max):
-                rows = np.flatnonzero(sizes > i)
-                th, vel = theta[rows], velocity[rows]
-                epoch_loss[rows] += step(th, vel, _weight_views(th, shapes), i, rows)
-                theta[rows], velocity[rows] = th, vel
-            diverged_in[(diverged_in == 0) & ~np.isfinite(epoch_loss)] = epoch + 1
-
-    for j in range(k):
-        if diverged_in[j]:
-            raise DivergenceError(
-                f"training loss became non-finite in epoch {diverged_in[j]}; "
-                "try a smaller learning_rate"
-            )
-        if not np.isfinite(theta[j]).all():
+        _online_epochs(theta, velocity, shapes, Xs, targets, sizes, config)
+        failed = np.flatnonzero(~np.isfinite(theta).all(axis=1))
+        if failed.size:
+            # the lowest failing set again, alone, with its loss recorded
+            j = failed[0]
+            n = sizes[j]
+            losses = np.zeros(config.epochs)
+            _online_epochs(row0[None].copy(), np.zeros((1, row0.size)), shapes,
+                           Xs[:n, j:j + 1], targets[:n, j:j + 1], sizes[j:j + 1],
+                           config, losses)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                raise DivergenceError(
+                    f"training loss became non-finite in epoch {bad[0] + 1}; "
+                    "try a smaller learning_rate"
+                )
             raise DivergenceError(
                 "weights became non-finite; try a smaller learning_rate"
             )
+    w1, b1, w2, b2 = _weight_views(theta, shapes)
     return [
         MlpModel(classes=classes, config=config, feature_mean=mean,
-                 feature_scale=scale, w1=w1, b1=b1, w2=w2, b2=b2)
-        for mean, scale, (w1, b1, w2, b2)
-        in zip(means, scales, zip(*weights))
+                 feature_scale=scale, w1=w1[j], b1=b1[j, 0], w2=w2[j], b2=b2[j, 0])
+        for j, (mean, scale) in enumerate(zip(means, scales))
     ]
 
 

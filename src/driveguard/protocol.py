@@ -15,6 +15,7 @@ the noise by rescanning from the byte after a failed sync.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import takewhile
@@ -693,9 +694,10 @@ def read_arff(path):
     Understands only the subset this package emits: numeric attributes
     followed by one nominal class attribute.
     """
-    schema = []
+    schema = ()
     vectors = []
     in_data = False
+    labels = {t.value: t for t in TaskLabel}
     text = read_text(path, "ARFF", SessionFormatError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -710,7 +712,7 @@ def read_arff(path):
                 raise SessionFormatError(f"{path} line {lineno}: bad @attribute")
             name, kind = parts[1], parts[2].strip()
             if kind == "numeric":
-                schema.append(name)
+                schema += (name,)
             elif name == "class":
                 continue
             else:
@@ -728,14 +730,16 @@ def read_arff(path):
             raise SessionFormatError(
                 f"{path} line {lineno}: {len(cells)} fields, expected {len(schema) + 1}"
             )
-        label = TaskLabel.from_string(cells[-1])
+        # from_string runs only to raise its unknown-label error
+        label = labels.get(cells[-1]) or TaskLabel.from_string(cells[-1])
         try:
-            values = tuple(float(c) for c in cells[:-1])
-            if not np.isfinite(values).all():
-                raise ValueError("feature values must be finite")
+            values = tuple(map(float, cells[:-1]))
         except ValueError as exc:
             raise SessionFormatError(f"{path} line {lineno}: {exc}") from exc
-        vectors.append(FeatureVector(values=values, schema=tuple(schema), label=label))
+        if not all(map(math.isfinite, values)):
+            raise SessionFormatError(
+                f"{path} line {lineno}: feature values must be finite")
+        vectors.append(FeatureVector(values=values, schema=schema, label=label))
     if not schema:
         raise SessionFormatError(f"{path}: no numeric attributes found")
     return vectors

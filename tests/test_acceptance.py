@@ -134,15 +134,20 @@ def test_acceptance_3_numerical_properties():
         ref = float(np.sum(x ** 2))
         assert abs(energy - ref) / ref <= 1e-9
 
+    def loss(*args):
+        err = mlp_sample_gradients(*args)[0]
+        return 0.5 * float(np.sum(err * err))
+
     eps = 1e-5
     worst = 0.0
     for seed in range(20):
         g = np.random.default_rng(seed)
         f, h, c = g.integers(2, 8), g.integers(2, 6), g.integers(2, 5)
         w1, b1, w2, b2 = init_mlp_weights(f, h, c, seed)
-        x = g.normal(size=f)
-        t = np.zeros(c)
-        t[g.integers(0, c)] = 1.0
+        b1, b2 = b1[np.newaxis], b2[np.newaxis]    # vectors are rows
+        x = g.normal(size=(1, f))
+        t = np.zeros((1, c))
+        t[0, g.integers(0, c)] = 1.0
         _, gw1, gb1, gw2, gb2 = mlp_sample_gradients(w1, b1, w2, b2, x, t)
         for arr, grad in ((w1, gw1), (b1, gb1), (w2, gw2), (b2, gb2)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -150,9 +155,9 @@ def test_acceptance_3_numerical_properties():
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + eps
-                lp = mlp_sample_gradients(w1, b1, w2, b2, x, t)[0]
+                lp = loss(w1, b1, w2, b2, x, t)
                 arr[ix] = orig - eps
-                lm = mlp_sample_gradients(w1, b1, w2, b2, x, t)[0]
+                lm = loss(w1, b1, w2, b2, x, t)
                 arr[ix] = orig
                 num = (lp - lm) / (2 * eps)
                 denom = max(abs(num), abs(grad[ix]), 1e-8)

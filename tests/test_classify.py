@@ -227,17 +227,92 @@ def fold_by_fold_error(X, y, classes, k, seed, config):
     return None
 
 
+def lockstep_loss_and_gradients(w1, b1, w2, b2, x, target):
+    """Reference loss and gradients over leading batch axes, vectors
+    (..., n): the form the loss-tracking lockstep loop stepped with."""
+    def rows_times(v, w):
+        return np.matmul(v[..., None, :], w)[..., 0, :]
+
+    h = 1.0 / (1.0 + np.exp(-(rows_times(x, w1) + b1)))
+    o = 1.0 / (1.0 + np.exp(-(rows_times(h, w2) + b2)))
+    err = o - target
+    loss = 0.5 * np.add.reduce(err * err, axis=-1)
+    delta_o = err * o * (1.0 - o)
+    gw2 = h[..., :, None] * delta_o[..., None, :]
+    delta_h = np.matmul(w2, delta_o[..., None])[..., 0] * h * (1.0 - h)
+    gw1 = x[..., :, None] * delta_h[..., None, :]
+    return loss, gw1, delta_h, gw2, delta_o
+
+
+def loss_tracking_lockstep_error(training_sets, n_classes, config):
+    """Reference divergence check: every set steps in lockstep and its
+    loss is summed per epoch. Returns the DivergenceError message of the
+    lowest-index set whose epoch loss or final weights are non-finite (or
+    None), and whether that set's weights first turned non-finite at the
+    last step of an epoch."""
+    k = len(training_sets)
+    f = training_sets[0][0].shape[1]
+    hidden = config.hidden if config.hidden is not None else round((f + n_classes) / 2)
+    sizes = np.array([y.size for _, y in training_sets])
+    Xs = np.zeros((k, sizes.max(), f))
+    targets = np.zeros((k, sizes.max(), n_classes))
+    for j, (X, y) in enumerate(training_sets):
+        scale = X.std(axis=0)
+        Xs[j, :y.size] = (X - X.mean(axis=0)) / np.where(scale < 1e-12, 1.0, scale)
+        targets[j, np.arange(y.size), y] = 1.0
+    init = init_mlp_weights(f, hidden, n_classes, config.seed)
+    theta = np.tile(np.concatenate([a.ravel() for a in init]), (k, 1))
+    velocity = np.zeros_like(theta)
+    ends = np.cumsum([a.size for a in init])[:-1]
+    diverged_in = np.zeros(k, dtype=int)
+    turned_at_epoch_end = [None] * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            epoch_loss = np.zeros(k)
+            for i in range(sizes.max()):
+                rows = np.flatnonzero(sizes > i)
+                th, vel = theta[rows], velocity[rows]
+                w1, b1, w2, b2 = (
+                    a.reshape(len(rows), *w.shape)
+                    for a, w in zip(np.split(th, ends, axis=1), init))
+                loss, *grads = lockstep_loss_and_gradients(
+                    w1, b1, w2, b2, Xs[rows, i], targets[rows, i])
+                vel *= config.momentum
+                vel -= config.learning_rate * np.concatenate(
+                    [g.reshape(len(rows), -1) for g in grads], axis=1)
+                th += vel
+                theta[rows], velocity[rows] = th, vel
+                epoch_loss[rows] += loss
+                for j, row in zip(rows, th):
+                    if turned_at_epoch_end[j] is None and not np.isfinite(row).all():
+                        turned_at_epoch_end[j] = i == sizes[j] - 1
+            diverged_in[(diverged_in == 0) & ~np.isfinite(epoch_loss)] = epoch + 1
+    for j in range(k):
+        if diverged_in[j]:
+            return (f"training loss became non-finite in epoch {diverged_in[j]}; "
+                    "try a smaller learning_rate", turned_at_epoch_end[j])
+        if not np.isfinite(theta[j]).all():
+            return ("weights became non-finite; try a smaller learning_rate",
+                    turned_at_epoch_end[j])
+    return None, None
+
+
 class TestMlp:
     def test_gradients_match_finite_differences(self):
+        def loss(*args):
+            err = mlp_sample_gradients(*args)[0]
+            return 0.5 * float(np.sum(err * err))
+
         eps = 1e-5
         worst = 0.0
         for seed in range(20):
             rng = np.random.default_rng(seed)
             f, h, c = rng.integers(2, 8), rng.integers(2, 6), rng.integers(2, 5)
             w1, b1, w2, b2 = init_mlp_weights(f, h, c, seed)
-            x = rng.normal(size=f)
-            t = np.zeros(c)
-            t[rng.integers(0, c)] = 1.0
+            b1, b2 = b1[np.newaxis], b2[np.newaxis]    # vectors are rows
+            x = rng.normal(size=(1, f))
+            t = np.zeros((1, c))
+            t[0, rng.integers(0, c)] = 1.0
             _, gw1, gb1, gw2, gb2 = mlp_sample_gradients(w1, b1, w2, b2, x, t)
             for arr, grad in ((w1, gw1), (b1, gb1), (w2, gw2), (b2, gb2)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -245,9 +320,9 @@ class TestMlp:
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + eps
-                    lp = mlp_sample_gradients(w1, b1, w2, b2, x, t)[0]
+                    lp = loss(w1, b1, w2, b2, x, t)
                     arr[ix] = orig - eps
-                    lm = mlp_sample_gradients(w1, b1, w2, b2, x, t)[0]
+                    lm = loss(w1, b1, w2, b2, x, t)
                     arr[ix] = orig
                     num = (lp - lm) / (2 * eps)
                     denom = max(abs(num), abs(grad[ix]), 1e-8)
@@ -298,12 +373,14 @@ class TestMlp:
                           for a in init_mlp_weights(f, h, c, 0))
         x = rng.normal(size=(k, f))
         t = np.eye(c)[rng.integers(0, c, size=k)]
-        batched = mlp_sample_gradients(w1, b1, w2, b2, x, t)
+        b1_rows, b2_rows, x_rows, t_rows = (a[:, np.newaxis] for a in (b1, b2, x, t))
+        err, *grads = mlp_sample_gradients(w1, b1_rows, w2, b2_rows, x_rows, t_rows)
+        assert err.shape == (k, 1, c)
         for j in range(k):
             want = sample_gradients_1d(w1[j], b1[j], w2[j], b2[j], x[j], t[j])
-            assert batched[0][j] == pytest.approx(want[0], rel=1e-15)
-            for got, ref in zip(batched[1:], want[1:]):
-                assert np.array_equal(got[j], ref)
+            assert 0.5 * float(err[j, 0] @ err[j, 0]) == pytest.approx(want[0], rel=1e-15)
+            for got, ref in zip(grads, want[1:]):
+                assert np.array_equal(got[j].reshape(ref.shape), ref)
 
     @pytest.mark.parametrize("n_classes", [2, 5])
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -353,6 +430,39 @@ class TestMlp:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DivergenceError):
                 train_mlp(X, y, ("a", "b"), MlpConfig(epochs=3))
+
+    def test_divergence_message_equals_the_loss_tracking_oracle(self):
+        # the stack tracks no loss; a failing set is diagnosed after the
+        # fit. Weights that turn non-finite at an epoch's last step give a
+        # non-finite loss only in a later epoch, if ever
+        rng = np.random.default_rng(31)
+        seen = set()
+        for trial in range(200):
+            k = int(rng.integers(2, 5))
+            fold_sizes = rng.integers(2, 6, size=k)   # unequal folds
+            y = np.arange(fold_sizes.sum()) % 2
+            X = rng.normal(size=(y.size, 3)) + y[:, np.newaxis]
+            if trial % 4 == 0:
+                X[rng.integers(y.size), rng.integers(3)] = rng.choice(
+                    [np.inf, -np.inf, np.nan])
+            config = MlpConfig(
+                learning_rate=float(rng.choice([0.3, 1e150, 1e300, 1e308])),
+                momentum=float(rng.choice([0.0, 0.9, 0.99])),
+                epochs=int(rng.integers(1, 8)), seed=trial)
+            sets = fold_training_sets(X, y, fold_sizes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want, at_epoch_end = loss_tracking_lockstep_error(sets, 2, config)
+                try:
+                    train_mlp_stack(sets, TWO_CLASS, config)
+                    got = None
+                except DivergenceError as exc:
+                    got = str(exc)
+            assert got == want
+            if want is not None:
+                seen.add((want.split(" ")[0], bool(at_epoch_end)))
+        assert seen == {(kind, at_epoch_end) for kind in ("training", "weights")
+                        for at_epoch_end in (False, True)}
 
     def test_saturated_units_warn_nothing(self):
         # exp overflows in a saturated sigmoid, whose limit 0 is correct

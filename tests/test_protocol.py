@@ -1445,6 +1445,31 @@ class TestArff:
         back = read_arff(path)
         assert back == vecs
 
+    @pytest.mark.parametrize("row, error, message", [
+        ("1,2,Bas", ValidationError, "unknown task label 'Bas'; expected one of: "
+         "Base, Read, Text, Call, Snapshot"),
+        ("1,inf,Base", SessionFormatError, "line 11: feature values must be finite"),
+        ("1e999,2,Read", SessionFormatError, "line 11: feature values must be finite"),
+        ("1,x,Base", SessionFormatError,
+         "line 11: could not convert string to float: 'x'"),
+        ("1,Base", SessionFormatError, "line 11: 2 fields, expected 3"),
+    ])
+    def test_read_errors(self, tmp_path, row, error, message):
+        # the second data row is bad; a comment and a blank line come first
+        path = tmp_path / "d.arff"
+        doc = write_arff([_vector([1.0, 2.0])], "demo")
+        path.write_text(doc + "% note\n\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(error) as info:
+            read_arff(path)
+        assert str(info.value).endswith(message)
+
+    def test_read_skips_comments_and_blank_rows(self, tmp_path):
+        path = tmp_path / "d.arff"
+        doc = write_arff([_vector([1.0, 2.0])], "demo")
+        path.write_text(doc + "% note\n\n  3,4,Call  \n", encoding="utf-8")
+        assert read_arff(path) == [_vector([1.0, 2.0]),
+                                   _vector([3.0, 4.0], TaskLabel.CALL)]
+
     def test_rewrite_is_stable(self, tmp_path):
         # quantization to %.6g is idempotent: write -> read -> write matches
         vecs = [_vector([0.123456789, 98765.4321], TaskLabel.READ)]
