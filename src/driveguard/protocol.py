@@ -403,6 +403,12 @@ _LAST_HI, _LAST_LO = np.array(
 _MAX_TIME_DIGITS = 15
 _MAX_RAW_DIGITS = 8
 _POWERS_OF_TEN = 10.0 ** np.arange(_MAX_TIME_DIGITS)
+# the grid route takes files that end before this second, so that a
+# timestamp, at most six digits, a point and nine, fills at most two words
+_GRID_END_S = 10**6
+# the shortest grid line: a timestamp of 11 bytes, a comma, a digit and a
+# line break
+_GRID_MIN_LINE = 14
 
 
 def read_session(csv_path, manifest_path) -> SubjectSession:
@@ -412,11 +418,14 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     empty, the expected header ending in an LF line break, then at least
     one sample line. The sample lines are cut into blocks of whole lines
     within READ_BLOCK_CHARS bytes (a longer line is a block of its own),
-    and one loop converts the blocks in file order. A block of plain
-    lines is read by ``_fixed_point_block``; any other block, such as a
-    last line without a line break, is read line by line by
-    ``_convert_lines``, which gives every error message. Both give the
-    values of Python's ``float`` and ``int``.
+    and one loop converts the blocks in file order. In a one-channel file
+    whose first timestamp is ``write_session``'s for a whole sample
+    (``_grid_start``), a block whose every line is the next sample's is
+    read by ``_grid_block``. Any other block of plain lines is read by
+    ``_fixed_point_block``; any other block, such as a last line without
+    a line break, is read line by line by ``_convert_lines``, which gives
+    every error message. All three give the values of Python's ``float``
+    and ``int``.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
@@ -455,10 +464,12 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
     t = np.empty(n)
     raw = np.empty((len(channels), n), dtype=np.int32)
+    grid = len(channels) == 1 and _grid_start(data, blocks[0][0], n, fs)
     row = 0
     for pos, stop in blocks:
-        m = data.endswith(b"\n", pos, stop) and _fixed_point_block(
-            data, words, pos, stop, t, raw, row)
+        m = data.endswith(b"\n", pos, stop) and (
+            grid and _grid_block(data, words, pos, stop, t, raw, row, grid)
+            or _fixed_point_block(data, words, pos, stop, t, raw, row))
         if not m:
             # a cell read line by line may lie beyond int32, and the range
             # check below must report its value
@@ -496,6 +507,117 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
                         f"{csv_path} line {i + 2}: raw sample")
 
     return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
+
+
+def _grid_start(data, pos, n, fs):
+    """The grid of the ``n`` sample lines of a one-channel file that start
+    at byte ``pos`` of ``data``, for ``_grid_block``; None unless the first
+    timestamp is ``"%.9f" % (g0 / fs)`` for a whole sample ``g0 >= 0`` and
+    the last line's sample falls before second _GRID_END_S.
+
+    The grid is ``g0``, ``fs``, and per second of the file from the first:
+    the text of the second, right-aligned to end two bytes before the end
+    of a little-endian word (where the fraction's point and first digit
+    go), with the other bytes 0; the mask of the timestamp's bytes in that
+    word; and the timestamp's length. Then, per sample in the second from
+    ``write_session``'s table ``_FRACTION_CELLS``, the fraction's point
+    and first digit at the top of the high word, and its last eight digits
+    as the low word, repeated to cover a block of grid lines that starts
+    at any sample of a second.
+    """
+    first = data[pos:pos + 17].partition(b",")[0]
+    try:
+        g0 = round(float(first) * fs)
+    except (ValueError, OverflowError):  # nan, inf
+        return None
+    if not 0 <= g0 <= _GRID_END_S * fs - n or first != b"%.9f" % (g0 / fs):
+        return None
+    texts = _cells(map(str, range(g0 // fs, (g0 + n - 1) // fs + 1)))
+    seconds = np.zeros((len(texts), 8), np.uint8)
+    seconds[:, 6 - texts.shape[1]:6] = texts
+    lengths = np.count_nonzero(texts, axis=1) + 10
+    fractions = np.zeros((2, fs, 8), np.uint8)
+    fractions[0, :, 6:] = _FRACTION_CELLS[fs][:, :2]
+    fractions[1] = _FRACTION_CELLS[fs][:, 2:]
+    # a block holds at most READ_BLOCK_CHARS // _GRID_MIN_LINE lines of
+    # _GRID_MIN_LINE bytes or more, or one longer line
+    fraction_hi, fraction_lo = np.tile(
+        fractions.view("<u8")[:, :, 0], 2 + READ_BLOCK_CHARS // _GRID_MIN_LINE // fs)
+    return (g0, fs, seconds.view("<u8").ravel(), _LAST_HI[lengths], lengths,
+            fraction_hi, fraction_lo)
+
+
+def _grid_block(data, words, pos, stop, t, raw, row, grid):
+    """Store the lines of ``data[pos:stop]``, which ends in a line break, as
+    samples ``row`` onwards of ``t`` and the one channel of ``raw``, and
+    return their count; 0 unless each line is the timestamp
+    ``write_session`` writes for its sample on ``grid`` (``_grid_start``),
+    a comma and a raw cell of an optional minus and 1 to 8 digits.
+
+    Only the line breaks are searched for. Line i is grid sample
+    ``g = g0 + row + i``, of second ``g // fs``; its comma must stand the
+    timestamp's length (the second's digits and ten) after the line's
+    start, and the two words that end at the comma, masked to that length,
+    must equal the text of the second and of the fraction. The raw cell
+    is checked and folded as ``_fixed_point_block`` does, so every byte of
+    the block is checked.
+    The timestamp stored is ``g / fs``: the text is that quotient exactly,
+    so ``float`` of it is the same rounding of the same number.
+    """
+    g0, fs, seconds, masks, lengths, fraction_hi, fraction_lo = grid
+    block = np.frombuffer(data, np.uint8, stop - pos, pos)
+    ends = np.flatnonzero(block == 10)
+    m = ends.size
+    # the lines' samples, counted from the start of the file's first
+    # second, fall in seconds first to last of the file, from sample k0 of
+    # the first; the tables of seconds are repeated once per line
+    h0 = g0 % fs + row
+    first, k0 = divmod(h0, fs)
+    last = (h0 + m - 1) // fs
+    counts = np.full(last + 1 - first, fs)
+    counts[0] -= k0
+    counts[-1] -= (last + 1) * fs - h0 - m
+    commas = np.repeat(lengths[first:last + 1], counts)
+    commas[1:] += ends[:-1] + 1
+    # the raw cell's bytes, its minus and its digits; past the length
+    # check every comma lies inside its line, and every line holds
+    # _GRID_MIN_LINE bytes or more, so the fraction tables cover the block
+    cell = ends - commas - 1
+    if cell.min() < 1 or cell.max() > _MAX_RAW_DIGITS + 1:
+        return 0
+    neg = block[commas + 1] == 45
+    digits = cell - neg
+    if (block[commas] != 44).any() or digits.min() < 1 or digits.max() > _MAX_RAW_DIGITS:
+        return 0
+    cells = words[ends + (pos - 8)]
+    cells ^= _ASCII_ZEROS
+    cells &= _LAST_LO[digits]
+    values = _fold_digits(cells)
+    if values is None:
+        return 0
+    index = commas + (pos - 16)
+    off = words[index + 8] != fraction_lo[k0:k0 + m]
+    off |= (words[index] & np.repeat(masks[first:last + 1], counts)) != (
+        np.repeat(seconds[first:last + 1], counts) | fraction_hi[k0:k0 + m])
+    if off.any():
+        return 0
+    values = values.astype(np.int32)
+    values *= 1 - 2 * neg
+    raw[0, row:row + m] = values
+    t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
+    return m
+
+
+def _fold_digits(cells):
+    """The values of ``cells``, words XORed with _ASCII_ZEROS that hold up
+    to 8 digits as their last bytes and zeros before them; None if a kept
+    byte was not a digit."""
+    if ((cells | (cells + _DIGIT_GUARD)) & _HIGH_BITS).any():
+        return None
+    # fold 8 digits into their value: pairs, then fours, then eights
+    cells = (cells * 10 + (cells >> 8)) & 0x00FF00FF00FF00FF
+    cells = (cells * 100 + (cells >> 16)) & 0x0000FFFF0000FFFF
+    return (cells * 10000 + (cells >> 32)) & 0xFFFFFFFF
 
 
 def _fixed_point_block(data, words, pos, stop, t, raw, row):
@@ -553,12 +675,9 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     cells[:, 0] = (hi & keep_hi) | ((hi << 8) & (_LAST_HI[time_digits] ^ keep_hi))
     cells[:, 1] = lo_n
     cells[:, 2:] &= _LAST_LO[raw_digits]
-    if ((cells | (cells + _DIGIT_GUARD)) & _HIGH_BITS).any():
+    cells = _fold_digits(cells)
+    if cells is None:
         return 0
-    # fold 8 digits into their value: pairs, then fours, then eights
-    cells = (cells * 10 + (cells >> 8)) & 0x00FF00FF00FF00FF
-    cells = (cells * 100 + (cells >> 16)) & 0x0000FFFF0000FFFF
-    cells = (cells * 10000 + (cells >> 32)) & 0xFFFFFFFF
     # at most 15 digits are exact in a float, and so is 10**after; the
     # quotient is rounded once, as float() rounds the cell
     t[row:row + m] = (cells[:, 0] * 100000000 + cells[:, 1]) / _POWERS_OF_TEN[after]

@@ -4,16 +4,17 @@ import numpy as np
 
 
 def midranks(values) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of their positions."""
+    """Ranks 1..n with tied values sharing the mean of their positions.
+
+    Ties are the runs of equal values in sorted order: NaN equals nothing,
+    so each NaN has a rank of its own, and -0.0 ties with 0.0. The run at
+    sorted positions i to j shares 0.5 * (i + j) + 1, a half-integer.
+    """
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sv = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    stops = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
     return ranks

@@ -1014,8 +1014,9 @@ LONG_ZEROS = "0" * 5000
 
 
 def decline_fixed_point(monkeypatch):
-    """Make read_session's fixed-point route decline every block, so each
-    is read line by line."""
+    """Make read_session's grid and fixed-point routes decline every block,
+    so each is read line by line."""
+    monkeypatch.setattr(protocol, "_grid_block", lambda *args: 0)
     monkeypatch.setattr(protocol, "_fixed_point_block", lambda *args: 0)
 
 
@@ -1034,9 +1035,9 @@ def spy_lines(monkeypatch):
 
 class TestBlockReader:
     """read_session against the per-line reader it replaced, as it runs:
-    plain blocks through the fixed-point route, every other one line by
-    line. ``TestBlockRoute`` repeats each check with every block read line
-    by line."""
+    grid blocks through the grid route, other plain blocks through the
+    fixed-point route, every other one line by line. ``TestBlockRoute``
+    repeats each check with every block read line by line."""
 
     @pytest.mark.parametrize("n_channels, fs", [(1, 512), (2, 512), (1, 128), (2, 128)])
     @pytest.mark.parametrize("budget", [16, 300])
@@ -1133,7 +1134,7 @@ class TestBlockReader:
 
     def test_lines_longer_than_the_budget_are_blocks_of_their_own(
             self, tmp_path, monkeypatch):
-        # plain blocks take the fixed-point route, so decline it
+        # plain blocks take the grid or fixed-point route, so decline both
         decline_fixed_point(monkeypatch)
         blocks = spy_lines(monkeypatch)
         monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 8)
@@ -1143,7 +1144,8 @@ class TestBlockReader:
 
 
 class TestBlockRoute(TestBlockReader):
-    """Every TestBlockReader check with the fixed-point route declining."""
+    """Every TestBlockReader check with the grid and fixed-point routes
+    declining."""
 
     @pytest.fixture(autouse=True)
     def lines_only(self, monkeypatch):
@@ -1166,35 +1168,38 @@ def write_timed_session(d, n, n_channels, fs, time_format):
     return csv, man, session
 
 
-def spy_fixed_point(monkeypatch):
+def spy_routes(monkeypatch):
     """Follows read_session's blocks as it runs: the returned dict's
-    "taken" stays True while every block takes the fixed-point route, and
-    "samples" is the ``(t, raw)`` that route stores its blocks in."""
-    route = {"taken": True, "samples": None}
-    fixed_point_block = protocol._fixed_point_block
-    convert_lines = protocol._convert_lines
+    "calls" gets ``(route, row, lines taken)`` for each try of a route on
+    a block, in order, with 0 lines when the route declined; "samples" is
+    the ``(t, raw)`` the routes store into."""
+    route = {"calls": [], "samples": None}
 
-    def block_spy(data, words, pos, stop, t, raw, row):
-        route["samples"] = t, raw
-        return fixed_point_block(data, words, pos, stop, t, raw, row)
-
-    def lines_spy(*args):
-        route["taken"] = False
-        return convert_lines(*args)
-    monkeypatch.setattr(protocol, "_fixed_point_block", block_spy)
-    monkeypatch.setattr(protocol, "_convert_lines", lines_spy)
+    def spy(name, convert, t_at):
+        def tried(*args):
+            # every route takes t, raw and row in that order
+            route["samples"] = args[t_at:t_at + 2]
+            m = convert(*args)
+            route["calls"].append((name, args[t_at + 2], m))
+            return m
+        return tried
+    for name, attr, t_at in [("grid", "_grid_block", 4),
+                             ("fixed_point", "_fixed_point_block", 4),
+                             ("lines", "_convert_lines", 2)]:
+        monkeypatch.setattr(protocol, attr, spy(name, getattr(protocol, attr), t_at))
     return route
 
 
 def test_written_sessions_take_the_fixed_point_route(tmp_path, monkeypatch):
-    route = spy_fixed_point(monkeypatch)
+    route = spy_routes(monkeypatch)
     for n_channels in (1, 2, 3):
         for fs in (512, 128):
             for time_format in TIME_FORMATS:
                 csv, man, session = write_timed_session(tmp_path, 700, n_channels, fs,
                                                         time_format)
                 got = read_session(csv, man)
-                assert route["taken"], (n_channels, fs, time_format)
+                assert all(name != "lines" for name, _, _ in route["calls"]), \
+                    (n_channels, fs, time_format)
                 assert got.raw.flags.c_contiguous and np.array_equal(got.raw, session.raw)
 
 
@@ -1306,7 +1311,7 @@ class TestFixedPointRoute:
     def test_values_equal_float_and_int(self, tmp_path, monkeypatch, time_format):
         # every timestamp of a 20 minute recording and every raw value, then
         # the widest cells the route takes, off the time grid
-        route = spy_fixed_point(monkeypatch)
+        route = spy_routes(monkeypatch)
         n = 20 * 60 * 128
         csv, man, _ = write_timed_session(tmp_path, n, 1, 128, time_format)
         lines = csv.read_text().split("\n")[1:-1]
@@ -1319,7 +1324,7 @@ class TestFixedPointRoute:
         csv.write_text("t_s,raw\n" + "\n".join(lines) + "\n")
         with pytest.raises(SessionFormatError):
             read_session(csv, man)
-        assert route["taken"]
+        assert all(name != "lines" for name, _, _ in route["calls"])
         t, raw = route["samples"]
         cells = [line.split(",") for line in lines]
         assert t.tolist() == [float(c[0]) for c in cells]
@@ -1359,6 +1364,152 @@ class TestBlockRouting:
         blocks = spy_lines(monkeypatch)
         assert_matches_oracle(csv, man, 512)
         assert blocks == [(last - 1, "\n".join(lines[last:]))]
+
+
+def shift_to_sample(csv, g0, fs):
+    """Rewrite the timestamps of session file ``csv`` as those of grid
+    samples ``g0`` onwards, in write_session's form."""
+    lines = csv.read_text().split("\n")
+    lines[1:-1] = [replace_time(line, f"{(g0 + i) / fs:.9f}")
+                   for i, line in enumerate(lines[1:-1])]
+    csv.write_text("\n".join(lines))
+
+
+def nanoseconds_plus(time, delta):
+    """A ``%.9f`` timestamp text ``delta`` nanoseconds later."""
+    ns = int(time.replace(".", "")) + delta
+    return f"{'-' if ns < 0 else ''}{abs(ns) // 10**9}.{abs(ns) % 10**9:09d}"
+
+
+# edits of one line that leave a plain line off its grid sample, or a raw
+# cell at the limits of the grid route's digit test
+GRID_EDITS = {
+    "last-digit-plus-1": lambda line, t, r: replace_time(line, nanoseconds_plus(t, 1)),
+    "last-digit-minus-1": lambda line, t, r: replace_time(line, nanoseconds_plus(t, -1)),
+    "seconds-digit-changed": lambda line, t, r: replace_time(
+        line, str(int(t[:t.index(".")]) + 1) + t[t.index("."):]),
+    "seconds-leading-zero": lambda line, t, r: replace_time(line, "0" + t),
+    "fraction-digit-dropped": lambda line, t, r: replace_time(line, t[:-1]),
+    "fraction-digit-added": lambda line, t, r: replace_time(line, t + "0"),
+    "comma-to-semicolon": lambda line, t, r: line.replace(",", ";"),
+    "comma-to-digit": lambda line, t, r: line.replace(",", "0"),
+    "comma-to-point": lambda line, t, r: line.replace(",", "."),
+    "comma-moved-left": lambda line, t, r: f"{t[:-1]},{t[-1]}{r}",
+    "comma-moved-right": lambda line, t, r: f"{t}{r[:1]},{r[1:] or '0'}",
+    "lone-minus": lambda line, t, r: replace_raw(line, "-"),
+    "double-minus": lambda line, t, r: replace_raw(line, "--5"),
+    "plus-raw": lambda line, t, r: replace_raw(line, "+5"),
+    "leading-zeros": lambda line, t, r: replace_raw(line, "007"),
+    "minus-zero": lambda line, t, r: replace_raw(line, "-0"),
+    "9-digit-raw": lambda line, t, r: replace_raw(line, "000000007"),
+    "9-digit-raw-beyond-adc": lambda line, t, r: replace_raw(line, "123456789"),
+    "minus-8-digit-raw": lambda line, t, r: replace_raw(line, "-00000007"),
+    "minus-8-digit-raw-beyond-adc": lambda line, t, r: replace_raw(line, "-12345678"),
+}
+
+
+class TestGridRoute:
+    """The grid route takes every block of a one-channel file as
+    write_session writes it, from any whole sample, and no block of any
+    other file; with it, read_session matches the per-line reader on
+    edits at the grid's edges."""
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    @pytest.mark.parametrize("g0", [0, 1, "last-of-second", "5-seconds-in"])
+    def test_written_files_take_the_grid_route(self, tmp_path, monkeypatch, fs, g0):
+        g0 = {"last-of-second": fs - 1, "5-seconds-in": 5 * fs + 3}.get(g0, g0)
+        csv, man, session = write_random_session(tmp_path, 101 * fs - g0 + 3, 1, fs)
+        shift_to_sample(csv, g0, fs)
+        # seconds 10 and 100 start inside a block, so a block holds
+        # timestamps of two lengths
+        starts = block_starts(csv.read_text(), protocol.READ_BLOCK_CHARS)
+        assert 10 * fs - g0 + 1 not in starts and 100 * fs - g0 + 1 not in starts
+        route = spy_routes(monkeypatch)
+        assert np.array_equal(read_session(csv, man).raw, session.raw)
+        calls = route["calls"]
+        assert len(calls) == len(starts) + 1
+        assert all(name == "grid" and m for name, _, m in calls)
+        assert route["samples"][0].tolist() == [(g0 + i) / fs for i in range(session.n_samples)]
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    def test_blocks_of_the_shortest_lines(self, tmp_path, monkeypatch, fs):
+        # one-digit raw cells make lines of 14 bytes, so a block holds the
+        # most lines it can, and the first block starts at the last sample
+        # of a second
+        csv, man, session = write_random_session(tmp_path, 6000, 1, fs)
+        raw = np.random.default_rng(3).integers(0, 10, (1, 6000))
+        session = dataclasses.replace(session, raw=raw)
+        write_session(session, csv, man)
+        shift_to_sample(csv, fs - 1, fs)
+        route = spy_routes(monkeypatch)
+        assert np.array_equal(read_session(csv, man).raw, raw)
+        assert route["calls"][0][2] > protocol.READ_BLOCK_CHARS // 15
+        assert all(name == "grid" and m for name, _, m in route["calls"])
+
+    @pytest.mark.parametrize("g0, on_grid", [
+        (99999 * 512 - 700, True),   # seconds of 5 and 6 digits in one block
+        (10**6 * 512 - 1500, True),  # the last sample before second 10**6
+        (10**6 * 512 - 1499, False),  # a sample of second 10**6
+    ])
+    def test_seconds_to_the_grid_end(self, tmp_path, monkeypatch, g0, on_grid):
+        csv, man, session = write_random_session(tmp_path, 1500, 1, 512)
+        shift_to_sample(csv, g0, 512)
+        route = spy_routes(monkeypatch)
+        assert_matches_oracle(csv, man, 512)
+        assert [name for name, _, m in route["calls"] if m] == \
+            ["grid" if on_grid else "lines"]
+
+    @pytest.mark.parametrize("n_channels, fs, time_format", [
+        (2, 512, "%.9f"), (3, 128, "%.9f"), (14, 128, "%.9f"),
+        (1, 512, "%.6f"), (1, 128, "%.6f"), (1, 512, "str"), (1, 128, "str")])
+    def test_other_files_never_take_the_grid_route(self, tmp_path, monkeypatch,
+                                                   n_channels, fs, time_format):
+        csv, man, session = write_timed_session(tmp_path, 700, n_channels, fs,
+                                                time_format)
+        route = spy_routes(monkeypatch)
+        assert np.array_equal(read_session(csv, man).raw, session.raw)
+        assert route["calls"] and all(name == "fixed_point" and m
+                                      for name, _, m in route["calls"])
+
+    @pytest.mark.parametrize("start", [0.0001, 0.5 / 512, 3 / 512 + 1e-9])
+    def test_off_grid_start_never_takes_the_grid_route(self, tmp_path, monkeypatch,
+                                                       start):
+        csv, man, session = write_random_session(tmp_path, 700, 1, 512)
+        lines = csv.read_text().split("\n")
+        lines[1:-1] = [replace_time(line, f"{start + i / 512:.9f}")
+                       for i, line in enumerate(lines[1:-1])]
+        csv.write_text("\n".join(lines))
+        route = spy_routes(monkeypatch)
+        assert np.array_equal(read_session(csv, man).raw, session.raw)
+        assert route["calls"] and all(name == "fixed_point" and m
+                                      for name, _, m in route["calls"])
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    @pytest.mark.parametrize("g0_seconds", [0, 10, 100])
+    @pytest.mark.parametrize("edit", list(GRID_EDITS))
+    def test_grid_edits(self, tmp_path, monkeypatch, fs, g0_seconds, edit):
+        # 80 lines from 40 samples before second g0_seconds, about ten a
+        # block: edits on the first line, the lines either side of the
+        # second's start, a block's first line and the last line
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 200)
+        g0 = max(g0_seconds * fs - 40, 0)
+        csv, man, _ = write_random_session(tmp_path, 80, 1, fs)
+        shift_to_sample(csv, g0, fs)
+        lines = csv.read_text().split("\n")[:-1]
+        starts = block_starts(csv.read_text(), 200)
+        route = spy_routes(monkeypatch)
+        for at in sorted({1, g0_seconds * fs - g0, g0_seconds * fs - g0 + 1, starts[2],
+                          len(lines) - 1} - {0}):
+            line = lines[at]
+            t, r = line.split(",")
+            mutated = lines.copy()
+            mutated[at] = GRID_EDITS[edit](line, t, r)
+            csv.write_text("\n".join(mutated) + "\n")
+            assert_matches_oracle(csv, man, fs)
+            if isinstance(read_outcome(read_session, csv, man), SubjectSession):
+                # accepted: t holds float of each timestamp
+                assert route["samples"][0].tolist() == [float(x.split(",")[0])
+                                               for x in mutated[1:]], at
 
 
 def read_time(read, path):

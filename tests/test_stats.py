@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from driveguard.errors import ParameterError, ValidationError
+from driveguard.ranking import midranks
 from driveguard.stats import (
     DegenerateDataError,
     EXACT_MAX_N,
@@ -27,7 +28,8 @@ from driveguard.stats import (
 
 
 def ranks_average(values):
-    """Average ranks via sorted runs; independent of the package's ranking."""
+    """Average ranks via sorted runs, one run at a time: the loop that
+    ``ranking.midranks`` replaced, kept as its oracle."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
     sv = values[order]
@@ -63,6 +65,20 @@ def enumerate_wilcoxon(x, y, sided):
         upper = sum(1 for w in null if w >= total - w_min - eps)
         p = min(1.0, (lower + upper) / 2 ** n)
     return w_min, p
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_midranks_equal_the_loop(seed):
+    # few distinct values, so most are tied, then NaNs and both zeros,
+    # which tie with each other
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 17, 250):
+        values = rng.integers(-3, 4, n) / 2.0
+        for special in (np.nan, -0.0, 0.0, np.inf, -np.inf):
+            values[rng.random(n) < 0.1] = special
+        got, want = midranks(values), ranks_average(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), values
+        assert np.array_equal(np.sort(got) * 2, np.round(np.sort(got) * 2))
 
 
 class TestWilcoxonExact:
