@@ -63,7 +63,6 @@ from .stream import (
     calibrate_thresholds,
     process_sample,  # noqa: F401
     replay_session,  # noqa: F401
-    session_hop_rows,
     stream_channel,
     stream_samples,
     stream_session,  # noqa: F401
@@ -201,11 +200,12 @@ def _usable_cpus() -> int:
 def _load_sessions(paths, per_run=list):
     """The lists ``per_run`` makes of contiguous runs of the sessions stored
     at ``paths``, joined in order: by default, the sessions. ``features``
-    and ``train-eval`` make the feature vectors (``_load_vectors``) and
-    ``calibrate`` each session's hop rows (``session_hop_rows``); ``index``
-    and ``spectrogram`` take the sessions. The first path that fails to
-    read, in order, raises its error; if none does, the first run whose
-    ``per_run`` fails raises that error.
+    and ``train-eval`` make the feature vectors (``_load_vectors``);
+    ``index`` and ``spectrogram`` take the sessions, and ``calibrate``
+    reads its few short recordings with this function's one-process
+    branch. The first path that fails to read, in order, raises its
+    error; if none does, the first run whose ``per_run`` fails raises
+    that error.
 
     With two or more paths and usable CPUs, the paths are cut into one
     contiguous run per CPU. The calling process reads the first run and
@@ -468,11 +468,10 @@ def _cmd_synth(args):
 
 
 def _cmd_calibrate(args):
-    # one call, so the two groups share the forked readers; base sessions
-    # come first, and each reader keeps only its sessions' hop rows
-    records = _load_sessions(args.base + args.distraction, lambda sessions: [
-        session_hop_rows(session, args.window, args.hop) for session in sessions])
-    result = calibrate_thresholds(records, subject_id=args.subject,
+    # a few short recordings per subject: read in-process, base sessions first
+    paths = args.base + args.distraction
+    sessions = _collect([paths], [_run_or_error(paths, list)])
+    result = calibrate_thresholds(sessions, subject_id=args.subject,
                                   window_s=args.window, hop_s=args.hop,
                                   refractory_s=args.refractory,
                                   max_candidates=args.max_candidates,

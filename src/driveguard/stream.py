@@ -13,8 +13,6 @@ identical alerts and hop trace; tests rely on the two routes cutting
 windows independently. Both score windows with ``score_windows`` and judge
 rows with ``judge_hop``, whose rule calibration searches over and
 ``evaluate_profile`` scores.
-Calibration can take each session as its ``SessionHopRows``, cut in the
-process that read the session and handed on in its place.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ import numpy as np
 # perfbench/tracing.py rebinds stream.band_powers_from_samples and
 # stream.distraction_index, so keep both imported
 from .dsp import SCORE_STACK, band_power_rows, band_powers_from_samples  # noqa: F401
-from .errors import DriveGuardError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .index import di_rows, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
-                    SubjectSession, TaskLabel, check_timestamp)
+                    SubjectSession, check_timestamp)
 from .protocol import json_number
 
 STREAM_FS_HZ = 512
@@ -445,61 +443,13 @@ class CalibrationResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-@dataclass(frozen=True)
-class SessionHopRows:
-    """A stored session as calibration reads it: its subject id, its task,
-    and the ``(hops, 6)`` rows ``_stored_rows`` cuts from it on a window of
-    ``window_s`` and a hop of ``hop_s``, or, with ``rows`` None, the package
-    error cutting them raised. At 4 s / 1 s a 120 s recording's rows take
-    about 5.6 KB against the session's 246 KB, so a process that reads a
-    session can hand on this instead."""
-
-    subject_id: str
-    task: TaskLabel
-    window_s: float
-    hop_s: float
-    rows: np.ndarray | None
-    error: DriveGuardError | None = None
-
-    def rows_on(self, profile: CalibrationProfile) -> np.ndarray:
-        """The rows, on the profile's window and hop; the error cutting
-        them raised is raised here, where cutting them would have raised."""
-        if (self.window_s, self.hop_s) != (profile.window_s, profile.hop_s):
-            raise ParameterError(
-                f"hop rows cut on a {self.window_s}/{self.hop_s} s window/hop "
-                f"cannot serve a {profile.window_s}/{profile.hop_s} s profile")
-        if self.error is not None:
-            raise self.error
-        return self.rows
-
-
-def session_hop_rows(session: SubjectSession, window_s: float = DEFAULT_WINDOW_S,
-                     hop_s: float = DEFAULT_HOP_S) -> SessionHopRows:
-    """``session``'s ``SessionHopRows`` on ``window_s`` and ``hop_s``. A
-    package error raised while cutting the rows, a bad window or hop among
-    them, is kept in the record rather than raised, so that it surfaces
-    only where ``calibrate_thresholds`` would have met it."""
-    try:
-        # the rows do not depend on the refractory period; hop_s is valid
-        # for it whenever the hop is
-        profile = CalibrationProfile(session.subject_id, {}, refractory_s=hop_s,
-                                     window_s=window_s, hop_s=hop_s)
-        rows, error = _stored_rows(session, profile), None
-    except DriveGuardError as exc:
-        rows, error = None, exc
-    return SessionHopRows(session.subject_id, session.task, window_s, hop_s,
-                          rows, error)
-
-
 def _hop_feature_rows(sessions, profile: CalibrationProfile):
-    """The stored hop rows of every session, or ``SessionHopRows``, on the
-    profile's window and hop, plus each row's distraction label;
-    CalibrationError without a row."""
+    """The stored hop rows of every session on the profile's window and
+    hop, plus each row's distraction label; CalibrationError without a row."""
     rows = [np.empty((0, 6))]
     labels = [np.empty(0, dtype=bool)]
     for session in sessions:
-        rows.append(session.rows_on(profile) if isinstance(session, SessionHopRows)
-                    else _stored_rows(session, profile))
+        rows.append(_stored_rows(session, profile))
         labels.append(np.full(len(rows[-1]), session.task.is_distraction))
     if not sum(map(len, rows)):
         raise CalibrationError("sessions yielded no analysis windows")
@@ -581,9 +531,7 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     alerting the profile has no criteria.
 
     Needs at least one Base and one distraction session. A best F1 below
-    ``min_f1`` yields ``ok=False`` with the best thresholds found. Each of
-    ``sessions`` may instead be its ``session_hop_rows`` on ``window_s``
-    and ``hop_s``, with the same result and the same error.
+    ``min_f1`` yields ``ok=False`` with the best thresholds found.
     """
     if max_candidates < 1:
         raise ParameterError(f"max_candidates must be >= 1, got {max_candidates}")
@@ -622,8 +570,13 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
     """Window-level F1 of a profile's crossing predicate on labeled sessions.
 
     Refractory suppression is ignored here: each hop window counts
-    independently as alert-vs-quiet against its session's label.
+    independently as alert-vs-quiet against its session's label. A window
+    alerts as ``judge_hop`` decides, by the OR ``_search_thresholds`` builds.
     """
     rows, truth = _hop_feature_rows(sessions, profile)
-    pred = np.array([bool(judge_hop(row, profile)[0]) for row in rows.tolist()], dtype=bool)
+    pred = np.zeros(truth.size, dtype=bool)
+    for band, thr in profile.band_thresholds.items():
+        pred |= rows[:, BAND_NAMES.index(band)] > thr
+    if profile.di_threshold is not None:
+        pred |= rows[:, 5] > profile.di_threshold  # False for NaN
     return float(_f1(np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & truth)))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import driveguard
-from driveguard import cli, stream
+from driveguard import cli
 from driveguard.model import TrialSplitError
 from driveguard.protocol import SessionFormatError, read_session, write_session
 from driveguard.synth import GeneratorSpec, generate_benchmark_suite, generate_session
@@ -103,7 +103,8 @@ def run(capsys, argv, outputs=()):
 
 
 def commands(paths, out):
-    """(argv, output files) of each command that reads several CSVs."""
+    """(argv, output files) of each command that reads several CSVs;
+    every one but ``calibrate`` reads them in a pool."""
     base = [p for p in paths if p.endswith("_Base.csv")]
     rest = [p for p in paths if not p.endswith("_Base.csv")]
     arff, di, report, profile = (str(out / n) for n in
@@ -115,6 +116,10 @@ def commands(paths, out):
         (["train-eval", *paths, "--k", "3", "--json", report], [report]),
         (["calibrate", "--base", *base[:1], "--distraction", *rest[:4],
           "--out", profile], [profile]),
+        # both subjects' Base and Text recordings, pooled under one id
+        (["calibrate", "--base", *base, "--distraction",
+          *(p for p in rest if p.endswith("_Text.csv")), "--subject", "pooled",
+          "--out", profile], [profile]),
     ]
 
 
@@ -125,7 +130,7 @@ def test_commands_equal_on_both_routes(suite, tmp_path, capsys, monkeypatch, poo
             on_route(monkeypatch, route)
             pools.clear()
             results[route] = run(capsys, argv, outputs)
-            assert len(pools) == (route == "pool"), argv[0]
+            assert len(pools) == (route == "pool" and argv[0] != "calibrate"), argv[0]
         assert results["pool"][0] == 0, results["pool"][2]
         assert results["pool"] == results["serial"], argv[0]
 
@@ -260,46 +265,6 @@ class TestErrors:
         assert logged == [f"loaded session {p}" for p in paths[:n_loaded]]
 
 
-def test_calibrate_readers_send_hop_rows(suite, tmp_path, capsys, monkeypatch):
-    """Each reader of ``calibrate`` cuts its own sessions' hop rows: both
-    routes print and write the same bytes, the threshold search runs once,
-    over the rows, and no session crosses the worker's pipe."""
-    searched, sent = [], []
-    calibrate, collect = cli.calibrate_thresholds, cli._collect
-
-    def counted(sessions, **kwargs):
-        searched.append([type(s) for s in sessions])
-        return calibrate(sessions, **kwargs)
-
-    def spy(runs, outcomes):
-        # after the calling process's own, each outcome is a worker's
-        # ``_work_run`` result as it came through the pipe
-        sent.extend(outcomes[1:])
-        return collect(runs, outcomes)
-
-    monkeypatch.setattr(cli, "calibrate_thresholds", counted)
-    monkeypatch.setattr(cli, "_collect", spy)
-    profile = str(tmp_path / "profile.json")
-    base = [p for p in suite if p.endswith("_Base.csv")]
-    text = [p for p in suite if p.endswith("_Text.csv")]
-    argv = ["calibrate", "--base", *base, "--distraction", *text,
-            "--subject", "pooled", "--out", profile]
-    results = {}
-    for route in ROUTES:
-        on_route(monkeypatch, route)
-        searched.clear()
-        sent.clear()
-        results[route] = run(capsys, argv, [profile])
-        assert searched == [[stream.SessionHopRows] * 4], route
-        assert len(sent) == (route == "pool")
-        for read, result in sent:
-            assert read == 2
-            assert [type(item) for item in result] == [stream.SessionHopRows] * 2
-    assert results["pool"][0] == 0, results["pool"][2]
-    assert results["pool"] == results["serial"]
-    assert json.loads(results["pool"][1])["n_windows"] == 4 * 9  # 12 s, 4 s / 1 s
-
-
 PID = os.getpid()
 _read_path = cli._read_path
 
@@ -383,16 +348,22 @@ def test_one_path_commands_load_no_pool_modules(suite, tmp_path):
     profile.write_text(json.dumps({
         "subject_id": "s1", "band_thresholds": {"beta": 5.0}, "di_threshold": None,
         "refractory_s": 2.0, "window_s": 4.0, "hop_s": 1.0, "combine": "or"}))
+    # calibrate reads a subject's few recordings in-process, even with
+    # CPUs to spare
     code = (
         "import sys, io, contextlib; from driveguard import cli\n"
-        "csv = sys.argv[1]\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "csv, base, rest = sys.argv[1], sys.argv[4], sys.argv[5:]\n"
         "for argv in (['ingest', csv, csv[:-4] + '.manifest.json'],\n"
         "             ['spectrogram', csv, '--out', sys.argv[3]],\n"
-        "             ['stream', csv, '--profile', sys.argv[2]]):\n"
+        "             ['stream', csv, '--profile', sys.argv[2]],\n"
+        "             ['calibrate', '--base', base, '--distraction', rest[0]],\n"
+        "             ['calibrate', '--base', base, '--distraction', *rest]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
-    done = run_python(code, suite[1], str(profile), str(tmp_path / "grid.csv"))
+    # one subject's Base recording, then its four distraction recordings
+    done = run_python(code, suite[1], str(profile), str(tmp_path / "grid.csv"), *suite[:5])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

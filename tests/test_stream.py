@@ -21,7 +21,6 @@ from driveguard.stream import (
     DetectorState,
     HopRecord,
     SequencingError,
-    SessionHopRows,
     STREAM_FS_HZ,
     TRACE_HEADER,
     _candidate_thresholds,
@@ -33,7 +32,6 @@ from driveguard.stream import (
     judge_hop,
     process_sample,
     replay_session,
-    session_hop_rows,
     stream_samples,
     stream_session,
 )
@@ -725,12 +723,16 @@ class TestJudgeHop:
         assert judge_hop(row, profile(band_thresholds={}, di_threshold=1.0)) == (
             (), {"di": None})
 
-    def test_agrees_with_the_searchs_array_form(self):
+    def test_agrees_with_the_searchs_array_form(self, monkeypatch):
         # judge_hop decides alerts one row at a time; _search_thresholds
-        # builds the same OR as ``pred |= rows[:, col] > thr`` over arrays
+        # builds the same OR as ``pred |= rows[:, col] > thr`` over arrays,
+        # and evaluate_profile scores with it
         rng = np.random.default_rng(29)
         rows = rng.lognormal(size=(400, 6))
         rows[rng.random(400) < 0.25, 5] = math.nan  # undefined DI
+        truth = rng.random(400) < 0.5
+        monkeypatch.setattr("driveguard.stream._hop_feature_rows",
+                            lambda sessions, profile: (rows, truth))
         profiles = [profile(band_thresholds={}),
                     profile(band_thresholds={}, di_threshold=1.0),
                     profile(band_thresholds={}, di_threshold=math.inf)]
@@ -754,6 +756,7 @@ class TestJudgeHop:
                 want |= rows[:, col] > thr
             got = [bool(judge_hop(row, p)[0]) for row in rows.tolist()]
             assert got == want.tolist(), p
+            assert evaluate_profile([], p) == scalar_f1(np.array(got), truth), p
 
 
 class TestAlertEvent:
@@ -960,46 +963,18 @@ class TestCalibration:
     def test_invalid_timing_rejected(self, timing):
         train = [synth_session(1, TaskLabel.BASE),
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
-        with pytest.raises(ParameterError) as from_sessions:
+        with pytest.raises(ParameterError):
             calibrate_thresholds(train, **timing)
-        # the hop rows keep the error cutting them raised, and raise it
-        # only where the sessions do
-        spans = {k: v for k, v in timing.items() if k != "refractory_s"}
-        rows = [session_hop_rows(s, **spans) for s in train]
-        with pytest.raises(ParameterError) as from_rows:
-            calibrate_thresholds(rows, **timing)
-        assert str(from_rows.value) == str(from_sessions.value)
 
-    @pytest.mark.parametrize("timing", [{}, {"window_s": 6.0, "hop_s": 0.5}])
-    def test_hop_rows_calibrate_as_their_sessions(self, timing):
-        train = [synth_session(1, TaskLabel.BASE),
-                 synth_session(3, TaskLabel.READ, STRONG_BETA),
-                 synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
-        rows = [session_hop_rows(s, **timing) for s in train]
-        assert all(isinstance(r, SessionHopRows) and r.error is None for r in rows)
-        assert calibrate_thresholds(rows, **timing) == calibrate_thresholds(train, **timing)
-        result = calibrate_thresholds(train, **timing)
-        assert evaluate_profile(rows, result.profile) == \
-            evaluate_profile(train, result.profile)
-
-    def test_hop_rows_errors_keep_their_place(self):
+    def test_errors_keep_their_order(self):
         base, text = synth_session(1, TaskLabel.BASE), synth_session(2, TaskLabel.TEXT)
         slow = raw_session(np.zeros(20 * 128, dtype=np.int32), TaskLabel.READ, fs=128,
                            subject="cal-1")
-        # the labels are checked before any session's rows
+        # the labels are checked before any session's rows are cut
         with pytest.raises(CalibrationError, match="at least one Base"):
-            calibrate_thresholds([session_hop_rows(s) for s in (slow, text)])
-        with pytest.raises(ValidationError, match="512 Hz") as from_sessions:
+            calibrate_thresholds([slow, text])
+        with pytest.raises(ValidationError, match="512 Hz"):
             calibrate_thresholds([base, slow, text])
-        with pytest.raises(ValidationError, match="512 Hz") as from_rows:
-            calibrate_thresholds([session_hop_rows(s) for s in (base, slow, text)])
-        assert str(from_rows.value) == str(from_sessions.value)
-
-    def test_hop_rows_on_another_window_rejected(self):
-        train = [session_hop_rows(synth_session(1, TaskLabel.BASE)),
-                 session_hop_rows(synth_session(2, TaskLabel.TEXT, STRONG_BETA))]
-        with pytest.raises(ParameterError, match="window/hop"):
-            calibrate_thresholds(train, window_s=6.0)
 
     @pytest.mark.parametrize("setting", [
         {"max_candidates": 0}, {"max_candidates": -3},
