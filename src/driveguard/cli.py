@@ -175,119 +175,21 @@ def _read_path(path):
     return read_session(path, path[:-4] + ".manifest.json")
 
 
-def _run_or_error(paths, per_run):
-    """``(read, result)``: ``per_run`` of the sessions stored at ``paths``,
-    or the package error that reading path ``read`` or ``per_run`` raised;
-    ``read`` counts the paths read without error."""
-    # a worker hands its error back as a result, with the count of paths
-    # read before it, so that the calling process logs them and raises it
+def _load_sessions(paths):
+    """The sessions stored at ``paths``, read in order in this process;
+    each is logged as it loads, and the first path that fails to read
+    raises its error."""
     sessions = []
-    try:
-        for path in paths:
-            sessions.append(_read_path(path))
-        return len(sessions), per_run(sessions)
-    except (DriveGuardError, OSError) as exc:
-        return len(sessions), exc
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _load_sessions(paths, per_run=list):
-    """The lists ``per_run`` makes of contiguous runs of the sessions stored
-    at ``paths``, joined in order: by default, the sessions. ``features``
-    and ``train-eval`` make the feature vectors (``_load_vectors``);
-    ``index`` and ``spectrogram`` take the sessions, and ``calibrate``
-    reads its few short recordings with this function's one-process
-    branch. The first path that fails to read, in order, raises its
-    error; if none does, the first run whose ``per_run`` fails raises
-    that error.
-
-    With two or more paths and usable CPUs, the paths are cut into one
-    contiguous run per CPU. The calling process reads the first run and
-    applies ``per_run`` to it, while one forked worker per other run does
-    the same with its own and sends the result back over a one-way pipe;
-    so a run's work is done in the process that read it, and only its
-    result crosses the pipe. Every worker's result is received before any
-    error is raised, and every worker is joined before this returns or
-    raises. A forked worker starts in milliseconds, where a fresh
-    interpreter must import the package.
-    """
-    workers = min(len(paths), _usable_cpus())
-    if workers >= 2:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            size = -(-len(paths) // workers)
-            runs = [paths[i:i + size] for i in range(0, len(paths), size)]
-            return _collect(runs, _read_in_forks(
-                multiprocessing.get_context("fork"), runs, per_run))
-    return _collect([paths], [_run_or_error(paths, per_run)])
+    for path in paths:
+        sessions.append(_read_path(path))
+        log.info("loaded session %s", path)
+    return sessions
 
 
 def _load_vectors(paths, mode, trial_seconds):
-    """The feature vectors of the sessions stored at ``paths``, in order,
-    each run's computed in the process that read it."""
-    return _load_sessions(paths, lambda sessions: feature_vectors_from_sessions(
-        sessions, mode=mode, trial_seconds=trial_seconds))
-
-
-def _read_in_forks(ctx, runs, per_run):
-    """``_run_or_error`` of each run of paths, in order: that of the first
-    run is made here, that of each other run in a forked worker."""
-    procs, receivers, senders = [], [], []
-    try:
-        for run in runs[1:]:
-            receiver, sender = ctx.Pipe(duplex=False)
-            receivers.append(receiver)
-            senders.append(sender)
-            proc = ctx.Process(target=_work_run, args=(run, per_run, sender))
-            proc.start()
-            procs.append(proc)
-            sender.close()  # so that a dead worker's pipe reads as EOF
-        outcomes = [_run_or_error(runs[0], per_run)]
-        for run, proc, receiver in zip(runs[1:], procs, receivers):
-            try:
-                outcomes.append(receiver.recv())
-            except EOFError:
-                proc.join()
-                raise CliError(f"worker reading {run[0]!r} died with exit code "
-                               f"{proc.exitcode}") from None
-        return outcomes
-    except BaseException:  # an error or an interrupt: stop every worker
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for conn in receivers + senders:
-            conn.close()
-        for proc in procs:
-            proc.join()
-            proc.close()  # its sentinel fd, even while a traceback holds it
-
-
-def _work_run(paths, per_run, sender):
-    """A worker's body: send ``_run_or_error`` of its run of paths."""
-    with sender:
-        sender.send(_run_or_error(paths, per_run))
-
-
-def _collect(runs, outcomes):
-    """The results of ``outcomes``, one ``_run_or_error`` per run of paths,
-    joined in order. Each path read is logged; the first read error, in
-    path order, is raised before the first error of a ``per_run``."""
-    for run, (read, result) in zip(runs, outcomes):
-        for path in run[:read]:
-            log.info("loaded session %s", path)
-        if read < len(run):
-            raise result
-    for _, result in outcomes:
-        if isinstance(result, Exception):
-            raise result
-    return [item for _, result in outcomes for item in result]
+    """The feature vectors of the sessions stored at ``paths``, in order."""
+    return feature_vectors_from_sessions(_load_sessions(paths), mode=mode,
+                                         trial_seconds=trial_seconds)
 
 
 def _write_text(path: str, text: str):
@@ -468,9 +370,8 @@ def _cmd_synth(args):
 
 
 def _cmd_calibrate(args):
-    # a few short recordings per subject: read in-process, base sessions first
-    paths = args.base + args.distraction
-    sessions = _collect([paths], [_run_or_error(paths, list)])
+    # base sessions first
+    sessions = _load_sessions(args.base + args.distraction)
     result = calibrate_thresholds(sessions, subject_id=args.subject,
                                   window_s=args.window, hop_s=args.hop,
                                   refractory_s=args.refractory,

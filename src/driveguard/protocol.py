@@ -592,8 +592,7 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     cells = words[ends + (pos - 8)]
     cells ^= _ASCII_ZEROS
     cells &= _LAST_LO[digits]
-    values = _fold_digits(cells)
-    if values is None:
+    if not _fold_digits(cells):
         return 0
     index = commas + (pos - 16)
     off = words[index + 8] != fraction_lo[k0:k0 + m]
@@ -601,23 +600,34 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
         np.repeat(seconds[first:last + 1], counts) | fraction_hi[k0:k0 + m])
     if off.any():
         return 0
-    values = values.astype(np.int32)
+    values = cells.astype(np.int32)
     values *= 1 - 2 * neg
     raw[0, row:row + m] = values
     t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
     return m
 
 
+# fold 8 digits into their value: pairs, then fours, then eights
+_FOLDS = ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
+          (32, 10000, 0xFFFFFFFF))
+
+
 def _fold_digits(cells):
-    """The values of ``cells``, words XORed with _ASCII_ZEROS that hold up
-    to 8 digits as their last bytes and zeros before them; None if a kept
-    byte was not a digit."""
-    if ((cells | (cells + _DIGIT_GUARD)) & _HIGH_BITS).any():
-        return None
-    # fold 8 digits into their value: pairs, then fours, then eights
-    cells = (cells * 10 + (cells >> 8)) & 0x00FF00FF00FF00FF
-    cells = (cells * 100 + (cells >> 16)) & 0x0000FFFF0000FFFF
-    return (cells * 10000 + (cells >> 32)) & 0xFFFFFFFF
+    """Fold ``cells``, words XORed with _ASCII_ZEROS that hold up to 8
+    digits as their last bytes and zeros before them, into their values
+    in place, and return True; False, leaving them as they were, if a kept
+    byte was not a digit. One scratch array of their size is made."""
+    work = cells + _DIGIT_GUARD
+    work |= cells
+    work &= _HIGH_BITS
+    if work.any():
+        return False
+    for shift, scale, mask in _FOLDS:
+        np.right_shift(cells, shift, out=work)
+        cells *= scale
+        cells += work
+        cells &= mask
+    return True
 
 
 def _fixed_point_block(data, words, pos, stop, t, raw, row):
@@ -657,11 +667,13 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
         return 0
 
     # per line, the words of the timestamp's last 16 bytes, then of each
-    # raw cell's last 8 bytes. Only the file's first line can reach back
-    # past byte 0; the bytes it would read there precede its timestamp, as
-    # the header's 8 or more bytes do, and are masked off, so its index is
+    # raw cell's last 8 bytes; the marks, read no more, become their
+    # indexes in place. Only the file's first line can reach back past
+    # byte 0; the bytes it would read there precede its timestamp, as the
+    # header's 8 or more bytes do, and are masked off, so its index is
     # clamped to 0.
-    index = marks + (pos - 8)
+    index = marks
+    index += pos - 8
     np.subtract(index[:, 1], 8, out=index[:, 0])
     np.maximum(index[0], 0, out=index[0])
     cells = words[index]
@@ -675,8 +687,7 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     cells[:, 0] = (hi & keep_hi) | ((hi << 8) & (_LAST_HI[time_digits] ^ keep_hi))
     cells[:, 1] = lo_n
     cells[:, 2:] &= _LAST_LO[raw_digits]
-    cells = _fold_digits(cells)
-    if cells is None:
+    if not _fold_digits(cells):
         return 0
     # at most 15 digits are exact in a float, and so is 10**after; the
     # quotient is rounded once, as float() rounds the cell

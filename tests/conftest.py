@@ -7,8 +7,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a child process alive: every pool the
-    package starts must be joined before the call that started it ends."""
+    """Fail a test that leaves a child process alive."""
     yield
     left = multiprocessing.active_children()
     for child in left:

@@ -48,6 +48,7 @@ from driveguard.protocol import (
     read_arff,
     write_session,
 )
+from driveguard.synth import GeneratorSpec, generate_session
 
 
 class TestAdcConversion:
@@ -1540,16 +1541,34 @@ class TestSessionCost:
             ratios.append(t_lines / t_block)
         assert np.median(ratios) >= 2.0
 
-    def test_peak_memory_is_bounded(self, long_csv):
-        size = long_csv[0].stat().st_size
+    @staticmethod
+    def peak_over_size(csv, man):
+        """The session read from ``csv`` and the peak memory traced while
+        reading it, as a multiple of the file's size."""
         tracemalloc.start()
         try:
-            session = read_session(*long_csv)
+            session = read_session(csv, man)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return session, peak / csv.stat().st_size
+
+    def test_peak_memory_is_bounded(self, long_csv):
+        session, peak = self.peak_over_size(*long_csv)
         assert session.n_samples == 600 * 512
-        assert peak <= 2.5 * size
+        assert peak <= 2.5
+
+    def test_peak_memory_is_bounded_off_grid(self, tmp_path, monkeypatch):
+        # a generated 120 s recording, with the grid route declined so that
+        # the fixed-point route reads it: one block's temporaries weigh
+        # more against a short file of short cells
+        csv, man = tmp_path / "s.csv", tmp_path / "s.manifest.json"
+        write_session(generate_session(GeneratorSpec(seed=11, duration_s=120.0)),
+                      csv, man)
+        monkeypatch.setattr(protocol, "_grid_start", lambda *args: None)
+        session, peak = self.peak_over_size(csv, man)
+        assert session.n_samples == 120 * 512
+        assert peak <= 2.5
 
 
 def _vector(values, label=TaskLabel.BASE, names=None):
