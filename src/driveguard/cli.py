@@ -19,8 +19,10 @@ Plot-oriented outputs are plain CSV/JSON data files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import math
@@ -41,14 +43,14 @@ from .dsp import (
 )
 from .errors import DriveGuardError, ValidationError
 from .index import CoverageError, di_rows, distraction_index, rank_tasks
-# perfbench/tracing.py rebinds cli.EegSample, cli.process_sample,
-# cli.replay_session and cli.stream_session, so keep all four imported
+# perfbench/tracing.py rebinds cli.EegSample, cli.packets_to_samples, cli.process_sample,
+# cli.replay_session and cli.stream_session, so keep all five imported
 from .model import BandPowers, EegSample, TaskLabel, shared_schema, trial_stack  # noqa: F401
 from .protocol import (
+    PacketParser,
     json_number,
-    packets_to_samples,
+    packets_to_samples,  # noqa: F401
     read_arff,
-    read_bytes,
     read_json_record,
     read_session,
     read_text,
@@ -60,11 +62,12 @@ from .stats import table5_report, table6_reports
 from .stream import (
     CalibrationProfile,
     TRACE_HEADER,
+    DetectorState,
     calibrate_thresholds,
+    feed_block,
     process_sample,  # noqa: F401
     replay_session,  # noqa: F401
     stream_channel,
-    stream_samples,
     stream_session,  # noqa: F401
 )
 from .synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
@@ -72,6 +75,8 @@ from .synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
 log = logging.getLogger("driveguard")
 
 ENV_PREFIX = "DRIVEGUARD_"
+# the most bytes of a packet stream that ``stream`` reads and decodes at once
+READ_CHUNK_BYTES = 1 << 20
 
 
 class CliError(DriveGuardError):
@@ -384,32 +389,49 @@ def _cmd_calibrate(args):
     return 0
 
 
-def _read_packets(path: str):
-    data = read_bytes(path, "packet stream", CliError)
-    raw, corrupt = packets_to_samples(data)
+def _packet_blocks(path: str, files: contextlib.ExitStack):
+    """The raw samples of the packet stream at ``path`` (``-``: descriptor 0,
+    stdin), one array per read of what a pipe holds or a full file chunk."""
+    parser, n_bytes, n_samples = PacketParser(), 0, 0
+    try:
+        fh = files.enter_context(open(0 if path == "-" else path, "rb", closefd=path != "-"))
+        while chunk := fh.read1(READ_CHUNK_BYTES):
+            n_bytes += len(chunk)
+            yield (raw := parser.feed_samples(chunk))
+            n_samples += raw.size
+    except OSError as exc:
+        raise CliError(f"cannot read packet stream {path}: {exc}") from exc
     # a session CSV without the .csv suffix, or any other text, decodes to
     # nothing; an empty stream is just empty
-    if data and not raw.size:
+    if n_bytes and not n_samples:
         raise CliError(f"packet stream {path} holds no raw sample in its "
-                       f"{len(data)} bytes (a session CSV must end in .csv)")
-    log.info("decoded %d samples (%d corrupt frames)", raw.size, corrupt)
-    return raw
+                       f"{n_bytes} bytes (a session CSV must end in .csv)")
+    log.info("decoded %d samples (%d corrupt frames)", n_samples, parser.corrupt_frames)
 
 
 def _cmd_stream(args):
     profile = read_json_record(args.profile, "profile",
                                CalibrationProfile.from_dict, CliError)
-    if args.input.endswith(".csv"):
-        raw = stream_channel(_load_sessions([args.input])[0])
-    else:
-        raw = _read_packets(args.input)
-    alerts, trace = stream_samples(raw, profile)
-    for alert in alerts:
-        print(alert.to_json())
+    with contextlib.ExitStack() as files:
+        blocks = (iter([stream_channel(_load_sessions([args.input])[0])])
+                  if args.input.endswith(".csv") else _packet_blocks(args.input, files))
+        # the detector and trace start at the first samples, or after an
+        # input without any, so that input errors come before a profile's
+        first = next(filter(len, blocks), np.empty(0, dtype=np.int32))
+        state, rows = DetectorState(profile), 0
+        if args.trace:
+            trace = files.enter_context(open(args.trace, "w", encoding="utf-8", newline="\n"))
+            trace.write(TRACE_HEADER + "\n")
+        for raw in itertools.chain([first], blocks):
+            alerts, hops = feed_block(state, raw, state.samples_seen / state.fs_hz)
+            for alert in alerts:
+                print(alert.to_json())
+            sys.stdout.flush()
+            if args.trace:
+                trace.writelines(rec.csv_row() + "\n" for rec in hops)
+            rows += len(hops)
     if args.trace:
-        _write_text(args.trace, "\n".join(
-            [TRACE_HEADER] + [rec.csv_row() for rec in trace]) + "\n")
-        log.info("wrote %d trace rows to %s", len(trace), args.trace)
+        log.info("wrote %d trace rows to %s", rows, args.trace)
     return 0
 
 

@@ -169,6 +169,13 @@ def _frame_step(buf: bytes, pos: int, out: list):
     return end, 0, True
 
 
+# rows checked per numpy block: reset after an irregular row, doubled after
+# a block of canonical frames, so checking costs at most a few times the
+# bytes taken plus one small block per irregularity
+BULK_MIN_ROWS = 64
+BULK_MAX_ROWS = 4096
+
+
 class PacketParser:
     """Incremental frame scanner over an unreliable byte stream.
 
@@ -215,6 +222,43 @@ class PacketParser:
         self.packets_emitted += len(out)
         return out
 
+    def feed_samples(self, data: bytes) -> np.ndarray:
+        """The raw values of the packets ``feed(data)`` would return, as an
+        ``int32`` array, with the same pending bytes and counters. The leading
+        canonical raw frames at the cursor are taken a numpy block of 8-byte
+        rows at a time, and any other row is one ``_frame_step``."""
+        buf = self._pending + bytes(data)
+        parts = [np.empty(0, dtype=np.int32)]
+        pos = 0
+        rows_per_block = BULK_MIN_ROWS
+        more = True
+        while more:
+            m = min(rows_per_block, (len(buf) - pos) // RAW_FRAME_LEN)
+            if m and buf.startswith(RAW_HEADER, pos):
+                # one big-endian word per frame: header, hi, lo, checksum
+                words = np.frombuffer(buf, ">u8", m, pos)
+                hi, lo, check = words.view(np.uint8).reshape(m, RAW_FRAME_LEN)[:, 5:].T
+                ok = words >> 24 == _RAW_HEADER_WORD
+                ok &= hi + lo + check == _RAW_CHECK_SUM
+                k = int(ok.argmin())
+                if ok[k]:
+                    k = m
+                # bits 8-23 hold hi, lo: read them as a signed 16-bit value
+                parts.append((words[:k] >> 8).astype(np.int16))
+                pos += k * RAW_FRAME_LEN
+                self.packets_emitted += k
+                if k == m:
+                    rows_per_block = min(2 * rows_per_block, BULK_MAX_ROWS)
+                    continue
+                rows_per_block = BULK_MIN_ROWS
+            packets = []
+            pos, step_corrupt, more = _frame_step(buf, pos, packets)
+            self.corrupt_frames += step_corrupt
+            self.packets_emitted += len(packets)
+            parts += [(p.raw_value,) for p in packets if p.raw_value is not None]
+        self._pending = buf[pos:]
+        return np.concatenate(parts, dtype=np.int32)
+
 
 def session_to_packets(session: SubjectSession) -> bytes:
     """Serialise a single-channel session as a wire-format byte stream."""
@@ -232,53 +276,11 @@ def session_to_packets(session: SubjectSession) -> bytes:
     return frames.tobytes()
 
 
-# rows checked per numpy block: reset after an irregular row, doubled after
-# a block of canonical frames, so checking costs at most a few times the
-# bytes taken plus one small block per irregularity
-BULK_MIN_ROWS = 64
-BULK_MAX_ROWS = 4096
-
-
 def packets_to_samples(data: bytes):
-    """Decode a byte stream into (raw sample array, corrupt frame count).
-
-    Equal to one PacketParser().feed(data), keeping the raw values of the
-    packets that carry one. From the scanner's cursor, a block of the next
-    bytes is viewed as 8-byte rows and the canonical raw frames at its
-    start (RAW_HEADER, value, valid checksum) are taken as values at once:
-    such a frame at the cursor is the frame the scanner would accept
-    there. At the first other row ``_frame_step`` takes one step, then the
-    block check resumes. The cost is linear in ``len(data)``.
-    """
-    buf = bytes(data)
-    n = len(buf)
-    parts = [np.empty(0, dtype=np.int32)]
-    pos = corrupt = 0
-    rows_per_block = BULK_MIN_ROWS
-    more = True
-    while more:
-        m = min(rows_per_block, (n - pos) // RAW_FRAME_LEN)
-        if m and buf.startswith(RAW_HEADER, pos):
-            # one big-endian word per frame: header, hi, lo, checksum
-            words = np.frombuffer(buf, ">u8", m, pos)
-            hi, lo, check = words.view(np.uint8).reshape(m, RAW_FRAME_LEN)[:, 5:].T
-            ok = words >> 24 == _RAW_HEADER_WORD
-            ok &= hi + lo + check == _RAW_CHECK_SUM
-            k = int(ok.argmin())
-            if ok[k]:
-                k = m
-            # bits 8-23 hold hi, lo: read them as a signed 16-bit value
-            parts.append((words[:k] >> 8).astype(np.int16))
-            pos += k * RAW_FRAME_LEN
-            if k == m:
-                rows_per_block = min(2 * rows_per_block, BULK_MAX_ROWS)
-                continue
-            rows_per_block = BULK_MIN_ROWS
-        packets = []
-        pos, step_corrupt, more = _frame_step(buf, pos, packets)
-        corrupt += step_corrupt
-        parts += [(p.raw_value,) for p in packets if p.raw_value is not None]
-    return np.concatenate(parts, dtype=np.int32), corrupt
+    """(raw sample array, corrupt frame count) of a whole byte stream, by one
+    ``PacketParser().feed_samples``; its pending bytes stay undecoded."""
+    parser = PacketParser()
+    return parser.feed_samples(data), parser.corrupt_frames
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import driveguard.stream
 from driveguard.cli import main
 from driveguard.protocol import (checksum, read_arff, session_to_packets,
                                  write_session)
-from driveguard.stream import TRACE_HEADER, CalibrationProfile
+from driveguard.stream import TRACE_HEADER, CalibrationProfile, stream_samples
 from driveguard.synth import (BurstSpec, GeneratorSpec, PinkNoiseSpec,
                               generate_benchmark_suite, generate_session)
 from driveguard.dsp import band_powers_fft
@@ -605,6 +606,178 @@ class TestCalibrateAndStream:
                          "--trace", str(trace_path))
         assert rc == 0, err
         assert len(trace_path.read_text().splitlines()) == 1 + 5  # 8 s, 4 s windows
+
+
+def noisy_wire(seconds, seed):
+    """The frames of a pink-noise recording, damaged as a live link damages
+    them: one payload or checksum byte changed in 0.5 % of the frames, and
+    1-64 bytes of garbage other than 0xAA after 1 % of them."""
+    rng = np.random.default_rng(seed)
+    session = generate_session(GeneratorSpec(
+        seed=seed, duration_s=seconds, baseline=PinkNoiseSpec(amplitude_uv=20.0)))
+    frames = np.frombuffer(session_to_packets(session), np.uint8).reshape(-1, 8).copy()
+    not_sync = np.delete(np.arange(256, dtype=np.uint8), 0xAA)
+    for i in np.flatnonzero(rng.random(len(frames)) < 0.005).tolist():
+        col = int(rng.integers(3, 8))
+        frames[i, col] = rng.choice(not_sync[not_sync != frames[i, col]])
+    cuts = np.flatnonzero(rng.random(len(frames)) < 0.01) + 1
+    garbage = [rng.choice(not_sync, size=int(rng.integers(1, 65))).tobytes() for _ in cuts]
+    pieces = np.split(frames.reshape(-1), 8 * cuts)
+    return b"".join(p.tobytes() + g for p, g in zip(pieces, garbage + [b""]))
+
+
+def alert_every_hop(tmp_path):
+    path = tmp_path / "every-hop.json"
+    path.write_text(CalibrationProfile(subject_id="s", band_thresholds={"delta": 1e-6},
+                                       refractory_s=1.0).to_json())
+    return str(path)
+
+
+def clean_wire(values):
+    return session_to_packets(SubjectSession(
+        subject_id="s", task=TaskLabel.TEXT, device=Device.SINGLE_ELECTRODE_512,
+        fs_hz=512, channels=("FP1",), raw=np.asarray(values, dtype=np.int32)[None]))
+
+
+def frame_of(value):
+    """A canonical raw frame for any 16-bit ``value``, in the ADC range or not."""
+    payload = bytes([0x80, 0x02]) + value.to_bytes(2, "big", signed=True)
+    return b"\xaa\xaa\x04" + payload + bytes([checksum(payload)])
+
+
+class TestStreamReads:
+    """``stream`` reads a packet stream READ_CHUNK_BYTES at a time and writes
+    each read's alerts and trace rows before the next."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("noisy") / "noisy.bin"
+        path.write_bytes(noisy_wire(60.0, seed=9))
+        return path
+
+    def streamed(self, capsys, tmp_path, *argv):
+        trace = tmp_path / "trace.csv"
+        rc, out, err = run(capsys, "stream", *argv, "--trace", str(trace))
+        assert rc == 0, err
+        return out, trace.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 4096])
+    def test_output_does_not_depend_on_the_read_size(self, noisy, tmp_path, capsys,
+                                                     monkeypatch, chunk):
+        assert driveguard.protocol.packets_to_samples(noisy.read_bytes())[1] > 100
+        profile = alert_every_hop(tmp_path)
+        whole = self.streamed(capsys, tmp_path, str(noisy), "--profile", profile)
+        assert noisy.stat().st_size < driveguard.cli.READ_CHUNK_BYTES
+        assert whole[0].count("\n") > 20
+        monkeypatch.setattr(driveguard.cli, "READ_CHUNK_BYTES", chunk)
+        assert self.streamed(capsys, tmp_path, str(noisy), "--profile", profile) == whole
+
+    def test_stdin_streams_as_the_path_does(self, noisy, tmp_path):
+        profile = alert_every_hop(tmp_path)
+        env = dict(os.environ)
+        src = str(Path(driveguard.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys; from driveguard import cli; sys.exit(cli.main(sys.argv[1:]))"
+        done = {}
+        for name, source, data in (("path", str(noisy), None),
+                                   ("stdin", "-", noisy.read_bytes()),
+                                   ("noise", "-", bytes(range(256))),
+                                   ("closed", "-", None)):
+            trace = tmp_path / f"{name}.csv"
+            head = "import os; os.close(0); " if name == "closed" else ""
+            proc = subprocess.run([sys.executable, "-c", head + code, "stream", source,
+                                   "--profile", profile, "--trace", str(trace)],
+                                  input=data, env=env, capture_output=True, timeout=120)
+            done[name] = (proc.returncode, proc.stdout, proc.stderr,
+                          trace.read_bytes() if trace.exists() else None)
+        assert done["stdin"] == done["path"]
+        assert done["path"][0] == 0 and done["path"][1].count(b"\n") > 20
+        assert done["noise"][:2] == (2, b"")
+        assert json.loads(done["noise"][2])["message"].startswith(
+            "packet stream - holds no raw sample in its 256 bytes")
+        assert done["closed"][:2] == (2, b"")
+        assert json.loads(done["closed"][2])["message"].startswith(
+            "cannot read packet stream -: ")
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_error_in_a_later_read_keeps_the_output_before_it(self, tmp_path, capsys,
+                                                              monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(driveguard.cli, "READ_CHUNK_BYTES", chunk)
+        per_read = driveguard.cli.READ_CHUNK_BYTES // 8
+        # the bad frame is the sixth of a read that follows at least two
+        # reads and 8 s of samples
+        before = max(2, 8 * 512 // per_read) * per_read
+        values = np.random.default_rng(3).integers(-2048, 2048, size=before + per_read)
+        bad = before + 5
+        wire = bytearray(clean_wire(values))
+        wire[8 * bad:8 * bad + 8] = frame_of(3000)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(wire)
+        profile = alert_every_hop(tmp_path)
+        trace = tmp_path / "trace.csv"
+        rc, out, err = run(capsys, "stream", str(path), "--profile", profile,
+                           "--trace", str(trace))
+        assert rc == 2
+        assert json.loads(err) == {"error": "ValidationError", "message":
+                                   "raw sample 3000 outside ADC range [-2048, 2047]"}
+        alerts, hops = stream_samples(values[:before],
+                                      CalibrationProfile.from_json(Path(profile).read_text()))
+        assert alerts and out == "".join(a.to_json() + "\n" for a in alerts)
+        assert trace.read_text() == "".join(
+            line + "\n" for line in [TRACE_HEADER, *(rec.csv_row() for rec in hops)])
+
+    @pytest.mark.parametrize("input_kind, error", [
+        ("missing.bin", "CliError: cannot read packet stream"),
+        ("noise.bin", "CliError: packet stream"),
+        ("empty.bin", "ParameterError"),
+        ("clean.bin", "ParameterError"),
+        ("clean.csv", "ParameterError"),
+    ])
+    def test_input_errors_come_before_the_profiles(self, tmp_path, capsys, input_kind, error):
+        # a hop of 0.0001 s is valid in a profile, but no whole number of
+        # samples at 512 Hz, so the detector rejects it when it starts
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({"subject_id": "s", "band_thresholds": {"beta": 1.0},
+                                       "hop_s": 0.0001}))
+        session = generate_session(GeneratorSpec(seed=1, duration_s=8.0))
+        write_session(session, str(tmp_path / "clean.csv"),
+                      str(tmp_path / "clean.manifest.json"))
+        (tmp_path / "clean.bin").write_bytes(session_to_packets(session))
+        (tmp_path / "noise.bin").write_bytes(bytes(range(256)))
+        (tmp_path / "empty.bin").write_bytes(b"")
+        trace = tmp_path / "trace.csv"
+        rc, out, err = run(capsys, "stream", str(tmp_path / input_kind), "--profile",
+                           str(profile), "--trace", str(trace))
+        assert (rc, out) == (2, "")
+        name, _, message = error.partition(": ")
+        payload = json.loads(err)
+        assert payload["error"] == name and payload["message"].startswith(message)
+        assert not trace.exists()
+
+    def test_memory_does_not_grow_with_the_recording(self, tmp_path, capsys):
+        # 8 and 32 minutes of clean frames, each longer than one read
+        profile = tmp_path / "quiet.json"
+        profile.write_text(CalibrationProfile(
+            subject_id="s", band_thresholds={"delta": 1e300}).to_json())
+        rng = np.random.default_rng(4)
+        peaks = []
+        for minutes in (8, 32):
+            path = tmp_path / f"{minutes}.bin"
+            path.write_bytes(clean_wire(rng.integers(-2048, 2048, size=minutes * 60 * 512)))
+            assert path.stat().st_size > 1 << 20  # one read
+            trace = tmp_path / f"{minutes}.csv"
+            tracemalloc.start()
+            try:
+                rc = main(["stream", str(path), "--profile", str(profile),
+                           "--trace", str(trace)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert len(trace.read_text().splitlines()) == 1 + minutes * 60 - 3
+        assert capsys.readouterr().out == ""
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 class TestParserCache:

@@ -478,6 +478,80 @@ class TestScannerReference:
             assert parser.corrupt_frames == 1
 
 
+def live_style_wire(seed, seconds=60):
+    """Clean frames damaged as a live link damages them: one payload or
+    checksum byte changed to another value than 0xAA in 0.5 % of the frames,
+    and 1-64 bytes of garbage other than 0xAA after 1 % of them."""
+    rng = np.random.default_rng(seed)
+    frames = np.frombuffer(wire_of(rng.integers(-2048, 2048, size=seconds * 512)),
+                           np.uint8).reshape(-1, 8).copy()
+    not_sync = np.delete(np.arange(256, dtype=np.uint8), 0xAA)
+    for i in np.flatnonzero(rng.random(len(frames)) < 0.005).tolist():
+        col = int(rng.integers(3, 8))
+        frames[i, col] = rng.choice(not_sync[not_sync != frames[i, col]])
+    cuts = np.flatnonzero(rng.random(len(frames)) < 0.01) + 1
+    garbage = [rng.choice(not_sync, size=int(rng.integers(1, 65))).tobytes() for _ in cuts]
+    pieces = np.split(frames.reshape(-1), 8 * cuts)
+    return b"".join(p.tobytes() + g for p, g in zip(pieces, garbage + [b""]))
+
+
+def random_reads(wire, seed, max_read):
+    """``wire`` cut into consecutive reads of 1 to ``max_read`` bytes."""
+    rng = np.random.default_rng(seed)
+    ends = np.cumsum(rng.integers(1, max_read + 1, size=len(wire) + 1))
+    ends = np.append(ends[ends < len(wire)], len(wire))
+    return [wire[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
+
+
+class TestFeedSamples:
+    """PacketParser.feed_samples over random reads against one-shot
+    packets_to_samples, the reference scanner, and feed on the same reads."""
+
+    @staticmethod
+    def wires():
+        yield acceptance_six_corpus()[2]
+        live = live_style_wire(seed=21)
+        assert reference_scan(live)[1] > 100
+        yield live
+        for _, wire in zip(range(40), mutated_streams(seed=22)):
+            yield wire
+
+    @pytest.mark.parametrize("max_read", [9, 700, 70_000])
+    def test_random_reads_match_one_shot_and_feed(self, max_read):
+        for seed, wire in enumerate(self.wires()):
+            bulk, scalar = PacketParser(), PacketParser()
+            parts = [np.empty(0, dtype=np.int32)]
+            for read in random_reads(wire, seed, max_read):
+                parts.append(bulk.feed_samples(read))
+                scalar.feed(read)
+                assert parts[-1].dtype == np.int32
+                assert (bulk.corrupt_frames, bulk.packets_emitted, bulk._pending) == \
+                    (scalar.corrupt_frames, scalar.packets_emitted, scalar._pending)
+            packets, corrupt, rest = reference_scan_with_rest(wire)
+            whole, one_shot_corrupt = packets_to_samples(wire)
+            assert np.concatenate(parts).tolist() == whole.tolist() == \
+                [v for _, v in packets if v is not None]
+            assert (bulk.corrupt_frames, bulk.packets_emitted, bulk._pending) == \
+                (corrupt, len(packets), rest)
+            assert one_shot_corrupt == corrupt
+
+    def test_feed_and_feed_samples_mix_on_one_parser(self):
+        for seed, wire in enumerate(self.wires()):
+            rng = np.random.default_rng(seed)
+            parser = PacketParser()
+            values = []
+            for read in random_reads(wire, seed, 300):
+                if rng.random() < 0.5:
+                    values += parser.feed_samples(read).tolist()
+                else:
+                    values += [p.raw_value for p in parser.feed(read)
+                               if p.raw_value is not None]
+            packets, corrupt, rest = reference_scan_with_rest(wire)
+            assert values == [v for _, v in packets if v is not None]
+            assert (parser.corrupt_frames, parser.packets_emitted, parser._pending) == \
+                (corrupt, len(packets), rest)
+
+
 def every_canonical_frame():
     """The canonical raw frame of each of the 65536 hi, lo pairs, with a
     valid checksum, in value order from 0."""

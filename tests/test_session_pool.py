@@ -1,6 +1,6 @@
 """Session CSVs read one after another by the calling process: the
-sessions, the order of errors, the ``loaded session`` log lines, and no
-process started.
+sessions, the order of errors, the ``loaded session`` log lines, no
+process started, and no descriptor left open by a load or a ``stream``.
 """
 
 import dataclasses
@@ -17,7 +17,8 @@ import pytest
 import driveguard
 from driveguard import cli
 from driveguard.model import TrialSplitError
-from driveguard.protocol import SessionFormatError, read_session, write_session
+from driveguard.protocol import (SessionFormatError, checksum, read_session,
+                                 session_to_packets, write_session)
 from driveguard.synth import GeneratorSpec, generate_benchmark_suite, generate_session
 
 SRC = str(Path(driveguard.__file__).resolve().parents[1])
@@ -94,16 +95,16 @@ class TestErrors:
         missing = str(tmp_path / "missing.csv")
         good = suite[:3]  # Base, Read and Text of one subject
         no_base = "CalibrationError: calibration needs at least one Base session"
-        # the ids ending in "in-worker" put the failing path in the last
-        # half of the paths, "before-worker" in the first
+        # the ids ending in "late" put the failing path in the last half of
+        # the paths, "early" in the first
         return {
             "read-error-after-feature-error": (
                 ["features", short, good[0], good[1], bad_csv], "SessionFormatError", 3),
-            "read-error-after-feature-error-in-worker": (
+            "read-error-after-feature-error-late": (
                 ["features", good[0], good[1], short, bad_csv], "SessionFormatError", 3),
-            "feature-error-in-worker": (
+            "feature-error-late": (
                 ["features", good[0], good[1], short, good[2]], "TrialSplitError", 4),
-            "feature-error-before-worker": (
+            "feature-error-early": (
                 ["train-eval", good[0], short, good[1], good[2], "--k", "2"],
                 "TrialSplitError", 4),
             "bad-csv-first": (["features", good[0], bad_csv, good[1], bad_suffix],
@@ -130,8 +131,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("case", [
         "bad-csv-first", "bad-suffix-first", "base-and-distraction",
-        "read-error-after-feature-error", "read-error-after-feature-error-in-worker",
-        "feature-error-in-worker", "feature-error-before-worker",
+        "read-error-after-feature-error", "read-error-after-feature-error-late",
+        "feature-error-late", "feature-error-early",
         "calibrate-read-error-before-bad-window", "calibrate-labels-before-bad-window",
         "calibrate-labels-before-bad-hop", "calibrate-no-windows"])
     def test_same_error_and_log_on_both_routes(self, suite, tmp_path, capsys, caplog,
@@ -177,6 +178,50 @@ def test_no_descriptor_or_worker_left(suite, tmp_path, monkeypatch, case, error)
         with pytest.raises(error):
             load(paths)
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def interrupt_third_block(feed_block):
+    """``feed_block``, interrupted on its third call."""
+    calls = []
+
+    def feed(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return feed_block(*args)
+    return feed
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("case, status", [
+    ("streams", 0), ("error-in-a-later-read", 2), ("interrupt", KeyboardInterrupt),
+    ("unwritable-trace", 2),
+])
+def test_stream_leaves_no_descriptor(tmp_path, monkeypatch, capsys, case, status):
+    # 12 s of packets, read 1 s at a time, streamed with --trace
+    monkeypatch.setattr(cli, "READ_CHUNK_BYTES", 4096)
+    wire = bytearray(session_to_packets(generate_session(GeneratorSpec(seed=1, duration_s=12.0))))
+    trace = tmp_path / "trace.csv"
+    if case == "error-in-a-later-read":
+        payload = bytes([0x80, 0x02, 0x0B, 0xB8])  # 3000, beyond the ADC range
+        wire[8 * 5000:8 * 5001] = b"\xaa\xaa\x04" + payload + bytes([checksum(payload)])
+    elif case == "interrupt":
+        monkeypatch.setattr(cli, "feed_block", interrupt_third_block(cli.feed_block))
+    elif case == "unwritable-trace":
+        trace = tmp_path / "no-such-dir" / "trace.csv"
+    path = tmp_path / "s.bin"
+    path.write_bytes(wire)
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"subject_id": "s", "band_thresholds": {"beta": 1.0}}))
+    argv = ["stream", str(path), "--profile", str(profile), "--trace", str(trace)]
+    before = sorted(os.listdir("/proc/self/fd"))
+    if isinstance(status, int):
+        assert cli.main(argv) == status
+    else:
+        with pytest.raises(status):
+            cli.main(argv)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert trace.exists() == (case != "unwritable-trace")
 
 
 def run_python(code, *argv, **env):
