@@ -428,6 +428,13 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     a line break, is read line by line by ``_convert_lines``, which gives
     every error message. All three give the values of Python's ``float``
     and ``int``.
+
+    Timestamps are stored from the first block that leaves the grid
+    route, with the rows before it filled in as their grid times, and
+    only a read that stores them checks them (``_check_timestamps``):
+    grid times pass those checks by construction. A file read on the grid
+    route throughout makes no timestamp array, and its read peaks
+    (tracemalloc) at about 1.6 times the file's size.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
@@ -464,14 +471,19 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         pos = stop
     # words[i] is bytes i to i + 7 of data, read in place
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    t = np.empty(n)
+    t = None  # made when a block leaves the grid route
     raw = np.empty((len(channels), n), dtype=np.int32)
     grid = len(channels) == 1 and _grid_start(data, blocks[0][0], n, fs)
     row = 0
     for pos, stop in blocks:
-        m = data.endswith(b"\n", pos, stop) and (
-            grid and _grid_block(data, words, pos, stop, t, raw, row, grid)
-            or _fixed_point_block(data, words, pos, stop, t, raw, row))
+        plain = data.endswith(b"\n", pos, stop)
+        m = plain and grid and _grid_block(data, words, pos, stop, t, raw, row, grid)
+        if not m:
+            if t is None:
+                t = np.empty(n)
+                if row:  # every row so far was read on the grid
+                    t[:row] = np.arange(grid[0], grid[0] + row) / fs
+            m = plain and _fixed_point_block(data, words, pos, stop, t, raw, row)
         if not m:
             # a cell read line by line may lie beyond int32, and the range
             # check below must report its value
@@ -481,6 +493,30 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         row += m
     del data, words  # freed before the checks below allocate
 
+    if t is not None:
+        _check_timestamps(csv_path, t, fs)
+    # the first value outside the ADC range in file order (lines, then
+    # channels), found before the cast to int32 below, which would wrap
+    # int64 values read line by line
+    bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
+    if bad.size:
+        i, c = divmod(int(bad[0]), len(channels))
+        first = int(raw[c, i])
+        check_adc_range(first, first, SessionFormatError,
+                        f"{csv_path} line {i + 2}: raw sample")
+
+    return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
+
+
+def _check_timestamps(csv_path, t, fs):
+    """Raise SessionFormatError for the first bad timestamp ``t`` of the
+    sample lines of ``csv_path``: a start below 0, a value that is not
+    finite, or a spacing more than TIMESTAMP_TOLERANCE_S off ``1 / fs``.
+
+    Grid times ``g / fs`` for whole samples ``0 <= g < _GRID_END_S * fs``
+    pass at every ``Device`` rate, which is why a read that stays on the
+    grid route has no timestamps to check.
+    """
     if not t[0] >= 0:
         raise SessionFormatError(f"{csv_path}: start timestamp {t[0]} is not >= 0")
     bad = np.flatnonzero(~np.isfinite(t))
@@ -498,17 +534,6 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
             f"1/{fs} s by {deviation[bad[0]]:.3e} s "
             f"(tolerance {TIMESTAMP_TOLERANCE_S:.0e})"
         )
-    # the first value outside the ADC range in file order (lines, then
-    # channels), found before the cast to int32 below, which would wrap
-    # int64 values read line by line
-    bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
-    if bad.size:
-        i, c = divmod(int(bad[0]), len(channels))
-        first = int(raw[c, i])
-        check_adc_range(first, first, SessionFormatError,
-                        f"{csv_path} line {i + 2}: raw sample")
-
-    return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
 
 
 def _grid_start(data, pos, n, fs):
@@ -551,10 +576,11 @@ def _grid_start(data, pos, n, fs):
 
 def _grid_block(data, words, pos, stop, t, raw, row, grid):
     """Store the lines of ``data[pos:stop]``, which ends in a line break, as
-    samples ``row`` onwards of ``t`` and the one channel of ``raw``, and
-    return their count; 0 unless each line is the timestamp
-    ``write_session`` writes for its sample on ``grid`` (``_grid_start``),
-    a comma and a raw cell of an optional minus and 1 to 8 digits.
+    samples ``row`` onwards of ``t`` (unless it is None) and the one
+    channel of ``raw``, and return their count; 0 unless each line is the
+    timestamp ``write_session`` writes for its sample on ``grid``
+    (``_grid_start``), a comma and a raw cell of an optional minus and 1
+    to 8 digits.
 
     Only the line breaks are searched for. Line i is grid sample
     ``g = g0 + row + i``, of second ``g // fs``; its comma must stand the
@@ -605,7 +631,8 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     values = cells.astype(np.int32)
     values *= 1 - 2 * neg
     raw[0, row:row + m] = values
-    t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
+    if t is not None:
+        t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
     return m
 
 

@@ -1450,6 +1450,11 @@ def shift_to_sample(csv, g0, fs):
     csv.write_text("\n".join(lines))
 
 
+def timestamps(lines):
+    """``float`` of the timestamp of each sample line in ``lines``."""
+    return [float(line.split(",")[0]) for line in lines]
+
+
 def nanoseconds_plus(time, delta):
     """A ``%.9f`` timestamp text ``delta`` nanoseconds later."""
     ns = int(time.replace(".", "")) + delta
@@ -1504,7 +1509,8 @@ class TestGridRoute:
         calls = route["calls"]
         assert len(calls) == len(starts) + 1
         assert all(name == "grid" and m for name, _, m in calls)
-        assert route["samples"][0].tolist() == [(g0 + i) / fs for i in range(session.n_samples)]
+        # a read that stays on the grid route stores no timestamps
+        assert route["samples"][0] is None
 
     @pytest.mark.parametrize("fs", [512, 128])
     def test_blocks_of_the_shortest_lines(self, tmp_path, monkeypatch, fs):
@@ -1581,10 +1587,79 @@ class TestGridRoute:
             mutated[at] = GRID_EDITS[edit](line, t, r)
             csv.write_text("\n".join(mutated) + "\n")
             assert_matches_oracle(csv, man, fs)
+            route["calls"].clear()
             if isinstance(read_outcome(read_session, csv, man), SubjectSession):
-                # accepted: t holds float of each timestamp
-                assert route["samples"][0].tolist() == [float(x.split(",")[0])
-                                               for x in mutated[1:]], at
+                # accepted: t holds float of each timestamp once the read
+                # leaves the grid route, and is never made if it does not
+                t = route["samples"][0]
+                if all(name == "grid" for name, _, _ in route["calls"]):
+                    assert t is None, at
+                else:
+                    assert t.tolist() == timestamps(mutated[1:]), at
+
+
+# edits of one line that send its block off the grid route, with the
+# tries of the other routes that then read the block
+FIXED_POINT = [("fixed_point", True)]
+LINES = [("fixed_point", False), ("lines", True)]
+LEAVE_GRID_EDITS = {
+    "%.6f-time": (lambda line, t, r: replace_time(line, f"{float(t):.6f}"), FIXED_POINT),
+    "shortest-time": (lambda line, t, r: replace_time(line, str(float(t))), FIXED_POINT),
+    "plus-raw": (lambda line, t, r: replace_raw(line, "+" + r.lstrip("-")), LINES),
+    "late-within-tolerance": (lambda line, t, r: replace_time(line, nanoseconds_plus(t, 900)),
+                              FIXED_POINT),
+    "late": (lambda line, t, r: replace_time(line, nanoseconds_plus(t, 1100)), FIXED_POINT),
+    "early": (lambda line, t, r: replace_time(line, nanoseconds_plus(t, -1100)), FIXED_POINT),
+    "inf-time": (lambda line, t, r: replace_time(line, "inf"), LINES),
+    "nan-time": (lambda line, t, r: replace_time(line, "nan"), LINES),
+}
+
+
+class TestLeavingTheGridRoute:
+    """Grid blocks, one block the grid route declines, then grid blocks
+    again: the timestamps made when the read leaves the grid route hold
+    the grid rows before it, and the checks cover them, so read_session
+    matches the per-line reader."""
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    @pytest.mark.parametrize("g0_seconds", [0, 100])
+    @pytest.mark.parametrize("edit", list(LEAVE_GRID_EDITS))
+    def test_grid_blocks_around_one_other_block(self, tmp_path, monkeypatch, fs,
+                                                g0_seconds, edit):
+        # 80 lines, about ten a block; the edit is on the third block's
+        # first line, which a shorter line may move to the second block
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 200)
+        g0 = max(g0_seconds * fs - 40, 0)
+        csv, man, _ = write_random_session(tmp_path, 80, 1, fs)
+        shift_to_sample(csv, g0, fs)
+        text = csv.read_text()
+        lines = text.split("\n")[:-1]
+        mutate, tries = LEAVE_GRID_EDITS[edit]
+        at = block_starts(text, 200)[1]
+        lines[at] = mutate(lines[at], *lines[at].split(","))
+        text = "\n".join(lines) + "\n"
+        csv.write_text(text)
+        starts = block_starts(text, 200)
+        i = bisect.bisect_right(starts, at)
+        assert 0 < i < len(starts)
+        assert_matches_oracle(csv, man, fs)
+        route = spy_routes(monkeypatch)
+        read_outcome(read_session, csv, man)
+        assert [(name, m > 0) for name, _, m in route["calls"]] == \
+            [("grid", True)] * i + [("grid", False)] + tries + \
+            [("grid", True)] * (len(starts) - i)
+        # every timestamp is stored, whether the read is accepted or not
+        assert np.array_equal(route["samples"][0], timestamps(lines[1:]), equal_nan=True)
+
+
+@pytest.mark.parametrize("device", list(Device))
+@pytest.mark.parametrize("start", ["first", "last"])
+def test_grid_times_pass_the_timestamp_checks(device, start):
+    # a read that stays on the grid route skips the timestamp checks: its
+    # times g / fs pass them from sample 0 to the last the grid allows
+    fs, n = device.fs_hz, 1 << 16
+    g0 = 0 if start == "first" else protocol._GRID_END_S * fs - n
+    protocol._check_timestamps("grid.csv", np.arange(g0, g0 + n) / fs, fs)
 
 
 def read_time(read, path):
@@ -1631,6 +1706,16 @@ class TestSessionCost:
         session, peak = self.peak_over_size(*long_csv)
         assert session.n_samples == 600 * 512
         assert peak <= 2.5
+
+    def test_peak_memory_on_the_grid_route(self, tmp_path):
+        # a generated 120 s recording as written, read on the grid route
+        # throughout, so no timestamp array is made
+        csv, man = tmp_path / "s.csv", tmp_path / "s.manifest.json"
+        write_session(generate_session(GeneratorSpec(seed=11, duration_s=120.0)),
+                      csv, man)
+        session, peak = self.peak_over_size(csv, man)
+        assert session.n_samples == 120 * 512
+        assert peak <= 1.8
 
     def test_peak_memory_is_bounded_off_grid(self, tmp_path, monkeypatch):
         # a generated 120 s recording, with the grid route declined so that

@@ -161,7 +161,7 @@ def interrupt_here(path):
     ("loads", None), ("bad-csv", SessionFormatError),
     ("interrupt", KeyboardInterrupt), ("work-error", TrialSplitError),
 ])
-def test_no_descriptor_or_worker_left(suite, tmp_path, monkeypatch, case, error):
+def test_load_leaves_no_descriptor(suite, tmp_path, monkeypatch, case, error):
     paths = suite[:4]
     load = cli._load_sessions
     if case == "bad-csv":
@@ -232,7 +232,7 @@ def run_python(code, *argv, **env):
                           capture_output=True, text=True, env=environ, timeout=120)
 
 
-def test_one_path_commands_load_no_pool_modules(suite, tmp_path):
+def test_commands_import_no_process_pool(suite, tmp_path):
     # no command starts a process or imports a pool, whether it reads one
     # session CSV or all ten of the suite
     profile = tmp_path / "profile.json"
