@@ -107,7 +107,6 @@ from .stream import (
     CalibrationProfile,
     CalibrationResult,
     DetectorState,
-    HopRecord,
     SequencingError,
     calibrate_thresholds,
     evaluate_profile,

@@ -69,6 +69,7 @@ from .stream import (
     replay_session,  # noqa: F401
     stream_channel,
     stream_session,  # noqa: F401
+    trace_line,
 )
 from .synth import BurstSpec, GeneratorSpec, PinkNoiseSpec, generate_session
 
@@ -428,7 +429,7 @@ def _cmd_stream(args):
                 print(alert.to_json())
             sys.stdout.flush()
             if args.trace:
-                trace.writelines(rec.csv_row() + "\n" for rec in hops)
+                trace.writelines(map(trace_line, hops.tolist()))
             rows += len(hops)
     if args.trace:
         log.info("wrote %d trace rows to %s", rows, args.trace)

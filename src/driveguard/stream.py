@@ -29,8 +29,8 @@ import numpy as np
 from .dsp import SCORE_STACK, band_power_rows, band_powers_from_samples  # noqa: F401
 from .errors import ParameterError, ValidationError
 from .index import di_rows, distraction_index  # noqa: F401
-from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, BandPowers, EegSample,
-                    SubjectSession, check_timestamp)
+from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, EegSample, SubjectSession,
+                    check_timestamp)
 from .protocol import json_number
 
 STREAM_FS_HZ = 512
@@ -137,7 +137,7 @@ class CalibrationProfile:
 
 
 # ---------------------------------------------------------------------------
-# events and per-hop trace records
+# events and hop rows
 
 
 @dataclass(frozen=True)
@@ -163,21 +163,16 @@ class AlertEvent:
         return json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class HopRecord:
-    """Band powers and DI for one evaluated window."""
-
-    t: float
-    powers: BandPowers
-    di: float | None
-
-    def csv_row(self) -> str:
-        vals = [f"{v:.9g}" for v in self.powers.as_tuple()]
-        di = "" if self.di is None else f"{self.di:.9g}"
-        return ",".join([f"{self.t:.9f}", *vals, di])
-
-
+# the columns of a trace: one row per hop, its end time and then its hop row
 TRACE_HEADER = "t_s,delta,theta,alpha,beta,gamma,di"
+
+
+def trace_line(hop) -> str:
+    """The CSV line of one trace row, in ``TRACE_HEADER``'s columns; the DI
+    cell is empty where the DI is undefined."""
+    t, *powers, di = hop
+    return ",".join([f"{t:.9f}", *(f"{v:.9g}" for v in powers),
+                     "" if math.isnan(di) else f"{di:.9g}"]) + "\n"
 
 
 def score_windows(windows, fs_hz: int) -> np.ndarray:
@@ -227,7 +222,7 @@ def _hop_alert(t: float, row, last_alert_t: float | None,
 
 
 class DetectorState:
-    """Single-owner detector memory: one window, the latest HopRecord, alert timing.
+    """Single-owner detector memory: one window, the latest hop, alert timing.
 
     ``_buf`` is one linear buffer of ``hop_n + win_n`` samples, of which
     the first ``_fill`` are written. The first window fills it from offset
@@ -236,7 +231,8 @@ class DetectorState:
     ``win_n`` samples move to the front and the next ``hop_n`` samples
     fill the rest, whether the hop is shorter or longer than the window.
     Feeding a sample is O(1) and each hop touches only the buffer.
-    ``_hops`` counts the hops taken.
+    ``_hops`` counts the hops taken, and ``last_hop`` is the latest one's
+    trace row as a 7-tuple (None before the first hop).
     """
 
     __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_fill",
@@ -264,7 +260,7 @@ def _judge(state: DetectorState, t: float, row):
     """Take hop row ``row`` of the window ending at ``t``, the hop boundary
     both feeding routes reach: replaces ``state.last_hop`` and returns the
     alert, if any."""
-    state.last_hop = HopRecord(t, BandPowers(*row[:5]), _row_di(row))
+    state.last_hop = (t, *row)
     alert = _hop_alert(t, row, state.last_alert_t, state.profile)
     if alert is not None:
         state.last_alert_t = t
@@ -313,14 +309,15 @@ def feed_block(state: DetectorState, raw, t0: float):
     block, before anything changes: ``t0`` must be finite, >= 0 and not
     precede the previous sample, the block must be 1-D, and the first raw
     value that ``EegSample`` rejects, in stream order, is reported as it
-    reports it. An empty block changes nothing. Returns ``(alerts, hops)``,
-    every HopRecord the block completed.
+    reports it. An empty block changes nothing. Returns ``(alerts, trace)``,
+    the trace row of every hop the block completed as a ``(hops, 7)`` array
+    in ``TRACE_HEADER``'s columns.
     """
     raw = np.asarray(raw)
     n = raw.size
-    alerts, hops = [], []
+    alerts = []
     if n == 0:
-        return alerts, hops
+        return alerts, np.empty((0, 7))
     check_timestamp(t0)
     if t0 < state._prev_t:
         raise SequencingError(f"sample at t={t0} precedes previous t={state._prev_t}")
@@ -338,27 +335,28 @@ def feed_block(state: DetectorState, raw, t0: float):
     buf, fill, hop_n, fs = state._buf, state._fill, state.hop_n, state.fs_hz
     samples = np.concatenate([buf[:fill], raw], dtype=buf.dtype, casting="unsafe")
     # the offsets in ``samples`` just past each hop the block completes
-    ends = range(buf.size, samples.size + 1, hop_n)
-    if ends:
-        windows = np.lib.stride_tricks.sliding_window_view(
-            samples[hop_n:ends[-1]], state.win_n)[::hop_n]
-        for end, row in zip(ends, score_windows(windows, fs).tolist()):
-            alert = _judge(state, t0 + (end - fill - 1) / fs, row)
-            hops.append(state.last_hop)
-            if alert is not None:
-                alerts.append(alert)
-    state._fill = keep = samples.size - len(ends) * hop_n
+    ends = np.arange(buf.size, samples.size + 1, hop_n)
+    trace = np.empty((ends.size, 7))
+    if ends.size:
+        trace[:, 0] = t0 + (ends - fill - 1) / fs
+        trace[:, 1:] = score_windows(np.lib.stride_tricks.sliding_window_view(
+            samples[hop_n:ends[-1]], state.win_n)[::hop_n], fs)
+    for t, *row in trace.tolist():
+        alert = _judge(state, t, row)
+        if alert is not None:
+            alerts.append(alert)
+    state._fill = keep = samples.size - ends.size * hop_n
     buf[:keep] = samples[-keep:]
-    state._hops += len(ends)
+    state._hops += ends.size
     state._prev_t = t0 + (n - 1) / fs
-    return alerts, hops
+    return alerts, trace
 
 
 def stream_samples(raw, profile: CalibrationProfile):
     """Feed raw ADC samples through a fresh detector, sample i at i / 512 s.
 
-    Returns ``(alerts, trace)``, the trace holding every HopRecord the
-    detector evaluated, as ``replay_session`` does.
+    Returns ``(alerts, trace)`` as ``feed_block`` does, the trace holding
+    a row for every hop the detector evaluated, as ``replay_session``'s does.
     """
     return feed_block(DetectorState(profile), raw, 0.0)
 
@@ -395,16 +393,16 @@ def replay_session(session: SubjectSession, profile: CalibrationProfile):
     """Score a stored session offline.
 
     Returns ``(alerts, trace)``: the same alert sequence that streaming
-    the samples through ``process_sample`` yields, plus a HopRecord for
-    every evaluated window.
+    the samples through ``process_sample`` yields, plus the trace row of
+    every evaluated window, a ``(hops, 7)`` array in ``TRACE_HEADER``'s
+    columns.
     """
     rows = _stored_rows(session, profile)
     win_n, hop_n = profile.sample_counts(session.fs_hz)
+    ends = np.arange(win_n, session.n_samples + 1, hop_n)
+    trace = np.column_stack([(ends - 1) / session.fs_hz, rows])
     alerts = []
-    trace = []
-    for end, row in zip(range(win_n, session.n_samples + 1, hop_n), rows.tolist()):
-        t = (end - 1) / session.fs_hz
-        trace.append(HopRecord(t, BandPowers(*row[:5]), _row_di(row)))
+    for t, *row in trace.tolist():
         alert = _hop_alert(t, row, alerts[-1].t if alerts else None, profile)
         if alert is not None:
             alerts.append(alert)
@@ -426,7 +424,10 @@ class CalibrationResult:
 
     ``ok`` is False when no threshold combination reached ``min_f1``;
     the profile then still carries the best thresholds found, and ``f1``
-    reports the best achievable window-level score.
+    reports the best achievable window-level score. ``n_windows`` rows
+    were searched, ``n_base`` of them Base and ``n_positive`` distraction;
+    ``f1_always_alert`` is the score of alerting on every window, 2/3
+    when both labels have rows, against which ``f1`` can be read.
     """
 
     ok: bool
@@ -434,6 +435,8 @@ class CalibrationResult:
     profile: CalibrationProfile
     n_windows: int
     n_positive: int
+    n_base: int
+    f1_always_alert: float
     note: str | None = None
 
     def to_dict(self) -> dict:
@@ -456,9 +459,18 @@ def _hop_feature_rows(sessions, profile: CalibrationProfile):
     return np.concatenate(rows), np.concatenate(labels)
 
 
-def _f1(tp, fp, fn):
-    """F1 from integer true-positive, false-positive and false-negative
-    counts; 0 without a true positive."""
+def _f1(tp, fp, fn, truth):
+    """F1 from integer true-positive, false-positive and false-negative row
+    counts of a prediction of the labels ``truth``, with both labels
+    weighing the same whatever the ratio of recording lengths: each Base
+    row counts as many times as there are distraction rows, and each
+    distraction row as many times as there are Base rows (once if a label
+    has none), in integers. 0 without a true positive. With as many rows
+    of each label, every ratio is the unweighted F1's rational, so the
+    result is its double."""
+    n_distraction = int(np.count_nonzero(truth))
+    base, distraction = max(n_distraction, 1), max(truth.size - n_distraction, 1)
+    tp, fp, fn = distraction * tp, base * fp, distraction * fn
     with np.errstate(invalid="ignore"):  # 0/0 only where tp == 0
         precision = tp / (tp + fp)
         recall = tp / (tp + fn)
@@ -501,7 +513,7 @@ def _search_thresholds(rows, truth, use_di, max_candidates):
             if dim not in chosen and thrs.size:
                 gained = _count_above(rows[~best_pred & truth, dim], thrs)
                 fp = fp0 + _count_above(rows[~best_pred & ~truth, dim], thrs)
-                f1s = _f1(tp0 + gained, fp, fn0 - gained)
+                f1s = _f1(tp0 + gained, fp, fn0 - gained, truth)
                 i = np.flatnonzero(f1s == f1s.max())[-1]  # the highest threshold
                 steps.append((float(f1s[i]), float(thrs[i]), -dim))
         if not steps or max(steps)[0] <= best_f1 + 1e-12:
@@ -528,10 +540,15 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     F1 of the OR-combined predicate; ties break toward the higher threshold
     (fewer false alerts) and earlier criterion in canonical order. The
     search stops when no addition improves F1, so when none beats never
-    alerting the profile has no criteria.
+    alerting the profile has no criteria. The F1 weighs both labels
+    equally (``_f1``), so alerting on every window scores 2/3, below the
+    default ``min_f1``, however much longer the distraction recordings are
+    than the Base ones.
 
-    Needs at least one Base and one distraction session. A best F1 below
-    ``min_f1`` yields ``ok=False`` with the best thresholds found.
+    Needs at least one Base and one distraction session: a distraction
+    detector is calibrated on a Base recording and a recording of every
+    distraction task. A best F1 below ``min_f1`` yields ``ok=False`` with
+    the best thresholds found.
     """
     if max_candidates < 1:
         raise ParameterError(f"max_candidates must be >= 1, got {max_candidates}")
@@ -554,6 +571,7 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
                                  refractory_s=refractory_s,
                                  window_s=window_s, hop_s=hop_s)
     rows, truth = _hop_feature_rows(sessions, profile)
+    n_positive = int(np.count_nonzero(truth))
     chosen, best_f1 = _search_thresholds(rows, truth, use_di, max_candidates)
     di_threshold = chosen.pop(5, None)
     profile = replace(profile, di_threshold=di_threshold, band_thresholds={
@@ -561,17 +579,19 @@ def calibrate_thresholds(sessions, subject_id: str | None = None,
     ok = best_f1 >= min_f1
     note = None if ok else (
         f"no threshold combination reached F1 {min_f1:g}; best {best_f1:.4f}")
-    return CalibrationResult(ok=ok, f1=best_f1, profile=profile,
-                             n_windows=int(truth.size),
-                             n_positive=int(truth.sum()), note=note)
+    n_base = truth.size - n_positive
+    return CalibrationResult(
+        ok=ok, f1=best_f1, profile=profile, n_windows=truth.size, n_positive=n_positive,
+        n_base=n_base, f1_always_alert=float(_f1(n_positive, n_base, 0, truth)), note=note)
 
 
 def evaluate_profile(sessions, profile: CalibrationProfile):
     """Window-level F1 of a profile's crossing predicate on labeled sessions.
 
     Refractory suppression is ignored here: each hop window counts
-    independently as alert-vs-quiet against its session's label. A window
-    alerts as ``judge_hop`` decides, by the OR ``_search_thresholds`` builds.
+    independently as alert-vs-quiet against its session's label, both
+    labels weighted equally as in the search. A window alerts as
+    ``judge_hop`` decides, by the OR ``_search_thresholds`` builds.
     """
     rows, truth = _hop_feature_rows(sessions, profile)
     pred = np.zeros(truth.size, dtype=bool)
@@ -579,4 +599,5 @@ def evaluate_profile(sessions, profile: CalibrationProfile):
         pred |= rows[:, BAND_NAMES.index(band)] > thr
     if profile.di_threshold is not None:
         pred |= rows[:, 5] > profile.di_threshold  # False for NaN
-    return float(_f1(np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & truth)))
+    return float(_f1(np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & truth),
+                     truth))

@@ -19,7 +19,7 @@ import driveguard.stream
 from driveguard.cli import main
 from driveguard.protocol import (checksum, read_arff, session_to_packets,
                                  write_session)
-from driveguard.stream import TRACE_HEADER, CalibrationProfile, stream_samples
+from driveguard.stream import TRACE_HEADER, CalibrationProfile, stream_samples, trace_line
 from driveguard.synth import (BurstSpec, GeneratorSpec, PinkNoiseSpec,
                               generate_benchmark_suite, generate_session)
 from driveguard.dsp import band_powers_fft
@@ -724,8 +724,7 @@ class TestStreamReads:
         alerts, hops = stream_samples(values[:before],
                                       CalibrationProfile.from_json(Path(profile).read_text()))
         assert alerts and out == "".join(a.to_json() + "\n" for a in alerts)
-        assert trace.read_text() == "".join(
-            line + "\n" for line in [TRACE_HEADER, *(rec.csv_row() for rec in hops)])
+        assert trace.read_text() == TRACE_HEADER + "\n" + "".join(map(trace_line, hops.tolist()))
 
     @pytest.mark.parametrize("input_kind, error", [
         ("missing.bin", "CliError: cannot read packet stream"),

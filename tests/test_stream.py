@@ -19,11 +19,11 @@ from driveguard.stream import (
     CalibrationProfile,
     CalibrationResult,
     DetectorState,
-    HopRecord,
     SequencingError,
     STREAM_FS_HZ,
     TRACE_HEADER,
     _candidate_thresholds,
+    _hop_feature_rows,
     _search_thresholds,
     _stored_rows,
     calibrate_thresholds,
@@ -34,6 +34,7 @@ from driveguard.stream import (
     replay_session,
     stream_samples,
     stream_session,
+    trace_line,
 )
 from driveguard.synth import (BurstSpec, GeneratorSpec, PinkNoiseSpec,
                               generate_benchmark_suite, generate_session)
@@ -63,6 +64,14 @@ def synth_session(seed, task=TaskLabel.BASE, bursts=(), amp=10.0, dur=20.0,
 
 
 STRONG_BETA = (BurstSpec(band="beta", center_hz=22.0, rate_hz=3.0, gain=3.0),)
+
+
+def outputs(result):
+    """``(alerts, trace)`` as a comparable value: the alerts, then the trace
+    array's shape and bytes, so NaN DI cells compare equal bit for bit."""
+    alerts, trace = result
+    assert trace.dtype == np.float64 and trace.ndim == 2 and trace.shape[1] == 7
+    return alerts, trace.shape, trace.tobytes()
 
 
 class TestProfile:
@@ -156,7 +165,8 @@ class TestDetectorState:
         state = DetectorState(profile(), fs_hz=512.0)
         assert state.fs_hz == 512 and type(state.fs_hz) is int
         raw = np.arange(3 * FS) % 100
-        assert feed_block(state, raw, 0.0) == feed_block(DetectorState(profile()), raw, 0.0)
+        assert outputs(feed_block(state, raw, 0.0)) == \
+            outputs(feed_block(DetectorState(profile()), raw, 0.0))
 
     @pytest.mark.parametrize("fs", [-512, math.nan, math.inf])
     def test_rejects_rates_that_are_not_finite_and_positive(self, fs):
@@ -186,7 +196,8 @@ class TestDetectorState:
             if not hops or state.last_hop is not hops[-1]:
                 hops.append(state.last_hop)
         assert hops[0] is None
-        assert [h.t for h in hops[1:]] == [
+        assert all(type(h) is tuple and len(h) == 7 for h in hops[1:])
+        assert [h[0] for h in hops[1:]] == [
             (state.win_n + k * state.hop_n - 1) / FS for k in range(3)]
 
     def test_window_not_full_after_one_sample(self):
@@ -320,7 +331,8 @@ A5_PROFILE = CalibrationProfile(
 
 
 def fed_one_by_one(state, raw, t0=0.0):
-    """The per-sample route: ``process_sample`` on each sample, j at t0 + j / fs."""
+    """The per-sample route: ``process_sample`` on each sample, j at t0 + j / fs,
+    with its trace gathered from ``state.last_hop``."""
     alerts, hops = [], []
     for j, value in enumerate(np.asarray(raw).tolist()):
         before = state.last_hop
@@ -329,24 +341,25 @@ def fed_one_by_one(state, raw, t0=0.0):
             hops.append(state.last_hop)
         if alert is not None:
             alerts.append(alert)
-    return alerts, hops
+    return alerts, np.array(hops, dtype=np.float64).reshape(-1, 7)
 
 
 def fed_in_blocks(state, raw, sizes):
     """``feed_block`` over consecutive slices of ``raw`` with the given sizes."""
-    alerts, hops = [], []
+    alerts, traces = [], [np.empty((0, 7))]
     start = 0
     for size in sizes:
-        a, h = feed_block(state, raw[start:start + size], start / state.fs_hz)
+        a, trace = feed_block(state, raw[start:start + size], start / state.fs_hz)
         alerts += a
-        hops += h
+        traces.append(trace)
         start += size
     assert start == raw.size
-    return alerts, hops
+    return alerts, np.concatenate(traces)
 
 
 def state_of(state):
-    return (state.samples_seen, state._prev_t, state.last_hop,
+    last_hop = None if state.last_hop is None else np.array(state.last_hop).tobytes()
+    return (state.samples_seen, state._prev_t, last_hop,
             state.last_alert_t, state._fill, state._buf[:state._fill].tolist())
 
 
@@ -393,7 +406,7 @@ class TestFeedBlock:
                      "whole": lambda: [raw.size],
                      "random": lambda: random_sizes(raw.size, seed, 2 * win_n),
                      }[split]()
-            assert fed_in_blocks(state, raw, sizes) == (alerts, hops), seed
+            assert outputs(fed_in_blocks(state, raw, sizes)) == outputs((alerts, hops)), seed
             assert state_of(state) == final, seed
 
     def test_buffer_stores_values_as_feed_block_casts_them(self):
@@ -413,7 +426,7 @@ class TestFeedBlock:
             t0 = 3.3  # not a multiple of 1 / fs
             one = DetectorState(A5_PROFILE)
             block = DetectorState(A5_PROFILE)
-            assert feed_block(block, raw, t0) == fed_one_by_one(one, raw, t0)
+            assert outputs(feed_block(block, raw, t0)) == outputs(fed_one_by_one(one, raw, t0))
             assert state_of(block) == state_of(one)
 
     def test_routes_mix(self, a5_oracle):
@@ -422,7 +435,8 @@ class TestFeedBlock:
         cut = 2500
         head = fed_one_by_one(state, raw[:cut])
         tail = feed_block(state, raw[cut:], cut / FS)
-        assert (head[0] + tail[0], head[1] + tail[1]) == (alerts, hops)
+        assert outputs((head[0] + tail[0], np.concatenate([head[1], tail[1]]))) == \
+            outputs((alerts, hops))
         assert state_of(state) == final
 
     @pytest.mark.parametrize("hop_s", [1.0, 4.0, 5.0])
@@ -431,11 +445,11 @@ class TestFeedBlock:
         p = profile(window_s=4.0, hop_s=hop_s, refractory_s=hop_s)
         raw = np.concatenate([a5_oracle[5][0], a5_oracle[6][0]])
         one = DetectorState(p)
-        expected = fed_one_by_one(one, raw)
-        assert expected == replay_session(raw_session(raw), p)
+        expected = outputs(fed_one_by_one(one, raw))
+        assert expected == outputs(replay_session(raw_session(raw), p))
         for size in (1, 700, 3000, raw.size):
             block = DetectorState(p)
-            assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
+            assert outputs(fed_in_blocks(block, raw, split_sizes(raw.size, size))) == expected
             assert state_of(block) == state_of(one)
 
     def test_block_of_several_score_stacks(self):
@@ -447,11 +461,11 @@ class TestFeedBlock:
         assert len(hops) == 37 > SCORE_STACK
         alert_times = {a.t for a in alerts}
         # the alert at hop 30 suppresses hop 32, across the stacks' boundary
-        assert [i for i, h in enumerate(hops) if h.t in alert_times] == \
+        assert [i for i, t in enumerate(hops[:, 0].tolist()) if t in alert_times] == \
             list(range(0, 37, 3))
         for sizes in ([raw.size], [1000, raw.size - 1000], [5000, raw.size - 5000]):
             block = DetectorState(p)
-            assert fed_in_blocks(block, raw, sizes) == (alerts, hops), sizes
+            assert outputs(fed_in_blocks(block, raw, sizes)) == outputs((alerts, hops)), sizes
             assert state_of(block) == state_of(one)
 
     @pytest.mark.parametrize("sizes", [[700, 3000], [2047, 2], [1, 2600, 512, 513]])
@@ -459,7 +473,7 @@ class TestFeedBlock:
         raw, alerts, hops, final = a5_oracle[2]
         sizes = sizes + [raw.size - sum(sizes)]
         state = DetectorState(A5_PROFILE)
-        assert fed_in_blocks(state, raw, sizes) == (alerts, hops)
+        assert outputs(fed_in_blocks(state, raw, sizes)) == outputs((alerts, hops))
         assert state_of(state) == final
 
     @pytest.mark.parametrize("size", [1, 100, 1000, 3 * FS - 1])
@@ -467,11 +481,11 @@ class TestFeedBlock:
         p = profile(window_s=2.0, hop_s=3.0, refractory_s=3.0)
         raw = np.concatenate([a5_oracle[5][0], a5_oracle[6][0]])
         one = DetectorState(p)
-        expected = fed_one_by_one(one, raw)
-        assert len(expected[1]) == 5
-        assert expected == replay_session(raw_session(raw), p)
+        expected = outputs(fed_one_by_one(one, raw))
+        assert expected[1] == (5, 7)
+        assert expected == outputs(replay_session(raw_session(raw), p))
         block = DetectorState(p)
-        assert fed_in_blocks(block, raw, split_sizes(raw.size, size)) == expected
+        assert outputs(fed_in_blocks(block, raw, split_sizes(raw.size, size))) == expected
         assert state_of(block) == state_of(one)
 
     def test_empty_block_changes_nothing(self, a5_oracle):
@@ -479,7 +493,7 @@ class TestFeedBlock:
         state = DetectorState(A5_PROFILE)
         feed_block(state, raw[:3000], 0.0)
         before = state_of(state)
-        assert feed_block(state, raw[:0], 3000 / FS) == ([], [])
+        assert outputs(feed_block(state, raw[:0], 3000 / FS)) == ([], (0, 7), b"")
         assert state_of(state) == before
 
     def test_first_out_of_range_value_in_stream_order(self):
@@ -584,7 +598,7 @@ class TestStreamCost:
             best = min(best, time.perf_counter() - start)
         assert best < 0.25
         session = raw_session(raw)
-        assert (alerts, trace) == replay_session(session, p)
+        assert outputs((alerts, trace)) == outputs(replay_session(session, p))
         assert len(trace) == 597
 
 
@@ -592,14 +606,13 @@ class TestReplay:
     def test_trace_schedule(self):
         session = synth_session(1)
         _, trace = replay_session(session, profile())
-        assert len(trace) == 17  # ends 4..20 s on 1 s hops
-        assert trace[0].t == (4 * FS - 1) / FS
-        assert trace[-1].t == (20 * FS - 1) / FS
+        assert trace.shape == (17, 7)  # ends 4..20 s on 1 s hops
+        assert trace[0, 0] == (4 * FS - 1) / FS
+        assert trace[-1, 0] == (20 * FS - 1) / FS
 
     def test_short_session_yields_nothing(self):
         session = raw_session(np.zeros(2 * FS, dtype=np.int32))
-        alerts, trace = replay_session(session, profile())
-        assert alerts == [] and trace == []
+        assert outputs(replay_session(session, profile())) == ([], (0, 7), b"")
 
     def test_infinite_thresholds_trace_only(self):
         session = synth_session(2, dur=8.0)
@@ -612,12 +625,15 @@ class TestReplay:
         session = synth_session(2, dur=8.0)
         _, trace = replay_session(session, profile())
         assert TRACE_HEADER == "t_s,delta,theta,alpha,beta,gamma,di"
-        row = trace[0].csv_row()
-        cells = row.split(",")
+        row = trace_line(trace[0].tolist())
+        assert row.endswith("\n")
+        cells = row[:-1].split(",")
         assert len(cells) == 7
-        assert float(cells[0]) == trace[0].t
-        undefined = HopRecord(t=1.0, powers=trace[0].powers, di=None)
-        assert undefined.csv_row().endswith(",")
+        assert float(cells[0]) == trace[0, 0]
+        assert cells[0] == f"{trace[0, 0]:.9f}"
+        assert cells[1:] == [f"{v:.9g}" for v in trace[0, 1:].tolist()]
+        undefined = [1.0, *trace[0, 1:6].tolist(), math.nan]
+        assert trace_line(undefined).endswith(",\n")
 
     def test_rejects_wrong_rate_or_channels(self):
         slow = raw_session(np.zeros(1024, dtype=np.int32), fs=128)
@@ -652,12 +668,14 @@ class TestReplay:
             replayed, replayed_trace = replay_session(session, p)
             assert [a.to_dict() for a in streamed] == \
                 [a.to_dict() for a in replayed]
-            assert streamed_trace == replayed_trace
+            assert streamed_trace.tobytes() == replayed_trace.tobytes()
 
 
 def per_window_hop_trace(session, p):
-    """A HopRecord per window of a stored session, each window scored on
-    its own: the oracle for the stacked rows of ``_stored_rows``."""
+    """The trace of a stored session with each window cut and scored on its
+    own, a row of end time, band powers and DI (NaN where undefined): the
+    oracle for the stacked rows of ``_stored_rows`` and for both routes'
+    trace arrays."""
     data = session.raw[0]
     win_n, hop_n = p.sample_counts(session.fs_hz)
     trace = []
@@ -666,14 +684,9 @@ def per_window_hop_trace(session, p):
         try:
             di = distraction_index(powers)
         except UndefinedIndexError:
-            di = None
-        trace.append(HopRecord(t=(end - 1) / session.fs_hz, powers=powers, di=di))
-    return trace
-
-
-def trace_rows(trace):
-    """The hop rows a trace holds: five band powers, then DI or NaN."""
-    return [[*h.powers.as_tuple(), math.nan if h.di is None else h.di] for h in trace]
+            di = math.nan
+        trace.append([(end - 1) / session.fs_hz, *powers.as_tuple(), di])
+    return np.array(trace, dtype=np.float64).reshape(-1, 7)
 
 
 class TestStoredRows:
@@ -688,8 +701,8 @@ class TestStoredRows:
         want = per_window_hop_trace(session, p)
         rows = _stored_rows(session, p)
         assert rows.shape == (len(want), 6)
-        assert np.array_equal(rows, trace_rows(want), equal_nan=True)
-        assert replay_session(session, p)[1] == want
+        assert np.array_equal(rows, want[:, 1:], equal_nan=True)
+        assert np.array_equal(replay_session(session, p)[1], want, equal_nan=True)
 
     def test_zero_windows_and_odd_length(self):
         rng = np.random.default_rng(8)
@@ -698,13 +711,59 @@ class TestStoredRows:
         session = raw_session(data)
         p = profile(window_s=1025 / FS, hop_s=0.5)  # an odd window length
         want = per_window_hop_trace(session, p)
-        assert want[0].di is None and want[0].powers.as_tuple() == (0.0,) * 5
-        assert want[-1].di is not None
+        assert math.isnan(want[0, 6]) and want[0, 1:6].tolist() == [0.0] * 5
+        assert not math.isnan(want[-1, 6])
         rows = _stored_rows(session, p)
         assert math.isnan(rows[0, 5])
-        assert np.array_equal(rows, trace_rows(want), equal_nan=True)
-        assert replay_session(session, p)[1] == want
-        assert stream_session(session, p)[1] == want
+        assert np.array_equal(rows, want[:, 1:], equal_nan=True)
+        assert np.array_equal(replay_session(session, p)[1], want, equal_nan=True)
+        assert np.array_equal(stream_session(session, p)[1], want, equal_nan=True)
+
+
+class TestTraceArray:
+    """Every route returns one float64 ``(hops, 7)`` trace array, and the
+    streamed traces are replay's bit for bit, NaN DI cells included."""
+
+    @staticmethod
+    def with_undefined_di():
+        # the windows ending at 9..12 s hold only zeros: no power, no DI
+        data = np.random.default_rng(41).integers(-300, 300, size=20 * FS)
+        data[5 * FS:12 * FS] = 0
+        return raw_session(data)
+
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    def test_stream_and_replay_traces_are_bit_identical(self, seed):
+        session = (self.with_undefined_di() if seed == 0 else
+                   synth_session(seed, TaskLabel.TEXT, STRONG_BETA))
+        p = profile(band_thresholds={"beta": 2.0}, di_threshold=5.0)
+        replayed = replay_session(session, p)
+        want, trace = outputs(replayed), replayed[1]
+        assert np.isnan(trace[:, 6]).any() == (seed == 0)
+        assert np.array_equal(trace, per_window_hop_trace(session, p), equal_nan=True)
+        raw = session.raw[0]
+        routes = {"stream_session": stream_session(session, p),
+                  "stream_samples": stream_samples(raw, p),
+                  "process_sample": fed_one_by_one(DetectorState(p), raw)}
+        for k in range(6):
+            sizes = random_sizes(raw.size, 10 * seed + k, 3 * FS)
+            routes[f"split {k}"] = fed_in_blocks(DetectorState(p), raw, sizes)
+        for route, got in routes.items():
+            assert outputs(got) == want, route
+
+    def test_last_hop_is_the_last_trace_row(self):
+        session = self.with_undefined_di()
+        state = DetectorState(profile())
+        _, trace = feed_block(state, session.raw[0][:11 * FS], 0.0)
+        assert math.isnan(state.last_hop[6])
+        assert np.array(state.last_hop).tobytes() == trace[-1].tobytes()
+
+    @pytest.mark.parametrize("n", [4 * FS - 1, 4 * FS, 5 * FS - 1, 5 * FS, 20 * FS + 3])
+    def test_length_is_the_hop_count(self, n):
+        # perfbench counts replay's hops as len(replay_session(...)[1])
+        session = raw_session(np.zeros(n, dtype=np.int32))
+        hops = max(0, (n - 4 * FS) // FS + 1)
+        assert len(replay_session(session, profile())[1]) == hops
+        assert len(stream_session(session, profile())[1]) == hops
 
 
 class TestJudgeHop:
@@ -768,11 +827,17 @@ class TestAlertEvent:
                      "observed": {"beta": 3.2, "di": 6.0}, "severity": 6.0}
 
 
-def scalar_f1(pred, truth):
-    """F1 of one prediction, in Python integers and floats."""
+def scalar_f1(pred, truth, weighted=True):
+    """F1 of one prediction, in Python integers and floats. Weighted, each
+    label's rows count as many times as the other label has rows (at least
+    once), so both labels weigh the same."""
     tp = int(np.sum(pred & truth))
     fp = int(np.sum(pred & ~truth))
     fn = int(np.sum(~pred & truth))
+    if weighted:
+        n_pos = int(np.sum(truth))
+        n_neg = truth.size - n_pos
+        tp, fp, fn = max(n_neg, 1) * tp, max(n_pos, 1) * fp, max(n_neg, 1) * fn
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -780,13 +845,14 @@ def scalar_f1(pred, truth):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def per_candidate_search(rows, truth, use_di, max_candidates):
+def per_candidate_search(rows, truth, use_di, max_candidates, weighted=True):
     """The greedy search scoring one candidate at a time: the oracle for
-    ``_search_thresholds``."""
+    ``_search_thresholds``, and unweighted, the search before both labels
+    were weighted equally."""
     dims = list(range(6)) if use_di else list(range(5))
     chosen = {}
     best_pred = np.zeros(truth.size, dtype=bool)
-    best_f1 = scalar_f1(best_pred, truth)
+    best_f1 = scalar_f1(best_pred, truth, weighted)
     while True:
         step_best = None
         for dim in dims:
@@ -795,7 +861,7 @@ def per_candidate_search(rows, truth, use_di, max_candidates):
             col = rows[:, dim]
             for thr in _candidate_thresholds(col, max_candidates):
                 pred = best_pred | (col > thr)
-                f1 = scalar_f1(pred, truth)
+                f1 = scalar_f1(pred, truth, weighted)
                 key = (f1, thr)
                 if step_best is None or key > step_best[0]:
                     step_best = (key, dim, thr, pred)
@@ -913,7 +979,6 @@ class TestCalibration:
         assert "best" in result.note
 
     def test_greedy_at_least_as_good_as_single_dim_sweep(self):
-        from driveguard.stream import _hop_feature_rows
         train = [synth_session(1, TaskLabel.BASE),
                  synth_session(2, TaskLabel.TEXT, STRONG_BETA)]
         rows, truth = _hop_feature_rows(train, profile(window_s=4.0, hop_s=1.0))
@@ -996,3 +1061,75 @@ class TestCalibration:
         short = [raw_session(np.zeros(FS, dtype=np.int32))]
         with pytest.raises(CalibrationError):
             evaluate_profile(short, profile())
+
+
+def suite_by_subject(seed, epsilon=1.0):
+    """Each subject's five 120 s recordings of a benchmark suite."""
+    by_subject = {}
+    for session in generate_benchmark_suite(seed, n_subjects=4, trials_per_task=30,
+                                            epsilon=epsilon):
+        by_subject.setdefault(session.subject_id, []).append(session)
+    return by_subject
+
+
+class TestEqualLabelWeights:
+    """Calibration and ``evaluate_profile`` weigh Base and distraction
+    windows equally, however the recording lengths compare."""
+
+    def test_noise_cannot_calibrate(self):
+        # one Base and four distraction recordings: counted a row at a time,
+        # alerting on every window scored F1 0.889 and passed
+        for subject, sessions in suite_by_subject(11, epsilon=0.0).items():
+            result = calibrate_thresholds(sessions)
+            assert not result.ok, subject
+            assert result.f1 < 0.75
+            assert (result.n_base, result.n_positive, result.n_windows) == (117, 468, 585)
+            assert result.f1_always_alert == 2 / 3
+            always = profile(subject_id=subject, band_thresholds={"delta": 1e-12})
+            assert evaluate_profile(sessions, always) == 2 / 3
+
+    def test_held_out_profile_alerts_on_tasks_not_on_base(self):
+        # calibrated on seed 11's five recordings of a subject, scored on
+        # seed 37's: 0-5.1 % of Base windows and 88-100 % of each task's
+        # windows alert, for the four subjects
+        held_out = suite_by_subject(37)
+        for subject, sessions in suite_by_subject(11).items():
+            result = calibrate_thresholds(sessions)
+            assert result.ok, subject
+            for session in held_out[subject]:
+                rows = _stored_rows(session, result.profile).tolist()
+                share = np.mean([bool(judge_hop(row, result.profile)[0]) for row in rows])
+                if session.task.is_distraction:
+                    assert share >= 0.85, (subject, session.task)
+                else:
+                    assert share <= 0.10, subject
+
+    def test_equal_length_pairs_match_the_unweighted_search(self):
+        # equal label counts scale every F1's terms alike, so the weighted
+        # search picks the unweighted search's thresholds and F1 to the bit
+        for subject, sessions in suite_by_subject(11).items():
+            base = sessions[0]
+            assert base.task is TaskLabel.BASE
+            for other in sessions[1:]:
+                rows, truth = _hop_feature_rows([base, other], profile())
+                chosen, f1 = per_candidate_search(rows, truth, True, 32, weighted=False)
+                assert chosen
+                result = calibrate_thresholds([base, other])
+                assert result.f1 == f1
+                assert result.profile.di_threshold == chosen.pop(5, None)
+                assert list(result.profile.band_thresholds.items()) == [
+                    (BAND_NAMES[col], thr) for col, thr in chosen.items()]
+
+    def test_balanced_tables_match_the_unweighted_search(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            rows, _ = random_hop_table(rng)
+            n = len(rows) // 2 * 2
+            if n == 0:
+                continue
+            rows = rows[:n]
+            truth = rng.permutation(np.arange(n) < n // 2)
+            want = per_candidate_search(rows, truth, True, 32, weighted=False)
+            got = _search_thresholds(rows, truth, True, 32)
+            assert list(got[0].items()) == list(want[0].items())
+            assert got[1] == want[1]
