@@ -9,6 +9,7 @@ less than they shift absolute powers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,19 @@ def distraction_index(bp: BandPowers) -> float:
         v = getattr(bp, band)
         if not v > 0.0:
             raise UndefinedIndexError(band, v)
-    return float(di_rows([bp.as_tuple()])[0])
+    return float(di_value(bp.as_tuple()))
+
+
+def di_value(powers) -> float:
+    """The DI of one row of five band powers, as ``di_rows`` gives it for
+    that row: the same three divisions and two sums in the same order, each
+    denominator that is not > 0 replaced by NaN. The two agree bit for bit
+    unless a power is itself a NaN with its sign bit set, which may flip
+    the sign of a NaN result."""
+    _, theta, alpha, beta, gamma = powers
+    nan = math.nan
+    return (theta / (alpha if alpha > 0.0 else nan) + alpha / (beta if beta > 0.0 else nan)
+            + beta / (gamma if gamma > 0.0 else nan))
 
 
 def di_rows(powers) -> np.ndarray:

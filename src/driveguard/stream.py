@@ -10,9 +10,13 @@ The detector keeps only the current window and its latest hop, so
 arbitrarily long streams run in constant space. ``replay_session`` cuts
 the same windows directly from a stored session array and must produce
 identical alerts and hop trace; tests rely on the two routes cutting
-windows independently. Both score windows with ``score_windows`` and judge
-rows with ``judge_hop``, whose rule calibration searches over and
-``evaluate_profile`` scores.
+windows independently. The block routes (``feed_block``, ``replay_session``
+and calibration) score stacks of windows with ``score_windows``; the
+per-sample route scores its hop's one window with ``band_power_rows`` and
+the scalar ``di_value``, which give that window ``score_windows``' row bit
+for bit. Every route judges rows with ``judge_hop``, whose rule calibration
+searches over and ``evaluate_profile`` scores, and checks the refractory
+period first, so a hop it suppresses is never judged.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 # stream.distraction_index, so keep both imported
 from .dsp import SCORE_STACK, band_power_rows, band_powers_from_samples  # noqa: F401
 from .errors import ParameterError, ValidationError
-from .index import di_rows, distraction_index  # noqa: F401
+from .index import di_rows, di_value, distraction_index  # noqa: F401
 from .model import (ADC_MAX, ADC_MIN, BAND_NAMES, EegSample, SubjectSession,
                     check_timestamp)
 from .protocol import json_number
@@ -208,11 +212,13 @@ def judge_hop(row, profile: CalibrationProfile):
 
 def _hop_alert(t: float, row, last_alert_t: float | None,
                profile: CalibrationProfile):
-    """The alert that hop row ``row`` at ``t`` raises, or None: no alert, or
-    within the refractory period since ``last_alert_t``."""
+    """The alert that hop row ``row`` at ``t`` raises, or None: within the
+    refractory period since ``last_alert_t``, checked before the row is
+    judged, or no alert."""
+    if last_alert_t is not None and t - last_alert_t < profile.refractory_s - 1e-9:
+        return None
     trigger, observed = judge_hop(row, profile)
-    if not trigger or (last_alert_t is not None
-                       and t - last_alert_t < profile.refractory_s - 1e-9):
+    if not trigger:
         return None
     return AlertEvent(t=t, trigger=trigger, observed=observed, severity=_row_di(row))
 
@@ -224,9 +230,9 @@ def _hop_alert(t: float, row, last_alert_t: float | None,
 class DetectorState:
     """Single-owner detector memory: one window, the latest hop, alert timing.
 
-    ``_buf`` is one linear buffer of ``hop_n + win_n`` samples, of which
-    the first ``_fill`` are written. The first window fills it from offset
-    ``hop_n``. A hop is due when the buffer is full, and its window is
+    ``_buf`` is one linear buffer of ``_size = hop_n + win_n`` samples, of
+    which the first ``_fill`` are written. The first window fills it from
+    offset ``hop_n``. A hop is due when the buffer is full, and its window is
     always the contiguous slice ``_buf[hop_n:]``; after it the last
     ``win_n`` samples move to the front and the next ``hop_n`` samples
     fill the rest, whether the hop is shorter or longer than the window.
@@ -235,7 +241,7 @@ class DetectorState:
     trace row as a 7-tuple (None before the first hop).
     """
 
-    __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_fill",
+    __slots__ = ("profile", "fs_hz", "win_n", "hop_n", "_buf", "_size", "_fill",
                  "_hops", "_prev_t", "last_hop", "last_alert_t")
 
     def __init__(self, profile: CalibrationProfile, fs_hz: int = STREAM_FS_HZ):
@@ -244,7 +250,8 @@ class DetectorState:
         self.win_n, self.hop_n = profile.sample_counts(fs_hz)
         self.profile = profile
         self.fs_hz = int(fs_hz)
-        self._buf = np.zeros(self.hop_n + self.win_n, dtype=np.int32)
+        self._size = self.hop_n + self.win_n
+        self._buf = np.zeros(self._size, dtype=np.int32)
         self._fill = self.hop_n
         self._hops = 0
         self._prev_t = -math.inf
@@ -274,7 +281,9 @@ def process_sample(state: DetectorState, sample: EegSample):
     boundaries where a configured criterion crossed its threshold and
     the refractory period since the previous alert has elapsed. Each hop
     boundary replaces ``state.last_hop``. This is the route for samples
-    that arrive one at a time; ``feed_block`` takes arrays.
+    that arrive one at a time; ``feed_block`` takes arrays. A hop scores
+    its one window with ``band_power_rows`` and ``di_value``, which give
+    the row ``score_windows`` gives that window, without its stack handling.
     """
     t = sample.t
     # "not >=" also stops a NaN set on a sample after its checks ran
@@ -285,11 +294,13 @@ def process_sample(state: DetectorState, sample: EegSample):
     fill = state._fill
     buf[fill] = sample.raw
     fill += 1
-    if fill < len(buf):
+    if fill < state._size:
         state._fill = fill
         return state, None
     window = buf[state.hop_n:]
-    alert = _judge(state, t, score_windows(window[None], state.fs_hz)[0].tolist())
+    row = band_power_rows(window, state.fs_hz).tolist()
+    row.append(di_value(row))
+    alert = _judge(state, t, row)
     buf[:state.win_n] = window
     state._fill = state.win_n
     state._hops += 1

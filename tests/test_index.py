@@ -1,5 +1,8 @@
 """Distraction Index arithmetic and task ranking."""
 
+import math
+
+import numpy as np
 import pytest
 
 from driveguard.errors import ValidationError
@@ -7,6 +10,8 @@ from driveguard.index import (
     CoverageError,
     TaskRanking,
     UndefinedIndexError,
+    di_rows,
+    di_value,
     distraction_index,
     rank_tasks,
 )
@@ -52,6 +57,42 @@ class TestDistractionIndex:
 
     def test_zero_theta_is_fine(self):
         assert distraction_index(bp(theta=0.0)) == 2.0
+
+
+class TestDiValue:
+    """The scalar DI is ``di_rows``' value for the same row, bit for bit."""
+
+    def test_equals_di_rows_on_random_rows(self):
+        rows = np.random.default_rng(37).lognormal(0.0, 4.0, size=(5000, 5))
+        got = np.array([di_value(row) for row in rows.tolist()])
+        assert got.tobytes() == di_rows(rows).tobytes()
+
+    def test_equals_di_rows_on_zero_nan_and_infinite_powers(self):
+        special = [0.0, -0.0, -1.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(38)
+        rows = []
+        for col in range(1, 5):  # theta, alpha, beta, gamma
+            for value in special:
+                for _ in range(5):
+                    row = rng.lognormal(0.0, 2.0, size=5)
+                    row[col] = value
+                    rows.append(row)
+        for _ in range(500):  # several special values in one row
+            row = rng.lognormal(0.0, 2.0, size=5)
+            cols = rng.choice(5, size=int(rng.integers(2, 5)), replace=False)
+            row[cols] = rng.choice(special, size=cols.size)
+            rows.append(row)
+        rows = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1/5e-324, inf - inf
+            want = di_rows(rows)
+        got = np.array([di_value(row) for row in rows.tolist()])
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_distraction_index_is_the_scalar_di(self):
+        powers = bp(theta=4.2, alpha=1.3, beta=2.6, gamma=0.9)
+        assert distraction_index(powers) == di_value(powers.as_tuple())
+        assert type(distraction_index(powers)) is float
 
 
 def labeled(task, theta):

@@ -1,5 +1,6 @@
 """Streaming detector, batch replay equivalence, and threshold calibration."""
 
+import collections
 import json
 import math
 import pickle
@@ -9,10 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from driveguard import stream
 from driveguard.dsp import SCORE_STACK, band_powers_from_samples
 from driveguard.errors import ParameterError, ValidationError
 from driveguard.index import UndefinedIndexError, distraction_index
-from driveguard.model import BAND_NAMES, Device, EegSample, SubjectSession, TaskLabel
+from driveguard.model import (ADC_MAX, ADC_MIN, BAND_NAMES, Device, EegSample,
+                              SubjectSession, TaskLabel)
 from driveguard.stream import (
     AlertEvent,
     CalibrationError,
@@ -32,6 +35,7 @@ from driveguard.stream import (
     judge_hop,
     process_sample,
     replay_session,
+    score_windows,
     stream_samples,
     stream_session,
     trace_line,
@@ -764,6 +768,75 @@ class TestTraceArray:
         hops = max(0, (n - 4 * FS) // FS + 1)
         assert len(replay_session(session, profile())[1]) == hops
         assert len(stream_session(session, profile())[1]) == hops
+
+
+class TestPerSampleHop:
+    """A ``process_sample`` hop scores its one window without the block
+    routes' stack scorer, and the refractory gate comes before judging."""
+
+    @pytest.mark.parametrize("fs", [512, 128])
+    def test_row_is_score_windows_row(self, fs):
+        rng = np.random.default_rng(fs)
+        t = np.arange(4 * fs) / fs
+        windows = np.stack([
+            *rng.integers(-300, 300, size=(4, 4 * fs)),
+            *rng.integers(ADC_MIN, ADC_MAX + 1, size=(2, 4 * fs)),
+            np.zeros(4 * fs), np.full(4 * fs, 7), np.full(4 * fs, ADC_MIN),  # DI NaN
+            np.clip(np.round(5000 * np.sin(2 * np.pi * 10 * t)), ADC_MIN, ADC_MAX),
+            np.where(rng.random(4 * fs) < 0.5, ADC_MIN, ADC_MAX),  # rail to rail
+        ]).astype(np.int32)
+        want = score_windows(windows, fs)
+        assert np.isnan(want[:, 5]).sum() == 3 and (want[6:9, :5] == 0).all()
+        for window, row in zip(windows, want):
+            state = DetectorState(profile(), fs_hz=fs)
+            for j, value in enumerate(window.tolist()):
+                process_sample(state, EegSample(t=j / fs, raw=value))
+            assert np.array(state.last_hop[1:]).tobytes() == row.tobytes()
+
+    def test_hop_calls_band_power_rows_once_and_no_stack_scorer(self, monkeypatch):
+        calls = collections.Counter()
+
+        def spy(name):
+            real = getattr(stream, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("band_power_rows", "score_windows", "di_rows"):
+            monkeypatch.setattr(stream, name, spy(name))
+        state = DetectorState(profile())
+        raw = np.random.default_rng(5).integers(-300, 300, size=state.win_n + state.hop_n)
+        *head, last = raw[:state.win_n].tolist()
+        for j, value in enumerate(head):
+            process_sample(state, EegSample(t=j / FS, raw=value))
+        assert not calls and state.last_hop is None
+        process_sample(state, EegSample(t=len(head) / FS, raw=last))
+        assert calls == {"band_power_rows": 1} and state.last_hop is not None
+        for j, value in enumerate(raw[state.win_n:].tolist(), start=state.win_n):
+            process_sample(state, EegSample(t=j / FS, raw=value))
+        assert calls == {"band_power_rows": 2}
+
+    @pytest.mark.parametrize("route", ["process_sample", "feed_block", "replay"])
+    def test_hop_in_the_refractory_period_is_never_judged(self, monkeypatch, route):
+        # every hop crosses; at 1 s hops and a 2 s refractory period only
+        # every other hop may alert, and only those are judged
+        judged = []
+        real = stream.judge_hop
+        monkeypatch.setattr(stream, "judge_hop",
+                            lambda row, p: judged.append(list(row)) or real(row, p))
+        p = profile(band_thresholds={"delta": 1e-300})
+        raw = np.random.default_rng(6).integers(-300, 300, size=9 * FS)
+        if route == "process_sample":
+            alerts, trace = fed_one_by_one(DetectorState(p), raw)
+        elif route == "feed_block":
+            alerts, trace = feed_block(DetectorState(p), raw, 0.0)
+        else:
+            alerts, trace = replay_session(raw_session(raw), p)
+        assert len(trace) == 6
+        assert [a.t for a in alerts] == trace[::2, 0].tolist()
+        assert judged == trace[::2, 1:].tolist()
 
 
 class TestJudgeHop:
