@@ -384,8 +384,11 @@ def read_manifest(path) -> dict:
 
 # bytes of CSV converted at a time: a block ends at the last line break
 # within this budget, so it holds whole lines, and only one block's cells
-# are alive at once
-READ_BLOCK_CHARS = 1 << 16
+# are alive at once. At 128 KiB a 120 s recording as write_session writes
+# it reads with a peak (tracemalloc) of about 1.5 times the file's size on
+# the grid route and 2.3 times on the fixed-point route; larger blocks
+# weigh more against shorter files (ROADMAP, measured dead ends)
+READ_BLOCK_CHARS = 1 << 17
 
 # a fixed-point field is read as little-endian 8-byte words ending at its
 # last byte, so its first character is a word's least significant byte
@@ -434,7 +437,8 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     only a read that stores them checks them (``_check_timestamps``):
     grid times pass those checks by construction. A file read on the grid
     route throughout makes no timestamp array, and its read peaks
-    (tracemalloc) at about 1.6 times the file's size.
+    (tracemalloc) at about 1.5 times the file's size for a 120 s
+    recording.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
@@ -496,10 +500,10 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     if t is not None:
         _check_timestamps(csv_path, t, fs)
     # the first value outside the ADC range in file order (lines, then
-    # channels), found before the cast to int32 below, which would wrap
-    # int64 values read line by line
-    bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
-    if bad.size:
+    # channels), looked for only when there is one, before the cast to
+    # int32 below, which would wrap int64 values read line by line
+    if raw.min() < ADC_MIN or raw.max() > ADC_MAX:
+        bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
         i, c = divmod(int(bad[0]), len(channels))
         first = int(raw[c, i])
         check_adc_range(first, first, SessionFormatError,
@@ -546,11 +550,9 @@ def _grid_start(data, pos, n, fs):
     the text of the second, right-aligned to end two bytes before the end
     of a little-endian word (where the fraction's point and first digit
     go), with the other bytes 0; the mask of the timestamp's bytes in that
-    word; and the timestamp's length. Then, per sample in the second from
-    ``write_session``'s table ``_FRACTION_CELLS``, the fraction's point
-    and first digit at the top of the high word, and its last eight digits
-    as the low word, repeated to cover a block of grid lines that starts
-    at any sample of a second.
+    word; and the bytes from a line break to the next line's raw cell, the
+    timestamp's length and two. The fractions come from
+    ``_GRID_FRACTIONS``, made once per process.
     """
     first = data[pos:pos + 17].partition(b",")[0]
     try:
@@ -563,15 +565,7 @@ def _grid_start(data, pos, n, fs):
     seconds = np.zeros((len(texts), 8), np.uint8)
     seconds[:, 6 - texts.shape[1]:6] = texts
     lengths = np.count_nonzero(texts, axis=1) + 10
-    fractions = np.zeros((2, fs, 8), np.uint8)
-    fractions[0, :, 6:] = _FRACTION_CELLS[fs][:, :2]
-    fractions[1] = _FRACTION_CELLS[fs][:, 2:]
-    # a block holds at most READ_BLOCK_CHARS // _GRID_MIN_LINE lines of
-    # _GRID_MIN_LINE bytes or more, or one longer line
-    fraction_hi, fraction_lo = np.tile(
-        fractions.view("<u8")[:, :, 0], 2 + READ_BLOCK_CHARS // _GRID_MIN_LINE // fs)
-    return (g0, fs, seconds.view("<u8").ravel(), _LAST_HI[lengths], lengths,
-            fraction_hi, fraction_lo)
+    return g0, fs, seconds.view("<u8").ravel(), _LAST_HI[lengths], lengths + 2
 
 
 def _grid_block(data, words, pos, stop, t, raw, row, grid):
@@ -585,14 +579,14 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     Only the line breaks are searched for. Line i is grid sample
     ``g = g0 + row + i``, of second ``g // fs``; its comma must stand the
     timestamp's length (the second's digits and ten) after the line's
-    start, and the two words that end at the comma, masked to that length,
-    must equal the text of the second and of the fraction. The raw cell
-    is checked and folded as ``_fixed_point_block`` does, so every byte of
-    the block is checked.
+    start, and the two words that end at the comma, the first masked to
+    that length, must equal the text of the second and of the fraction.
+    The raw cell is checked and folded as ``_fixed_point_block`` does, so
+    every byte of the block is checked.
     The timestamp stored is ``g / fs``: the text is that quotient exactly,
     so ``float`` of it is the same rounding of the same number.
     """
-    g0, fs, seconds, masks, lengths, fraction_hi, fraction_lo = grid
+    g0, fs, seconds, masks, skips = grid
     block = np.frombuffer(data, np.uint8, stop - pos, pos)
     ends = np.flatnonzero(block == 10)
     m = ends.size
@@ -602,60 +596,90 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     h0 = g0 % fs + row
     first, k0 = divmod(h0, fs)
     last = (h0 + m - 1) // fs
+    fractions = _GRID_FRACTIONS[fs][k0:k0 + m]
+    if len(fractions) < m:
+        # a block outgrows the tables only if READ_BLOCK_CHARS was raised
+        # after import
+        return 0
     counts = np.full(last + 1 - first, fs)
     counts[0] -= k0
     counts[-1] -= (last + 1) * fs - h0 - m
-    commas = np.repeat(lengths[first:last + 1], counts)
-    commas[1:] += ends[:-1] + 1
-    # the raw cell's bytes, its minus and its digits; past the length
-    # check every comma lies inside its line, and every line holds
-    # _GRID_MIN_LINE bytes or more, so the fraction tables cover the block
-    cell = ends - commas - 1
-    if cell.min() < 1 or cell.max() > _MAX_RAW_DIGITS + 1:
+    # each raw cell's first byte, past the line break before its line, the
+    # timestamp and the comma, then its minus and its digits; a line too
+    # short for its timestamp has fewer than one digit, and the last one
+    # may start its cell past the block, where the minus is not looked for
+    starts = np.repeat(skips[first:last + 1], counts)
+    starts[1:] += ends[:-1]
+    starts[0] -= 1
+    digits = ends - starts
+    neg = block.take(starts, mode="clip") == 45
+    digits -= neg
+    if digits.min() < 1 or digits.max() > _MAX_RAW_DIGITS or (
+            np.frombuffer(data, np.uint8, stop - pos, pos - 1)[starts] != 44).any():
         return 0
-    neg = block[commas + 1] == 45
-    digits = cell - neg
-    if (block[commas] != 44).any() or digits.min() < 1 or digits.max() > _MAX_RAW_DIGITS:
-        return 0
-    cells = words[ends + (pos - 8)]
+    cells = words[pos - 8:][ends]
+    del ends
     cells ^= _ASCII_ZEROS
     cells &= _LAST_LO[digits]
+    del digits
     if not _fold_digits(cells):
         return 0
-    index = commas + (pos - 16)
-    off = words[index + 8] != fraction_lo[k0:k0 + m]
-    off |= (words[index] & np.repeat(masks[first:last + 1], counts)) != (
-        np.repeat(seconds[first:last + 1], counts) | fraction_hi[k0:k0 + m])
-    if off.any():
+    # the two words before each comma, which ends 17 bytes before its
+    # cell's first, XORed with the fraction's and the second's text, are 0
+    # in the timestamp's bytes. They are gathered as one 16-byte item of a
+    # view of the bytes in place, in about the time words takes for one.
+    starts += pos - 17
+    pair = np.ndarray((len(data) - 15,), "V16", data, 0, (1,))[starts]
+    pair = pair.view("<u8").reshape(m, 2)
+    del starts
+    pair ^= fractions
+    hi = pair[:, 0]
+    hi ^= np.repeat(seconds[first:last + 1], counts)
+    hi &= np.repeat(masks[first:last + 1], counts)
+    if pair.any():
         return 0
-    values = cells.astype(np.int32)
-    values *= 1 - 2 * neg
-    raw[0, row:row + m] = values
+    del pair, hi
+    _store_raw(cells, neg, raw[0, row:row + m])
     if t is not None:
         t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
     return m
 
 
-# fold 8 digits into their value: pairs, then fours, then eights
-_FOLDS = ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
-          (32, 10000, 0xFFFFFFFF))
+def _store_raw(cells, neg, out):
+    """Store the folded raw ``cells``, negated where ``neg``, into ``out``
+    of the same shape, whatever its integer dtype."""
+    sign = neg.view(np.int8) * -2
+    sign += 1
+    np.multiply(cells.view(np.int64), sign, out=out, casting="unsafe")
 
 
 def _fold_digits(cells):
     """Fold ``cells``, words XORed with _ASCII_ZEROS that hold up to 8
     digits as their last bytes and zeros before them, into their values
     in place, and return True; False, leaving them as they were, if a kept
-    byte was not a digit. One scratch array of their size is made."""
+    byte was not a digit. The digit check makes one scratch array of their
+    size.
+
+    Three folds join each pair of neighbouring lanes, of 1, 2 and then 4
+    digits, into one lane of twice the width: a multiply adds the earlier
+    lane, times ten to the later lane's digits, to the later one, and a
+    shift and a mask keep those sums. No lane overflows: 8 digits make at
+    most 99999999.
+    """
     work = cells + _DIGIT_GUARD
     work |= cells
     work &= _HIGH_BITS
     if work.any():
         return False
-    for shift, scale, mask in _FOLDS:
-        np.right_shift(cells, shift, out=work)
-        cells *= scale
-        cells += work
-        cells &= mask
+    del work
+    cells *= 10 << 8 | 1
+    cells >>= 8
+    cells &= 0x00FF00FF00FF00FF
+    cells *= 100 << 16 | 1
+    cells >>= 16
+    cells &= 0x0000FFFF0000FFFF
+    cells *= 10000 << 32 | 1
+    cells >>= 32
     return True
 
 
@@ -673,7 +697,9 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     block = np.frombuffer(data, np.uint8, stop - pos, pos)
     # each line's point, commas and line break, in that order; any other
     # byte below "-" stands where one of them should, and fails the pattern
-    marks = np.flatnonzero((block < 45) | (block == 46))
+    marks = block < 45
+    marks |= block == 46
+    marks = np.flatnonzero(marks)
     m = marks.size // (ncol + 1)
     if marks.size != m * (ncol + 1):
         return 0
@@ -681,19 +707,24 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     if (block[marks] != np.array([46] + [44] * (ncol - 1) + [10], np.uint8)).any():
         return 0
     points, ends = marks[:, 0], marks[:, 1:]
-    starts = np.empty(m, dtype=np.intp)
-    starts[0] = 0
-    starts[1:] = ends[:-1, -1] + 1
     # digits before and after each point, and in each raw cell after its
     # optional minus
-    before = points - starts
-    after = ends[:, 0] - points - 1
+    before = np.empty(m, dtype=np.intp)
+    before[0] = -1
+    before[1:] = ends[:-1, -1]
+    np.subtract(points, before, out=before)
+    before -= 1
+    after = ends[:, 0] - points
+    after -= 1
     time_digits = before + after
     neg = block[ends[:, :-1] + 1] == 45
-    raw_digits = ends[:, 1:] - ends[:, :-1] - 1 - neg
+    raw_digits = ends[:, 1:] - ends[:, :-1]
+    raw_digits -= 1
+    raw_digits -= neg
     if before.min() < 1 or after.min() < 1 or time_digits.max() > _MAX_TIME_DIGITS or \
             raw_digits.min() < 1 or raw_digits.max() > _MAX_RAW_DIGITS:
         return 0
+    del before, points, ends
 
     # per line, the words of the timestamp's last 16 bytes, then of each
     # raw cell's last 8 bytes; the marks, read no more, become their
@@ -706,24 +737,38 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     np.subtract(index[:, 1], 8, out=index[:, 0])
     np.maximum(index[0], 0, out=index[0])
     cells = words[index]
+    del index, marks
     cells ^= _ASCII_ZEROS
     # the digits after the point stay where they are; those before it are
     # taken from the words one byte further back, which closes the point's
     # gap. Bytes before each field are masked to zeros.
     hi, lo = cells[:, 0], cells[:, 1]
-    keep_hi, keep_lo = _LAST_HI[after], _LAST_LO[after]
-    lo_n = (lo & keep_lo) | (((lo << 8) | (hi >> 56)) & (_LAST_LO[time_digits] ^ keep_lo))
-    cells[:, 0] = (hi & keep_hi) | ((hi << 8) & (_LAST_HI[time_digits] ^ keep_hi))
-    cells[:, 1] = lo_n
+    keep, moved = _LAST_LO[after], _LAST_LO[time_digits]
+    moved ^= keep
+    shifted = hi >> 56
+    shifted |= lo << 8
+    shifted &= moved
+    lo &= keep
+    lo |= shifted
+    np.take(_LAST_HI, after, out=keep)
+    np.take(_LAST_HI, time_digits, out=moved)
+    del time_digits
+    moved ^= keep
+    np.left_shift(hi, 8, out=shifted)
+    shifted &= moved
+    hi &= keep
+    hi |= shifted
+    del keep, moved, shifted
     cells[:, 2:] &= _LAST_LO[raw_digits]
+    del raw_digits
     if not _fold_digits(cells):
         return 0
     # at most 15 digits are exact in a float, and so is 10**after; the
     # quotient is rounded once, as float() rounds the cell
-    t[row:row + m] = (cells[:, 0] * 100000000 + cells[:, 1]) / _POWERS_OF_TEN[after]
-    values = cells[:, 2:].astype(np.int32)
-    values *= 1 - 2 * neg
-    raw[:, row:row + m] = values.T
+    hi *= 100000000
+    hi += lo
+    np.divide(hi, _POWERS_OF_TEN[after], out=t[row:row + m])
+    _store_raw(cells[:, 2:], neg, raw[:, row:row + m].T)
     return m
 
 
@@ -766,6 +811,25 @@ _FRACTION_CELLS = {
     device.fs_hz: _cells(f".{k * (10**9 // device.fs_hz):09d}" for k in range(device.fs_hz))
     for device in Device
 }
+
+
+def _grid_fractions(fs):
+    """For ``_grid_block``, per sample of a second at rate ``fs``, the two
+    words before the comma of ``write_session``'s timestamp that hold the
+    fraction: its point and first digit at the top of the first, with the
+    other bytes 0, and its last eight digits as the second. The rows are
+    repeated to cover a block that starts at any sample of a second: a
+    block holds at most READ_BLOCK_CHARS // _GRID_MIN_LINE lines of
+    _GRID_MIN_LINE bytes or more, or one longer line."""
+    fractions = np.zeros((fs, 2, 8), np.uint8)
+    fractions[:, 0, 6:] = _FRACTION_CELLS[fs][:, :2]
+    fractions[:, 1] = _FRACTION_CELLS[fs][:, 2:]
+    return np.tile(fractions.view("<u8")[:, :, 0],
+                   (2 + READ_BLOCK_CHARS // _GRID_MIN_LINE // fs, 1))
+
+
+# made once per process, at import, so that no read pays for them
+_GRID_FRACTIONS = {fs: _grid_fractions(fs) for fs in _FRACTION_CELLS}
 # ",%d" of every ADC count, row raw - ADC_MIN
 _ADC_CELLS = _cells(f",{raw}" for raw in range(ADC_MIN, ADC_MAX + 1))
 _LINE_BREAKS = np.full((WRITE_BLOCK_ROWS, 1), ord("\n"), np.uint8)

@@ -1129,8 +1129,9 @@ class TestBlockReader:
             assert_matches_oracle(csv, man, fs)
 
     def test_fuzz_at_the_default_budget(self, tmp_path):
-        # 12000 lines make four blocks
-        csv, man, _ = write_random_session(tmp_path, 12000, 1, 512)
+        # lines of about 18 bytes make four blocks
+        csv, man, _ = write_random_session(tmp_path, 3 * protocol.READ_BLOCK_CHARS // 16,
+                                           1, 512)
         text = csv.read_text()
         assert len(block_starts(text, protocol.READ_BLOCK_CHARS)) >= 2
         rng = np.random.default_rng(19)
@@ -1412,8 +1413,9 @@ class TestBlockRouting:
 
     @pytest.fixture
     def written(self, tmp_path):
-        # 12000 lines make four blocks
-        csv, man, _ = write_random_session(tmp_path, 12000, 1, 512)
+        # lines of about 18 bytes make four blocks
+        csv, man, _ = write_random_session(tmp_path, 3 * protocol.READ_BLOCK_CHARS // 16,
+                                           1, 512)
         return csv, man, csv.read_text().split("\n")[:-1]
 
     def test_one_odd_line_declines_its_block_alone(self, monkeypatch, written):
@@ -1517,8 +1519,9 @@ class TestGridRoute:
         # one-digit raw cells make lines of 14 bytes, so a block holds the
         # most lines it can, and the first block starts at the last sample
         # of a second
-        csv, man, session = write_random_session(tmp_path, 6000, 1, fs)
-        raw = np.random.default_rng(3).integers(0, 10, (1, 6000))
+        n = protocol.READ_BLOCK_CHARS // 10
+        csv, man, session = write_random_session(tmp_path, n, 1, fs)
+        raw = np.random.default_rng(3).integers(0, 10, (1, n))
         session = dataclasses.replace(session, raw=raw)
         write_session(session, csv, man)
         shift_to_sample(csv, fs - 1, fs)
@@ -1526,6 +1529,30 @@ class TestGridRoute:
         assert np.array_equal(read_session(csv, man).raw, raw)
         assert route["calls"][0][2] > protocol.READ_BLOCK_CHARS // 15
         assert all(name == "grid" and m for name, _, m in route["calls"])
+
+    @pytest.mark.parametrize("budgets", [("default", 16, 300, "raised"),
+                                         (300, 16, "raised", "default")])
+    def test_budgets_in_either_order_in_one_process(self, tmp_path, monkeypatch,
+                                                    budgets):
+        # the grid route's tables are made at import, so a read at one
+        # budget never limits the blocks of a later read at another; a
+        # budget raised after import makes blocks longer than the tables,
+        # which the fixed-point route reads
+        default = protocol.READ_BLOCK_CHARS
+        csv, man, _ = write_random_session(tmp_path, default // 10, 1, 512)
+        # two blocks at the default budget, one when it is raised
+        assert len(block_starts(csv.read_text(), default)) == 1
+        route = spy_routes(monkeypatch)
+        for budget in budgets:
+            raised = budget == "raised"
+            monkeypatch.setattr(protocol, "READ_BLOCK_CHARS",
+                                4 * default if raised else
+                                default if budget == "default" else budget)
+            route["calls"].clear()
+            assert_matches_oracle(csv, man, 512)
+            assert [(name, m > 0) for name, _, m in route["calls"]] == (
+                [("grid", False), ("fixed_point", True)] if raised else
+                [("grid", True)] * len(route["calls"])), budget
 
     @pytest.mark.parametrize("g0, on_grid", [
         (99999 * 512 - 700, True),   # seconds of 5 and 6 digits in one block
