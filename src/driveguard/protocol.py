@@ -370,9 +370,13 @@ def _manifest_fields(manifest: dict) -> dict:
                          f"{device.value} ({device.fs_hz} Hz)")
     if not isinstance(subject, str):
         raise ValueError(f"subject_id must be a string, got {subject!r}")
+    if not subject:
+        raise ValueError("subject_id must be non-empty")
     if (not isinstance(channels, list) or not channels
             or not all(isinstance(c, str) for c in channels)):
         raise ValueError(f"channels must be a non-empty list of names, got {channels!r}")
+    if len(set(channels)) != len(channels):
+        raise ValueError(f"channels must not repeat a name, got {channels!r}")
     return {"subject_id": subject, "task": task,
             "device": device, "fs_hz": fs, "channels": tuple(channels)}
 
@@ -383,11 +387,13 @@ def read_manifest(path) -> dict:
 
 
 # bytes of CSV converted at a time: a block ends at the last line break
-# within this budget, so it holds whole lines, and only one block's cells
-# are alive at once. At 128 KiB a 120 s recording as write_session writes
-# it reads with a peak (tracemalloc) of about 1.5 times the file's size on
-# the grid route and 2.3 times on the fixed-point route; larger blocks
-# weigh more against shorter files (ROADMAP, measured dead ends)
+# within this budget, so it holds whole lines, and only one block's
+# temporaries are alive at once beside the arrays of the blocks before
+# it. At 128 KiB a recording as write_session writes it reads with a peak
+# (tracemalloc) of about 1.44 times the file's size at 120 s and 1.86
+# times at 40 s on the grid route, and 2.19 and 3.13 times on the
+# fixed-point route; larger blocks weigh more against shorter files
+# (ROADMAP, measured dead ends)
 READ_BLOCK_CHARS = 1 << 17
 
 # a fixed-point field is read as little-endian 8-byte words ending at its
@@ -408,7 +414,7 @@ _LAST_HI, _LAST_LO = np.array(
 _MAX_TIME_DIGITS = 15
 _MAX_RAW_DIGITS = 8
 _POWERS_OF_TEN = 10.0 ** np.arange(_MAX_TIME_DIGITS)
-# the grid route takes files that end before this second, so that a
+# the grid route takes blocks that end before this second, so that a
 # timestamp, at most six digits, a point and nine, fills at most two words
 _GRID_END_S = 10**6
 # the shortest grid line: a timestamp of 11 bytes, a comma, a digit and a
@@ -421,24 +427,22 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
 
     The file's bytes are read once and checked up front: UTF-8 text, not
     empty, the expected header ending in an LF line break, then at least
-    one sample line. The sample lines are cut into blocks of whole lines
-    within READ_BLOCK_CHARS bytes (a longer line is a block of its own),
-    and one loop converts the blocks in file order. In a one-channel file
-    whose first timestamp is ``write_session``'s for a whole sample
-    (``_grid_start``), a block whose every line is the next sample's is
-    read by ``_grid_block``. Any other block of plain lines is read by
-    ``_fixed_point_block``; any other block, such as a last line without
-    a line break, is read line by line by ``_convert_lines``, which gives
-    every error message. All three give the values of Python's ``float``
-    and ``int``.
+    one sample line. One loop then cuts the sample lines into blocks of
+    whole lines within READ_BLOCK_CHARS bytes (a longer line is a block
+    of its own) and converts each block in file order into arrays of its
+    own. In a one-channel file whose first timestamp is ``write_session``'s
+    for a whole sample (``_grid_start``), a block whose every line is the
+    next sample's, before second _GRID_END_S, is read by ``_grid_block``.
+    Any other block of plain lines is read by ``_fixed_point_block``; any
+    other block, such as a last line without a line break, is read line
+    by line by ``_convert_lines``, which gives every error message. All
+    three give the values of Python's ``float`` and ``int``.
 
-    Timestamps are stored from the first block that leaves the grid
-    route, with the rows before it filled in as their grid times, and
-    only a read that stores them checks them (``_check_timestamps``):
-    grid times pass those checks by construction. A file read on the grid
-    route throughout makes no timestamp array, and its read peaks
-    (tracemalloc) at about 1.5 times the file's size for a 120 s
-    recording.
+    The blocks' arrays are joined once, after the file's bytes are freed.
+    Timestamps are joined, and checked (``_check_timestamps``), only when
+    a block left the grid route; the grid blocks then give their samples'
+    grid times, which pass those checks by construction. A file read on
+    the grid route throughout makes no timestamp array.
     """
     manifest = read_manifest(manifest_path)
     fs, channels = manifest["fs_hz"], manifest["channels"]
@@ -462,46 +466,41 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
     if pos >= len(data):
         raise SessionFormatError(f"{csv_path} has a header but no samples")
 
-    # the blocks, each ending at the last line break within the budget (a
-    # longer line, and a last line without a line break, is a block of its
-    # own), and their line count: numpy counts a block's line breaks faster
-    # than bytes.count does
-    blocks, n = [], not data.endswith(b"\n")
-    while pos < len(data):
-        stop = (data.rfind(b"\n", pos, pos + READ_BLOCK_CHARS) + 1
-                or data.find(b"\n", pos) + 1 or len(data))
-        blocks.append((pos, stop))
-        n += np.count_nonzero(np.frombuffer(data, np.uint8, stop - pos, pos) == 10)
-        pos = stop
     # words[i] is bytes i to i + 7 of data, read in place
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    t = None  # made when a block leaves the grid route
-    raw = np.empty((len(channels), n), dtype=np.int32)
-    grid = len(channels) == 1 and _grid_start(data, blocks[0][0], n, fs)
-    row = 0
-    for pos, stop in blocks:
+    grid = len(channels) == 1 and _grid_start(data, pos, fs)
+    # per block, its first grid sample or its timestamps, and its raw cells
+    times, raws, row = [], [], 0
+    while pos < len(data):
+        # a block ends at the last line break within the budget; a longer
+        # line, and a last line without a line break, is a block of its own
+        stop = (data.rfind(b"\n", pos, pos + READ_BLOCK_CHARS) + 1
+                or data.find(b"\n", pos) + 1 or len(data))
         plain = data.endswith(b"\n", pos, stop)
-        m = plain and grid and _grid_block(data, words, pos, stop, t, raw, row, grid)
-        if not m:
-            if t is None:
-                t = np.empty(n)
-                if row:  # every row so far was read on the grid
-                    t[:row] = np.arange(grid[0], grid[0] + row) / fs
-            m = plain and _fixed_point_block(data, words, pos, stop, t, raw, row)
-        if not m:
-            # a cell read line by line may lie beyond int32, and the range
-            # check below must report its value
-            raw = raw.astype(np.int64, copy=False)
-            block = data[pos:stop].decode().removesuffix("\n")
-            m = _convert_lines(csv_path, block, t, raw, row)
-        row += m
-    del data, words  # freed before the checks below allocate
+        block_times, raw = (
+            plain and grid and _grid_block(data, words, pos, stop, row, grid)
+            or plain and _fixed_point_block(data, words, pos, stop, len(channels))
+            or _convert_lines(csv_path, data[pos:stop].decode().removesuffix("\n"),
+                              row, len(channels)))
+        times.append(block_times)
+        raws.append(raw)
+        row += raw.shape[1]
+        pos = stop
+    del data, words  # freed before the join and the checks below allocate
 
-    if t is not None:
-        _check_timestamps(csv_path, t, fs)
+    if not all(isinstance(g, int) for g in times):
+        times = np.concatenate([np.arange(g, g + raw.shape[1]) / fs
+                                if isinstance(g, int) else g
+                                for g, raw in zip(times, raws)])
+        _check_timestamps(csv_path, times, fs)
+    del times
+    # int64 when a block was read line by line, whose cells may lie beyond
+    # int32
+    raw = np.concatenate(raws, axis=1)
+    del raws
     # the first value outside the ADC range in file order (lines, then
-    # channels), looked for only when there is one, before the cast to
-    # int32 below, which would wrap int64 values read line by line
+    # channels), looked for only when there is one, before SubjectSession
+    # casts to int32, which would wrap int64 values read line by line
     if raw.min() < ADC_MIN or raw.max() > ADC_MAX:
         bad = np.flatnonzero(((raw < ADC_MIN) | (raw > ADC_MAX)).T)
         i, c = divmod(int(bad[0]), len(channels))
@@ -509,7 +508,7 @@ def read_session(csv_path, manifest_path) -> SubjectSession:
         check_adc_range(first, first, SessionFormatError,
                         f"{csv_path} line {i + 2}: raw sample")
 
-    return SubjectSession(**manifest, raw=np.ascontiguousarray(raw, dtype=np.int32))
+    return SubjectSession(**manifest, raw=raw)
 
 
 def _check_timestamps(csv_path, t, fs):
@@ -540,18 +539,20 @@ def _check_timestamps(csv_path, t, fs):
         )
 
 
-def _grid_start(data, pos, n, fs):
-    """The grid of the ``n`` sample lines of a one-channel file that start
-    at byte ``pos`` of ``data``, for ``_grid_block``; None unless the first
-    timestamp is ``"%.9f" % (g0 / fs)`` for a whole sample ``g0 >= 0`` and
-    the last line's sample falls before second _GRID_END_S.
+def _grid_start(data, pos, fs):
+    """The grid of the sample lines of a one-channel file that start at
+    byte ``pos`` of ``data``, for ``_grid_block``; None unless the first
+    timestamp is ``"%.9f" % (g0 / fs)`` for a whole sample
+    ``0 <= g0 < _GRID_END_S * fs``.
 
     The grid is ``g0``, ``fs``, and per second of the file from the first:
     the text of the second, right-aligned to end two bytes before the end
     of a little-endian word (where the fraction's point and first digit
     go), with the other bytes 0; the mask of the timestamp's bytes in that
     word; and the bytes from a line break to the next line's raw cell, the
-    timestamp's length and two. The fractions come from
+    timestamp's length and two. A grid line takes _GRID_MIN_LINE bytes or
+    more, so the seconds run to the last that the file's size allows, or
+    to the one before second _GRID_END_S. The fractions come from
     ``_GRID_FRACTIONS``, made once per process.
     """
     first = data[pos:pos + 17].partition(b",")[0]
@@ -559,22 +560,23 @@ def _grid_start(data, pos, n, fs):
         g0 = round(float(first) * fs)
     except (ValueError, OverflowError):  # nan, inf
         return None
-    if not 0 <= g0 <= _GRID_END_S * fs - n or first != b"%.9f" % (g0 / fs):
+    if not 0 <= g0 < _GRID_END_S * fs or first != b"%.9f" % (g0 / fs):
         return None
-    texts = _cells(map(str, range(g0 // fs, (g0 + n - 1) // fs + 1)))
+    last = min((g0 + (len(data) - pos) // _GRID_MIN_LINE) // fs, _GRID_END_S - 1)
+    texts = _cells(map(str, range(g0 // fs, last + 1)))
     seconds = np.zeros((len(texts), 8), np.uint8)
     seconds[:, 6 - texts.shape[1]:6] = texts
     lengths = np.count_nonzero(texts, axis=1) + 10
     return g0, fs, seconds.view("<u8").ravel(), _LAST_HI[lengths], lengths + 2
 
 
-def _grid_block(data, words, pos, stop, t, raw, row, grid):
-    """Store the lines of ``data[pos:stop]``, which ends in a line break, as
-    samples ``row`` onwards of ``t`` (unless it is None) and the one
-    channel of ``raw``, and return their count; 0 unless each line is the
+def _grid_block(data, words, pos, stop, row, grid):
+    """The first grid sample and the ``(1, lines)`` int32 raw cells of the
+    lines of ``data[pos:stop]``, which ends in a line break and starts at
+    sample line ``row`` of the file; None unless each line is the
     timestamp ``write_session`` writes for its sample on ``grid``
-    (``_grid_start``), a comma and a raw cell of an optional minus and 1
-    to 8 digits.
+    (``_grid_start``), before second _GRID_END_S, a comma and a raw cell
+    of an optional minus and 1 to 8 digits.
 
     Only the line breaks are searched for. Line i is grid sample
     ``g = g0 + row + i``, of second ``g // fs``; its comma must stand the
@@ -583,8 +585,8 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     that length, must equal the text of the second and of the fraction.
     The raw cell is checked and folded as ``_fixed_point_block`` does, so
     every byte of the block is checked.
-    The timestamp stored is ``g / fs``: the text is that quotient exactly,
-    so ``float`` of it is the same rounding of the same number.
+    The lines' timestamps are ``g / fs``: the text is that quotient
+    exactly, so ``float`` of it is the same rounding of the same number.
     """
     g0, fs, seconds, masks, skips = grid
     block = np.frombuffer(data, np.uint8, stop - pos, pos)
@@ -597,10 +599,11 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     first, k0 = divmod(h0, fs)
     last = (h0 + m - 1) // fs
     fractions = _GRID_FRACTIONS[fs][k0:k0 + m]
-    if len(fractions) < m:
-        # a block outgrows the tables only if READ_BLOCK_CHARS was raised
-        # after import
-        return 0
+    if len(fractions) < m or last >= len(seconds):
+        # a block outgrows the fraction tables only if READ_BLOCK_CHARS was
+        # raised after import, and the seconds only if it reaches second
+        # _GRID_END_S or holds lines too short for the grid
+        return None
     counts = np.full(last + 1 - first, fs)
     counts[0] -= k0
     counts[-1] -= (last + 1) * fs - h0 - m
@@ -616,14 +619,14 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     digits -= neg
     if digits.min() < 1 or digits.max() > _MAX_RAW_DIGITS or (
             np.frombuffer(data, np.uint8, stop - pos, pos - 1)[starts] != 44).any():
-        return 0
+        return None
     cells = words[pos - 8:][ends]
     del ends
     cells ^= _ASCII_ZEROS
     cells &= _LAST_LO[digits]
     del digits
     if not _fold_digits(cells):
-        return 0
+        return None
     # the two words before each comma, which ends 17 bytes before its
     # cell's first, XORed with the fraction's and the second's text, are 0
     # in the timestamp's bytes. They are gathered as one 16-byte item of a
@@ -637,20 +640,19 @@ def _grid_block(data, words, pos, stop, t, raw, row, grid):
     hi ^= np.repeat(seconds[first:last + 1], counts)
     hi &= np.repeat(masks[first:last + 1], counts)
     if pair.any():
-        return 0
+        return None
     del pair, hi
-    _store_raw(cells, neg, raw[0, row:row + m])
-    if t is not None:
-        t[row:row + m] = np.arange(g0 + row, g0 + row + m) / fs
-    return m
+    return g0 + row, _raw_cells(cells[:, None], neg[:, None])
 
 
-def _store_raw(cells, neg, out):
-    """Store the folded raw ``cells``, negated where ``neg``, into ``out``
-    of the same shape, whatever its integer dtype."""
+def _raw_cells(cells, neg):
+    """The ``(channels, lines)`` int32 values of the folded raw ``cells``
+    of shape ``(lines, channels)``, negated where ``neg``."""
+    raw = np.empty(cells.shape[::-1], np.int32)
     sign = neg.view(np.int8) * -2
     sign += 1
-    np.multiply(cells.view(np.int64), sign, out=out, casting="unsafe")
+    np.multiply(cells.view(np.int64), sign, out=raw.T, casting="unsafe")
+    return raw
 
 
 def _fold_digits(cells):
@@ -683,17 +685,17 @@ def _fold_digits(cells):
     return True
 
 
-def _fixed_point_block(data, words, pos, stop, t, raw, row):
-    """Store the lines of ``data[pos:stop]``, which ends in a line break, as
-    samples ``row`` onwards of ``t`` and ``raw``, and return their count;
-    0 if a line is not plain.
+def _fixed_point_block(data, words, pos, stop, n_channels):
+    """The timestamps and the ``(n_channels, lines)`` int32 raw cells of the
+    lines of ``data[pos:stop]``, which ends in a line break; None if a
+    line is not plain.
 
     A plain line holds a timestamp of 2 to 15 digits with one point
-    between them, then ``len(raw)`` raw cells of an optional minus and 1
-    to 8 digits. Python's ``float`` and ``int`` take every such cell, and
-    the values stored are theirs.
+    between them, then ``n_channels`` raw cells of an optional minus and
+    1 to 8 digits. Python's ``float`` and ``int`` take every such cell,
+    and the values returned are theirs.
     """
-    ncol = len(raw) + 1
+    ncol = n_channels + 1
     block = np.frombuffer(data, np.uint8, stop - pos, pos)
     # each line's point, commas and line break, in that order; any other
     # byte below "-" stands where one of them should, and fails the pattern
@@ -702,10 +704,10 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     marks = np.flatnonzero(marks)
     m = marks.size // (ncol + 1)
     if marks.size != m * (ncol + 1):
-        return 0
+        return None
     marks = marks.reshape(m, ncol + 1)
     if (block[marks] != np.array([46] + [44] * (ncol - 1) + [10], np.uint8)).any():
-        return 0
+        return None
     points, ends = marks[:, 0], marks[:, 1:]
     # digits before and after each point, and in each raw cell after its
     # optional minus
@@ -723,7 +725,7 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     raw_digits -= neg
     if before.min() < 1 or after.min() < 1 or time_digits.max() > _MAX_TIME_DIGITS or \
             raw_digits.min() < 1 or raw_digits.max() > _MAX_RAW_DIGITS:
-        return 0
+        return None
     del before, points, ends
 
     # per line, the words of the timestamp's last 16 bytes, then of each
@@ -762,34 +764,34 @@ def _fixed_point_block(data, words, pos, stop, t, raw, row):
     cells[:, 2:] &= _LAST_LO[raw_digits]
     del raw_digits
     if not _fold_digits(cells):
-        return 0
+        return None
     # at most 15 digits are exact in a float, and so is 10**after; the
     # quotient is rounded once, as float() rounds the cell
     hi *= 100000000
     hi += lo
-    np.divide(hi, _POWERS_OF_TEN[after], out=t[row:row + m])
-    _store_raw(cells[:, 2:], neg, raw[:, row:row + m].T)
-    return m
+    return hi / _POWERS_OF_TEN[after], _raw_cells(cells[:, 2:], neg)
 
 
-def _convert_lines(csv_path, block, t, raw, row):
-    """Store the lines of ``block`` as samples ``row`` onwards of ``t`` and
-    ``raw`` with Python's ``float`` and ``int``, and return their count;
-    SessionFormatError names the first bad line."""
-    ncol = len(raw) + 1
+def _convert_lines(csv_path, block, row, n_channels):
+    """The timestamps and the ``(n_channels, lines)`` int64 raw cells of
+    the lines of ``block``, which starts at sample line ``row`` of the
+    file, by Python's ``float`` and ``int``; SessionFormatError names the
+    first bad line."""
     lines = block.split("\n")
-    for i, line in enumerate(lines, row):
+    t = np.empty(len(lines))
+    raw = np.empty((n_channels, len(lines)), np.int64)
+    for i, line in enumerate(lines):
         cells = line.split(",")
-        if len(cells) != ncol:
-            raise SessionFormatError(
-                f"{csv_path} line {i + 2}: {len(cells)} fields, expected {ncol}")
+        if len(cells) != n_channels + 1:
+            raise SessionFormatError(f"{csv_path} line {row + i + 2}: "
+                                     f"{len(cells)} fields, expected {n_channels + 1}")
         try:
             t[i] = float(cells[0])
-            for c in range(ncol - 1):
+            for c in range(n_channels):
                 raw[c, i] = int(cells[c + 1])
         except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-            raise SessionFormatError(f"{csv_path} line {i + 2}: {exc}") from exc
-    return len(lines)
+            raise SessionFormatError(f"{csv_path} line {row + i + 2}: {exc}") from exc
+    return t, raw
 
 
 WRITE_BLOCK_ROWS = 4096

@@ -31,8 +31,8 @@ from .protocol import UV_PER_COUNT
 DEFAULT_AMPLITUDE_UV = 30.0
 # one-sided PSD of the round-to-nearest quantization error, treated as
 # white with variance step^2/12
-QUANTIZATION_NOISE_PSD = {fs: UV_PER_COUNT ** 2 / 12.0 * 2.0 / fs
-                          for fs in (512, 128)}
+QUANTIZATION_NOISE_PSD = {device.fs_hz: UV_PER_COUNT ** 2 / 12.0 * 2.0 / device.fs_hz
+                          for device in Device}
 MAX_CLIP_FRACTION = 0.01
 
 
@@ -113,8 +113,10 @@ class GeneratorSpec:
             raise ParameterError(f"seed must be an int >= 0 or tuple of ints, got {self.seed!r}")
         if not isinstance(self.task, TaskLabel):
             raise ParameterError(f"task must be a TaskLabel, got {self.task!r}")
-        if not isinstance(self.fs_hz, int) or self.fs_hz not in (512, 128):
-            raise ParameterError(f"fs must be 512 or 128 Hz, got {self.fs_hz}")
+        rates = [device.fs_hz for device in Device]
+        if not isinstance(self.fs_hz, int) or self.fs_hz not in rates:
+            raise ParameterError(
+                f"fs must be {' or '.join(map(str, rates))} Hz, got {self.fs_hz}")
         n = self.duration_s * self.fs_hz
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ParameterError(
@@ -126,10 +128,14 @@ class GeneratorSpec:
                 raise ParameterError(f"bursts must be BurstSpec, got {b!r}")
         if not isinstance(self.subject_id, str):
             raise ParameterError(f"subject_id must be a string, got {self.subject_id!r}")
+        if not self.subject_id:
+            raise ParameterError("subject_id must be non-empty")
         if (not isinstance(self.channels, (list, tuple)) or not self.channels
                 or not all(isinstance(c, str) for c in self.channels)):
             raise ParameterError(
                 f"channels must be a non-empty list of names, got {self.channels!r}")
+        if len(set(self.channels)) != len(self.channels):
+            raise ParameterError(f"channels must not repeat a name, got {self.channels!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @property
@@ -138,8 +144,7 @@ class GeneratorSpec:
 
     @property
     def device(self) -> Device:
-        return (Device.SINGLE_ELECTRODE_512 if self.fs_hz == 512
-                else Device.MULTI_ELECTRODE_128)
+        return next(device for device in Device if device.fs_hz == self.fs_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,18 @@ NAMED_ESCAPES = [
                  id="spec-channel-number"),
     pytest.param("manifest", with_fields(subject_id=None), "input.manifest.json: subject_id",
                  id="manifest-subject-null"),
+    # these two were rejected only by the session built after the whole
+    # CSV was read, or every sample generated, naming neither file nor key
+    pytest.param("manifest", with_fields(channels=["a", "a"]),
+                 "input.manifest.json: channels must not repeat a name",
+                 id="manifest-channels-repeated"),
+    pytest.param("manifest", with_fields(subject_id=""),
+                 "input.manifest.json: subject_id must be non-empty",
+                 id="manifest-subject-empty"),
+    pytest.param("spec", with_fields(channels=["a", "a"]),
+                 "input.json: channels must not repeat a name", id="spec-channels-repeated"),
+    pytest.param("spec", with_fields(subject_id=""), "input.json: subject_id must be non-empty",
+                 id="spec-subject-empty"),
     pytest.param("manifest", with_fields(channels=[7]), "input.manifest.json: channels",
                  id="manifest-channel-number"),
     pytest.param("profile", with_fields(subject_id=None), "input.json: subject_id",

@@ -1091,8 +1091,8 @@ LONG_ZEROS = "0" * 5000
 def decline_fixed_point(monkeypatch):
     """Make read_session's grid and fixed-point routes decline every block,
     so each is read line by line."""
-    monkeypatch.setattr(protocol, "_grid_block", lambda *args: 0)
-    monkeypatch.setattr(protocol, "_fixed_point_block", lambda *args: 0)
+    monkeypatch.setattr(protocol, "_grid_block", lambda *args: None)
+    monkeypatch.setattr(protocol, "_fixed_point_block", lambda *args: None)
 
 
 def spy_lines(monkeypatch):
@@ -1101,9 +1101,9 @@ def spy_lines(monkeypatch):
     blocks = []
     convert_lines = protocol._convert_lines
 
-    def spy(csv_path, block, t, raw, row):
+    def spy(csv_path, block, row, n_channels):
         blocks.append((row, block))
-        return convert_lines(csv_path, block, t, raw, row)
+        return convert_lines(csv_path, block, row, n_channels)
     monkeypatch.setattr(protocol, "_convert_lines", spy)
     return blocks
 
@@ -1248,21 +1248,36 @@ def spy_routes(monkeypatch):
     """Follows read_session's blocks as it runs: the returned dict's
     "calls" gets ``(route, row, lines taken)`` for each try of a route on
     a block, in order, with 0 lines when the route declined; "samples" is
-    the ``(t, raw)`` the routes store into."""
+    ``(None, None)`` until a read checks its timestamps, then ``(t, raw)``:
+    the timestamps checked and the raw cells the routes returned, joined."""
     route = {"calls": [], "samples": None}
+    raws = []
 
-    def spy(name, convert, t_at):
+    def start(path):
+        # each read starts with its manifest
+        raws.clear()
+        route["samples"] = (None, None)
+        return read_manifest(path)
+
+    def spy(name, convert):
         def tried(*args):
-            # every route takes t, raw and row in that order
-            route["samples"] = args[t_at:t_at + 2]
-            m = convert(*args)
-            route["calls"].append((name, args[t_at + 2], m))
-            return m
+            part = convert(*args)
+            route["calls"].append((name, sum(raw.shape[1] for raw in raws),
+                                   0 if part is None else part[1].shape[1]))
+            if part is not None:
+                raws.append(part[1])
+            return part
         return tried
-    for name, attr, t_at in [("grid", "_grid_block", 4),
-                             ("fixed_point", "_fixed_point_block", 4),
-                             ("lines", "_convert_lines", 2)]:
-        monkeypatch.setattr(protocol, attr, spy(name, getattr(protocol, attr), t_at))
+
+    def check_timestamps(csv_path, t, fs):
+        route["samples"] = (t, np.concatenate(raws, axis=1))
+        return check(csv_path, t, fs)
+    check = protocol._check_timestamps
+    monkeypatch.setattr(protocol, "read_manifest", start)
+    monkeypatch.setattr(protocol, "_check_timestamps", check_timestamps)
+    for name, attr in [("grid", "_grid_block"), ("fixed_point", "_fixed_point_block"),
+                       ("lines", "_convert_lines")]:
+        monkeypatch.setattr(protocol, attr, spy(name, getattr(protocol, attr)))
     return route
 
 
@@ -1567,6 +1582,28 @@ class TestGridRoute:
         assert [name for name, _, m in route["calls"] if m] == \
             ["grid" if on_grid else "lines"]
 
+    def test_blocks_from_the_grid_end_leave_the_grid_route(self, tmp_path, monkeypatch):
+        # about nine lines a block from 35 samples before second 10**6: the
+        # blocks before it take the grid route, and the block that crosses
+        # it and the blocks after it are read line by line, as their
+        # 16-digit timestamps are too long for the fixed-point route
+        monkeypatch.setattr(protocol, "READ_BLOCK_CHARS", 200)
+        g0 = 10**6 * 512 - 35
+        csv, man, _ = write_random_session(tmp_path, 80, 1, 512)
+        shift_to_sample(csv, g0, 512)
+        starts = block_starts(csv.read_text(), 200)
+        # the line of second 10**6's first sample lies inside a block
+        crossing = 10**6 * 512 - g0 + 1
+        assert crossing not in starts
+        before = bisect.bisect_right(starts, crossing)
+        assert before >= 2
+        route = spy_routes(monkeypatch)
+        assert_matches_oracle(csv, man, 512)
+        assert [(name, m > 0) for name, _, m in route["calls"]] == \
+            [("grid", True)] * before + \
+            [("grid", False), ("fixed_point", False), ("lines", True)] * \
+            (len(starts) + 1 - before)
+
     @pytest.mark.parametrize("n_channels, fs, time_format", [
         (2, 512, "%.9f"), (3, 128, "%.9f"), (14, 128, "%.9f"),
         (1, 512, "%.6f"), (1, 128, "%.6f"), (1, 512, "str"), (1, 128, "str")])
@@ -1644,9 +1681,9 @@ LEAVE_GRID_EDITS = {
 
 class TestLeavingTheGridRoute:
     """Grid blocks, one block the grid route declines, then grid blocks
-    again: the timestamps made when the read leaves the grid route hold
-    the grid rows before it, and the checks cover them, so read_session
-    matches the per-line reader."""
+    again: the timestamps joined when a block leaves the grid route hold
+    the grid blocks' times too, and the checks cover them, so
+    read_session matches the per-line reader."""
 
     @pytest.mark.parametrize("fs", [512, 128])
     @pytest.mark.parametrize("g0_seconds", [0, 100])
@@ -1743,6 +1780,18 @@ class TestSessionCost:
         session, peak = self.peak_over_size(csv, man)
         assert session.n_samples == 120 * 512
         assert peak <= 1.8
+
+    def test_peak_memory_of_a_short_recording_on_the_grid_route(self, tmp_path):
+        # a generated 40 s recording as written, the length of evaluate's
+        # sessions, where one block's temporaries weigh more against the
+        # file: blocks convert into arrays of their own, so none is made
+        # for the whole file before the last block is read
+        csv, man = tmp_path / "s.csv", tmp_path / "s.manifest.json"
+        write_session(generate_session(GeneratorSpec(seed=11, duration_s=40.0)),
+                      csv, man)
+        session, peak = self.peak_over_size(csv, man)
+        assert session.n_samples == 40 * 512
+        assert peak <= 1.95
 
     def test_peak_memory_is_bounded_off_grid(self, tmp_path, monkeypatch):
         # a generated 120 s recording, with the grid route declined so that
